@@ -19,8 +19,10 @@ from .walker import (
     measure,
     oqrw_reference,
     qw1d_reference,
+    qw1d_trajectory,
     step,
     stripe_for_width,
+    trajectory,
 )
 
 __version__ = "0.1.0"
@@ -40,7 +42,9 @@ __all__ = [
     "measure",
     "oqrw_reference",
     "qw1d_reference",
+    "qw1d_trajectory",
     "step",
     "stripe_for_width",
+    "trajectory",
     "__version__",
 ]

@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coin import Coin, blocks
+from .coin import Coin
 from .walker import (
-    BandState,
     ComplexMeasure,
     init_band_vector,
     init_product,
     measure,
-    step,
+    qw1d_trajectory,
     stripe_for_width,
+    trajectory,
 )
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "run_series",
     "oracle_series",
     "n_crit",
+    "n_crit_of_trace",
     "peak_position",
     "height_ratio",
     "tail_exponent",
@@ -83,7 +84,6 @@ class RunSeries:
     peak_xbar: np.ndarray
     peak_val: np.ndarray
     edges: dict[float, np.ndarray]
-    norms: np.ndarray
 
     @property
     def edge(self) -> np.ndarray:
@@ -132,20 +132,22 @@ def _stats_from_values(
         out[f"edge_{thr:g}"].append(float(np.max(np.abs(xs[above]))))
 
 
-def _collect_series(
-    label: str, m: int, state: BandState, n: int, delta: float
+def _assemble_series(
+    label: str,
+    m: int,
+    delta: float,
+    samples: Iterable[tuple[np.ndarray, float, np.ndarray, int]],
 ) -> RunSeries:
+    """Reduce per-step samples (Re mu, max |Im mu|, positions, n) to a RunSeries.
+
+    Samples are consumed one at a time, so no per-step measure is kept.
+    """
     keys = ["sum_re", "max_abs_im", "min_re", "mu_center", "peak_xbar", "peak_val"]
     keys += [f"edge_{thr:g}" for thr in SUPPORT_THRESHOLDS]
     acc: dict[str, list] = {k: [] for k in keys}
-    norms = []
-    for _ in range(n):
-        state = step(state)
-        mu = measure(state)
-        _stats_from_values(
-            mu.values.real, mu.max_abs_imag(), mu.positions(), state.n, delta, acc
-        )
-        norms.append(state.norm())
+    for vals_re, vals_im_max, xs, n in samples:
+        _stats_from_values(vals_re, vals_im_max, xs, n, delta, acc)
+    n = len(acc["sum_re"])
     return RunSeries(
         label=label,
         m=m,
@@ -159,7 +161,6 @@ def _collect_series(
         peak_xbar=np.array(acc["peak_xbar"]),
         peak_val=np.array(acc["peak_val"]),
         edges={thr: np.array(acc[f"edge_{thr:g}"]) for thr in SUPPORT_THRESHOLDS},
-        norms=np.array(norms),
     )
 
 
@@ -184,7 +185,9 @@ def run_series(
     else:
         state = init_product(coin, g, s, t, n)
         label = f"product:M={m}"
-    return _collect_series(label, m, state, n, delta)
+    measures = (measure(st) for st in trajectory(state, n))
+    samples = ((mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n) for mu in measures)
+    return _assemble_series(label, m, delta, samples)
 
 
 def oracle_series(
@@ -194,41 +197,27 @@ def oracle_series(
     delta: float = DEFAULT_DELTA,
 ) -> RunSeries:
     """Per-step observables of the untruncated one-dimensional walk."""
-    phi0 = np.asarray(phi0, dtype=complex)
-    if abs(np.linalg.norm(phi0) - 1.0) > 1e-10:
-        raise ValueError("initial spinor must be unit length")
-    b = blocks(coin)
-    size = 2 * n + 3
-    psi = np.zeros((2, size), dtype=complex)
-    psi[:, n + 1] = phi0
-    keys = ["sum_re", "max_abs_im", "min_re", "mu_center", "peak_xbar", "peak_val"]
-    keys += [f"edge_{thr:g}" for thr in SUPPORT_THRESHOLDS]
-    acc: dict[str, list] = {k: [] for k in keys}
-    norms = []
-    for j in range(1, n + 1):
-        psi = b.p_row @ np.roll(psi, -1, axis=1) + b.q_row @ np.roll(psi, 1, axis=1)
-        psi[:, 0] = 0
-        psi[:, -1] = 0
-        lo, hi = n + 1 - j, n + 2 + j
-        probs = np.abs(psi[0, lo:hi]) ** 2 + np.abs(psi[1, lo:hi]) ** 2
-        xs = np.arange(-j, j + 1)
-        _stats_from_values(probs, 0.0, xs, j, delta, acc)
-        norms.append(float(np.linalg.norm(psi)))
-    return RunSeries(
-        label="oracle:1d",
-        m=2 * n + 1,
-        n=n,
-        delta=delta,
-        ns=np.arange(1, n + 1),
-        sum_re=np.array(acc["sum_re"]),
-        max_abs_im=np.array(acc["max_abs_im"]),
-        min_re=np.array(acc["min_re"]),
-        mu_center=np.array(acc["mu_center"]),
-        peak_xbar=np.array(acc["peak_xbar"]),
-        peak_val=np.array(acc["peak_val"]),
-        edges={thr: np.array(acc[f"edge_{thr:g}"]) for thr in SUPPORT_THRESHOLDS},
-        norms=np.array(norms),
+    samples = (
+        (probs, 0.0, np.arange(-j, j + 1), j)
+        for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1)
     )
+    return _assemble_series("oracle:1d", 2 * n + 1, delta, samples)
+
+
+def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> int:
+    """Last time before a min Re mu trace (entry i is n = i+1) first dips below -tol.
+
+    Only the first n_max entries count; n_max if none of them dips.  The
+    trace is read lazily, so a generator stops at the onset.
+    """
+    if n_max < 4 * m:
+        raise ValueError(f"n_max={n_max} too small to observe the onset (need >= 4M)")
+    for j, value in enumerate(min_re, start=1):
+        if j > n_max:
+            break
+        if value < -tol:
+            return j - 1
+    return n_max
 
 
 def n_crit(
@@ -239,15 +228,10 @@ def n_crit(
     g: Sequence[complex] = (1.0, 0.0),
 ) -> int:
     """Last time before Re mu first dips below -tol anywhere; n_max if never."""
-    if n_max < 4 * m:
-        raise ValueError(f"n_max={n_max} too small to observe the onset (need >= 4M)")
     s, t = stripe_for_width(m)
     state = init_product(coin, g, s, t, n_max)
-    for j in range(1, n_max + 1):
-        state = step(state)
-        if float(measure(state).values.real.min()) < -tol:
-            return j - 1
-    return n_max
+    min_re = (float(measure(st).values.real.min()) for st in trajectory(state, n_max))
+    return n_crit_of_trace(min_re, m, n_max, tol)
 
 
 def peak_position(mu: ComplexMeasure, delta: float = DEFAULT_DELTA) -> float:

@@ -8,7 +8,9 @@ echo, and re-running a config reproduces byte-identical numeric payloads
 
 Subcommands: simulate | spectrum | kato | limits | characteristics |
 oracle-check | sweep.  Exit status is 0 exactly when every check requested
-by the subcommand passes its stated tolerance.
+by the subcommand passes its stated tolerance (a non-finite value never
+passes), 1 when a check fails, and 2 when the configuration or the input
+is rejected, with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +30,16 @@ import numpy as np
 from . import __version__
 from .coin import Coin, make_coin, make_hadamard
 from .walker import (
+    ComplexMeasure,
     band_field,
     evolve,
     init_band_vector,
     init_product,
     measure,
     oqrw_reference,
-    qw1d_reference,
-    step,
+    qw1d_trajectory,
     stripe_for_width,
+    trajectory,
 )
 from .spectral import (
     build_w,
@@ -60,7 +64,7 @@ from .characteristics import (
     SUPPORT_THRESHOLDS,
     decay_exponent,
     height_ratio,
-    n_crit,
+    n_crit_of_trace,
     run_series,
     tail_exponent,
 )
@@ -129,6 +133,14 @@ class RunConfig:
 
     def snapshot_times(self) -> tuple[int, ...]:
         return self.snapshots if self.snapshots else (self.steps,)
+
+    def spinor(self) -> np.ndarray:
+        """g scaled to unit length, the one place it is normalized; zero or non-finite g is rejected."""
+        g = np.asarray(self.g, dtype=complex)
+        norm = np.linalg.norm(g)
+        if g.shape != (2,) or not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"g must be a nonzero finite 2-vector, got {_format_value(self.g)!r}")
+        return g / norm
 
 
 def _format_value(v) -> str:
@@ -227,6 +239,24 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
         fh.write("\n")
 
 
+def _write_measure(out: Path, tag: str, mu: ComplexMeasure, digest: str, normalized: bool) -> None:
+    """measure_{tag}.csv and, if asked, normalized_{tag}.csv of one snapshot."""
+    n, xs = mu.n, mu.positions()
+    _write_csv(
+        out / f"measure_{tag}.csv",
+        "n,x,re_mu,im_mu",
+        ((n, int(x), float(v.real), float(v.imag)) for x, v in zip(xs, mu.values)),
+        digest,
+    )
+    if normalized:
+        _write_csv(
+            out / f"normalized_{tag}.csv",
+            "xbar,n_times_mu",
+            ((float(x / n), float(n * v.real)) for x, v in zip(xs, mu.values)),
+            digest,
+        )
+
+
 def _complex_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
@@ -239,8 +269,7 @@ def _initial_state(cfg: RunConfig, n_max: int):
     coin = cfg.coin_obj()
     s, t = cfg.stripe()
     if cfg.init == "product":
-        g = np.asarray(cfg.g, dtype=complex)
-        return init_product(coin, g / np.linalg.norm(g), s, t, n_max)
+        return init_product(coin, cfg.spinor(), s, t, n_max)
     if cfg.init == "mixed":
         data = np.zeros((t - s + 1, 4), dtype=complex)
         data[-s] = [0.5, 0.0, 0.0, 0.5]
@@ -270,31 +299,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     sum_drift = 0.0
     max_imag = 0.0
     norm_trace = []
-    done = 0
-    for n_snap in snapshots:
-        state = evolve(state, n_snap - done)
-        done = n_snap
+    for state in trajectory(state, snapshots[-1]):
+        n_snap = state.n
+        if n_snap not in snapshots:
+            continue
         mu = measure(state)
-        xs = mu.positions()
-        _write_csv(
-            out / f"measure_n{n_snap}.csv",
-            "n,x,re_mu,im_mu",
-            (
-                (n_snap, int(x), float(v.real), float(v.imag))
-                for x, v in zip(xs, mu.values)
-            ),
-            digest,
-        )
-        if cfg.emit_normalized:
-            _write_csv(
-                out / f"normalized_n{n_snap}.csv",
-                "xbar,n_times_mu",
-                (
-                    (float(x / n_snap), float(n_snap * v.real))
-                    for x, v in zip(xs, mu.values)
-                ),
-                digest,
-            )
+        _write_measure(out, f"n{n_snap}", mu, digest, cfg.emit_normalized)
         if cfg.emit_band_field:
             field = band_field(state)
             _write_csv(
@@ -307,15 +317,16 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 digest,
             )
         drift = abs(mu.total() - total0)
-        sum_drift = max(sum_drift, drift)
-        max_imag = max(max_imag, mu.max_abs_imag())
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it.
+        sum_drift = float(np.maximum(sum_drift, drift))
+        max_imag = float(np.maximum(max_imag, mu.max_abs_imag()))
         norm_trace.append([n_snap, state.norm()])
-        if drift > cfg.conservation_tol:
+        if not drift <= cfg.conservation_tol:
             failures.append(f"measure sum drift {drift:.3e} at n={n_snap}")
     # The conjugate-mirror symmetry forcing a real measure on symmetric
     # stripes holds for product and mixed starts; arbitrary band vectors
     # may legitimately carry imaginary parts, which are only recorded.
-    if cfg.width() % 2 == 1 and cfg.init != "band" and max_imag > cfg.imag_tol:
+    if cfg.width() % 2 == 1 and cfg.init != "band" and not max_imag <= cfg.imag_tol:
         failures.append(f"odd-width imaginary residue {max_imag:.3e}")
     s, t = cfg.stripe()
     _write_json(
@@ -352,7 +363,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         values = eig(build_w(coin, s, t, k)).values
         for lam in sorted(values, key=lambda z: (-abs(z), z.real, z.imag)):
             rows.append((m, float(k), float(lam.real), float(lam.imag), float(abs(lam))))
-            if abs(lam) > 1.0 + 1e-10:
+            if not abs(lam) <= 1.0 + 1e-10:
                 failures.append(f"|lambda| = {abs(lam)} > 1 + 1e-10 at k={k}")
     _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows, digest)
     for msg in failures:
@@ -390,17 +401,17 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
             }
         )
     failures = []
-    if checks["pi_idempotent"] > 1e-12 or checks["pi_hermitian"] > 1e-12:
+    if not (checks["pi_idempotent"] <= 1e-12 and checks["pi_hermitian"] <= 1e-12):
         failures.append("projection is not an orthogonal projection to 1e-12")
-    if abs(checks["pi_rank"] - 3.0) > 1e-10:
+    if not abs(checks["pi_rank"] - 3.0) <= 1e-10:
         failures.append(f"projection rank {checks['pi_rank']} != 3")
-    if checks["r_skew_hermitian"] > 1e-12:
+    if not checks["r_skew_hermitian"] <= 1e-12:
         failures.append("reduced generator is not skew-Hermitian to 1e-12")
-    if checks["minimal_poly_residual"] > 1e-12:
+    if not checks["minimal_poly_residual"] <= 1e-12:
         failures.append("minimal polynomial residual above 1e-12")
-    if checks["minimality_witness"] < 0.1:
+    if not checks["minimality_witness"] >= 0.1:
         failures.append("minimality witness below 0.1")
-    if max(checks["eigvec_residuals"]) > 1e-12:
+    if not np.max(checks["eigvec_residuals"]) <= 1e-12:
         failures.append("reduced eigenpair residual above 1e-12")
     _write_json(
         out / "kato.json",
@@ -434,12 +445,11 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             "the limits command compares against product-start mode weights; "
             "set init = product"
         )
-    state = _initial_state(cfg, n)
-    cell_spinor = coin.matrix @ (np.asarray(cfg.g, dtype=complex))
-    cell_spinor /= np.linalg.norm(cell_spinor)
+    g = cfg.spinor()
+    cell_spinor = coin.matrix @ g
+    cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
     c_minus, c_zero, c_plus = limit_coefficients(cell_spinor)
-    state = evolve(state, n)
-    mu = measure(state)
+    mu = measure(evolve(init_product(coin, g, s, t, n), n))
     masses = mode_masses(mu, cfg.w_coeff)
     profiles = limit_profiles(cell_spinor)
     distances = {}
@@ -453,7 +463,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     expected = (c_minus.real, c_zero.real, c_plus.real)
     failures = []
     for name, got, want in zip(("left", "center", "right"), masses, expected):
-        if abs(got - want) > 0.02:
+        if not abs(got - want) <= 0.02:
             failures.append(f"{name} mass {got:.4f} vs {want:.4f} (tol 0.02)")
     nonreal = abs(np.conj(cell_spinor[0]) * cell_spinor[1] - (np.conj(cell_spinor[0]) * cell_spinor[1]).real) > 1e-14
     _write_json(
@@ -495,13 +505,13 @@ def _characteristics_row(args) -> tuple[list, dict]:
     cfg = config_from_text(cfg_text)
     coin = cfg.coin_obj()
     n = cfg.steps
-    g = np.asarray(cfg.g, dtype=complex)
-    g = g / np.linalg.norm(g)
-    series = run_series(coin, m, n, g=g, delta=cfg.delta)
+    nmax = cfg.ncrit_nmax or 4 * m + 40
+    # One evolution serves both the fits and n_crit; it runs past n only
+    # when the n_crit horizon does.
+    series = run_series(coin, m, max(n, nmax), g=cfg.spinor(), delta=cfg.delta)
+    nc = n_crit_of_trace(series.min_re, m, nmax, cfg.ncrit_tol)
     lo = cfg.fit_lo or n // 2
     hi = cfg.fit_hi or n
-    nmax = cfg.ncrit_nmax or 4 * m + 40
-    nc = n_crit(coin, m, nmax, tol=cfg.ncrit_tol, g=g)
     sel = series.slice_window(lo, hi)
     xmax = float(np.nanmean(series.peak_xbar[sel]))
     ratio = height_ratio(series, lo, hi)
@@ -526,8 +536,8 @@ def _characteristics_row(args) -> tuple[list, dict]:
         },
         "r_center": {"slope": r_center.slope, "rms_residual": r_center.rms_residual},
         "r_side": {"slope": r_side.slope, "rms_residual": r_side.rms_residual},
-        "max_sum_deviation": float(np.max(np.abs(series.sum_re - series.sum_re[0]))),
-        "max_abs_imag": float(np.max(series.max_abs_im)),
+        "max_sum_deviation": float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0]))),
+        "max_abs_imag": float(np.max(series.max_abs_im[:n])),
     }
     return row, sidecar
 
@@ -567,15 +577,11 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     n = 50
     worst_qw = 0.0
     for g in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)):
-        state = init_product(coin, g, -n, n, n)
-        ref_prev = None
-        for j in range(1, n + 1):
-            state = step(state)
-            got = measure(state).values
-            ref = qw1d_reference(coin, g, j)
-            worst_qw = max(worst_qw, float(np.max(np.abs(got - ref))))
+        band = trajectory(init_product(coin, g, -n, n, n), n)
+        for state, ref in zip(band, qw1d_trajectory(coin, g, n)):
+            worst_qw = float(np.maximum(worst_qw, np.max(np.abs(measure(state).values - ref))))
     report["unitary_limit_max_abs_diff"] = worst_qw
-    if worst_qw > 1e-12:
+    if not worst_qw <= 1e-12:
         failures.append(f"unitary-limit oracle deviation {worst_qw:.3e}")
     # Classical-limit suite: width 1 reproduces the dissipative recursion.
     n = 500
@@ -583,19 +589,17 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     worst_neg = 0.0
     worst_sum = 0.0
     for g in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)):
-        state = init_product(coin, g, 0, 0, n)
-        state = evolve(state, n)
-        got = measure(state).values
+        got = measure(evolve(init_product(coin, g, 0, 0, n), n)).values
         ref = oqrw_reference(coin, g, n)
-        worst_cl = max(worst_cl, float(np.max(np.abs(got - ref))))
-        worst_neg = min(worst_neg, float(got.real.min()))
-        worst_sum = max(worst_sum, abs(got.sum() - 1.0))
+        worst_cl = float(np.maximum(worst_cl, np.max(np.abs(got - ref))))
+        worst_neg = float(np.minimum(worst_neg, got.real.min()))
+        worst_sum = float(np.maximum(worst_sum, abs(got.sum() - 1.0)))
     report["classical_limit_max_abs_diff"] = worst_cl
     report["classical_limit_min_value"] = worst_neg
     report["classical_limit_sum_deviation"] = worst_sum
-    if worst_cl > 1e-12:
+    if not worst_cl <= 1e-12:
         failures.append(f"classical-limit oracle deviation {worst_cl:.3e}")
-    if worst_neg < -1e-12 or worst_sum > 1e-12:
+    if not (worst_neg >= -1e-12 and worst_sum <= 1e-12):
         failures.append("classical-limit positivity/normalization violated")
     _write_json(
         out / "oracle_check.json",
@@ -611,24 +615,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     n = cfg.steps
     for m in cfg.mlist:
-        sub = config_from_text(config_to_text(cfg))
-        sub.m, sub.s, sub.t = m, 1, 0  # s > t resets to the width-m placement
-        state = _initial_state(sub, n)
-        state = evolve(state, n)
-        mu = measure(state)
-        xs = mu.positions()
-        _write_csv(
-            out / f"measure_M{m}_n{n}.csv",
-            "n,x,re_mu,im_mu",
-            ((n, int(x), float(v.real), float(v.imag)) for x, v in zip(xs, mu.values)),
-            digest,
-        )
-        _write_csv(
-            out / f"normalized_M{m}_n{n}.csv",
-            "xbar,n_times_mu",
-            ((float(x / n), float(n * v.real)) for x, v in zip(xs, mu.values)),
-            digest,
-        )
+        sub = replace(cfg, m=m, s=1, t=0)  # s > t resets to the width-m placement
+        mu = measure(evolve(_initial_state(sub, n), n))
+        _write_measure(out, f"M{m}_n{n}", mu, digest, normalized=True)
     _write_json(out / "provenance.json", {"command": "sweep", "config": config_to_text(cfg)}, digest)
     return 0
 
@@ -681,24 +670,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a rejected configuration or input exits 2 with one line."""
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config, {"steps": args.steps, "m": args.m})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "simulate": lambda: cmd_simulate(cfg, out),
-        "spectrum": lambda: cmd_spectrum(cfg, out),
-        "kato": lambda: cmd_kato(cfg, out),
-        "limits": lambda: cmd_limits(cfg, out),
-        "characteristics": lambda: cmd_characteristics(cfg, out, args.workers),
-        "oracle-check": lambda: cmd_oracle_check(cfg, out),
-        "sweep": lambda: cmd_sweep(cfg, out),
-    }
-    runner = dispatch[args.command]
-    if args.seedless:
-        with _NoRandomGuard():
-            return runner()
-    return runner()
+    try:
+        cfg = load_config(args.config, {"steps": args.steps, "m": args.m})
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        dispatch = {
+            "simulate": lambda: cmd_simulate(cfg, out),
+            "spectrum": lambda: cmd_spectrum(cfg, out),
+            "kato": lambda: cmd_kato(cfg, out),
+            "limits": lambda: cmd_limits(cfg, out),
+            "characteristics": lambda: cmd_characteristics(cfg, out, args.workers),
+            "oracle-check": lambda: cmd_oracle_check(cfg, out),
+            "sweep": lambda: cmd_sweep(cfg, out),
+        }
+        with _NoRandomGuard() if args.seedless else nullcontext():
+            return dispatch[args.command]()
+    except ValueError as exc:
+        print(f"stripewalk {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ class Coin:
 
     def __post_init__(self) -> None:
         res = unitarity_residual(self.matrix)
-        if res > UNITARITY_TOL:
+        if not res <= UNITARITY_TOL:  # a NaN entry must not pass
             raise ValueError(
                 f"coin entries are not unitary: residual {res:.3e} "
                 f"exceeds {UNITARITY_TOL:.1e}"

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coin import Coin
-from .walker import ComplexMeasure
+from .walker import ComplexMeasure, unit_spinor
 
 __all__ = [
     "LimitProfile",
@@ -79,11 +79,7 @@ def limit_coefficients(g: Sequence[complex]) -> tuple[complex, complex, complex]
     complex in general (real whenever conj(g1) g2 is real) and are returned
     verbatim.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (2,):
-        raise ValueError("spinor must be a 2-vector")
-    if abs(np.linalg.norm(g) - 1.0) > 1e-10:
-        raise ValueError("spinor must be unit length")
+    g = unit_spinor(g)
     s3 = math.sqrt(3.0)
     cross = np.conj(g[0]) * g[1]
     a1, a2 = abs(g[0]) ** 2, abs(g[1]) ** 2

@@ -15,9 +15,15 @@ u-shifts carry exactly the e^{-+ik} factors of V(k).
 
 The complex measure is mu_n(x) = <LL|psi_n(u=x, v=0)> + <RR|psi_n(u=x, v=0)>
 (v = 0 is the diagonal x = y).  Two independent oracles bracket the model:
-``qw1d_reference`` (the plain unitary walk, equal to the band measure while
-the cone has not touched the stripe boundary) and ``oqrw_reference`` (the
-dissipative two-component recursion, equal to the M = 1 measure).
+the plain unitary walk (``qw1d_trajectory`` / ``qw1d_reference``, equal to
+the band measure while the cone has not touched the stripe boundary) and
+``oqrw_reference`` (the dissipative two-component recursion, equal to the
+M = 1 measure).
+
+``trajectory(state, steps)`` is the one stepping loop: it yields the state
+after each step to consumers that reduce as they go, and ``evolve`` is its
+last item.  ``qw1d_trajectory`` and its last item ``qw1d_reference`` do the
+same for the unitary reference walk.
 
 Stepping is double-buffered: the kernel reads one array and writes a fresh
 one, and every output cell depends only on the read buffer, so positions
@@ -28,7 +34,7 @@ States are treated as single-writer; snapshots may be shared read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,10 +46,13 @@ __all__ = [
     "stripe_for_width",
     "init_product",
     "init_band_vector",
+    "unit_spinor",
     "step",
+    "trajectory",
     "evolve",
     "measure",
     "band_field",
+    "qw1d_trajectory",
     "qw1d_reference",
     "oqrw_reference",
 ]
@@ -138,6 +147,17 @@ def _validate_stripe(s: int, t: int) -> None:
         raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
 
 
+def unit_spinor(g: Sequence[complex]) -> np.ndarray:
+    """``g`` as a complex 2-vector; ValueError unless it is finite and unit length."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (2,):
+        raise ValueError("spinor must be a 2-vector")
+    norm = np.linalg.norm(g)
+    if not abs(norm - 1.0) <= 1e-10:  # also rejects nan and inf
+        raise ValueError(f"spinor must be finite and unit length, |g| = {norm}")
+    return g
+
+
 def init_product(
     coin: Coin, g: Sequence[complex], s: int, t: int, n_max: int
 ) -> BandState:
@@ -147,17 +167,10 @@ def init_product(
     the tensor square, so the stored cell is (Hg) (x) conj(Hg).
     """
     _validate_stripe(s, t)
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (2,):
-        raise ValueError("initial spinor must be a 2-vector")
-    if abs(np.linalg.norm(g) - 1.0) > 1e-10:
-        raise ValueError(f"initial spinor must be unit length, |g| = {np.linalg.norm(g)}")
-    hg = coin.matrix @ g
-    cell = np.kron(hg, hg.conj())
-    m = t - s + 1
-    amps = np.zeros((4, m, 2 * n_max + 3), dtype=complex)
-    amps[:, -s, n_max + 1] = cell
-    return BandState(coin=coin, s=s, t=t, n=0, n_max=n_max, amps=amps)
+    hg = coin.matrix @ unit_spinor(g)
+    data = np.zeros((t - s + 1, 4), dtype=complex)
+    data[-s] = np.kron(hg, hg.conj())
+    return init_band_vector(coin, data, s, t, n_max)
 
 
 def init_band_vector(
@@ -203,16 +216,7 @@ def _step_kernel_rank1(src: np.ndarray, dst: np.ndarray, b: CoinBlocks, lo: int,
     out[:, 1:, :] += w_qp * src[RL, :-1, lo:hi][None, :, :]
 
 
-def _step_kernel_dense(src: np.ndarray, dst: np.ndarray, b: CoinBlocks, lo: int, hi: int) -> None:
-    """Dense-matrix variant of the step kernel (4x4 block products)."""
-    out = dst[:, :, lo:hi]
-    np.einsum("ij,jvu->ivu", b.pp, src[:, :, lo + 1 : hi + 1], out=out)
-    out += np.einsum("ij,jvu->ivu", b.qq, src[:, :, lo - 1 : hi - 1])
-    out[:, :-1, :] += np.einsum("ij,jvu->ivu", b.pq, src[:, 1:, lo:hi])
-    out[:, 1:, :] += np.einsum("ij,jvu->ivu", b.qp, src[:, :-1, lo:hi])
-
-
-def step(state: BandState, dense: bool = False) -> BandState:
+def step(state: BandState) -> BandState:
     """One cut-evolution step; returns a new state with n incremented."""
     if state.n >= state.n_max:
         raise RuntimeError(
@@ -223,8 +227,7 @@ def step(state: BandState, dense: bool = False) -> BandState:
     c = state.center
     r = state.n + 1  # support radius after the step
     lo, hi = c - r, c + r + 1
-    kernel = _step_kernel_dense if dense else _step_kernel_rank1
-    kernel(src, dst, state.blocks, lo, hi)
+    _step_kernel_rank1(src, dst, state.blocks, lo, hi)
     return BandState(
         coin=state.coin,
         s=state.s,
@@ -236,12 +239,23 @@ def step(state: BandState, dense: bool = False) -> BandState:
     )
 
 
-def evolve(state: BandState, steps: int, dense: bool = False) -> BandState:
-    """Iterate ``step`` the given number of times."""
+def trajectory(state: BandState, steps: int) -> Iterator[BandState]:
+    """Yield the state after each of the next ``steps`` steps.
+
+    Each yielded state owns a fresh buffer, so a consumer that keeps only
+    the current item holds at most two band buffers at a time.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for _ in range(steps):
-        state = step(state, dense=dense)
+        state = step(state)
+        yield state
+
+
+def evolve(state: BandState, steps: int) -> BandState:
+    """The state ``steps`` steps later: the last item of ``trajectory``."""
+    for state in trajectory(state, steps):
+        pass
     return state
 
 
@@ -271,25 +285,35 @@ def band_field(state: BandState) -> dict[tuple[int, int], complex]:
     return out
 
 
-def qw1d_reference(coin: Coin, phi0: Sequence[complex], n: int) -> np.ndarray:
-    """Distribution of the plain unitary walk after n steps.
+def qw1d_trajectory(coin: Coin, phi0: Sequence[complex], n: int) -> Iterator[np.ndarray]:
+    """Per-step distributions of the plain unitary walk, for j = 1..n.
 
-    psi'(x) = P' psi(x+1) + Q' psi(x-1) from psi_0 = delta_0 phi0; returns
-    ||psi_n(x)||^2 as a real array over x in [-n, n] (index x + n).
+    psi'(x) = P' psi(x+1) + Q' psi(x-1) from psi_0 = delta_0 phi0; item j is
+    ||psi_j(x)||^2 as a real array over x in [-j, j] (index x + j).
     """
-    phi0 = np.asarray(phi0, dtype=complex)
-    if abs(np.linalg.norm(phi0) - 1.0) > 1e-10:
-        raise ValueError("initial spinor must be unit length")
+    phi0 = unit_spinor(phi0)
     b = blocks(coin)
     p_row, q_row = b.p_row, b.q_row
     size = 2 * n + 3  # one guard column each side
     psi = np.zeros((2, size), dtype=complex)
     psi[:, n + 1] = phi0
-    for _ in range(n):
+    for j in range(1, n + 1):
         psi = p_row @ np.roll(psi, -1, axis=1) + q_row @ np.roll(psi, 1, axis=1)
         psi[:, 0] = 0
         psi[:, -1] = 0
-    probs = np.abs(psi[0, 1:-1]) ** 2 + np.abs(psi[1, 1:-1]) ** 2
+        lo, hi = n + 1 - j, n + 2 + j
+        yield np.abs(psi[0, lo:hi]) ** 2 + np.abs(psi[1, lo:hi]) ** 2
+
+
+def qw1d_reference(coin: Coin, phi0: Sequence[complex], n: int) -> np.ndarray:
+    """Distribution of the plain unitary walk after n steps, over x in [-n, n].
+
+    The last item of ``qw1d_trajectory``; at n = 0 the point mass at x = 0.
+    """
+    phi0 = unit_spinor(phi0)
+    probs = np.abs(phi0[:1]) ** 2 + np.abs(phi0[1:]) ** 2
+    for probs in qw1d_trajectory(coin, phi0, n):
+        pass
     return probs
 
 
@@ -302,10 +326,7 @@ def oqrw_reference(coin: Coin, g: Sequence[complex], n: int) -> np.ndarray:
     product, so the step matrices are [[|a|^2, 0], [|c|^2, 0]] and
     [[0, |b|^2], [0, |d|^2]].
     """
-    g = np.asarray(g, dtype=complex)
-    if abs(np.linalg.norm(g) - 1.0) > 1e-10:
-        raise ValueError("initial spinor must be unit length")
-    hg = coin.matrix @ g
+    hg = coin.matrix @ unit_spinor(g)
     a_mat = np.array(
         [[abs(coin.a) ** 2, 0.0], [abs(coin.c) ** 2, 0.0]]
     )  # P o conj(P)

@@ -40,7 +40,6 @@ def _synthetic_series(ns, mu_center, peak_val, peak_xbar=0.6, edge_slope=0.5):
         peak_xbar=np.full(len(ns), peak_xbar),
         peak_val=np.asarray(peak_val, dtype=float),
         edges={thr: edge for thr in SUPPORT_THRESHOLDS},
-        norms=np.ones_like(ns, dtype=float),
     )
 
 

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from stripewalk import make_hadamard
+from stripewalk.characteristics import n_crit
 from stripewalk.cli import (
     RunConfig,
     _NoRandomGuard,
+    cmd_limits,
     config_from_text,
     config_hash,
     config_to_text,
@@ -245,11 +248,85 @@ def test_mixed_initial_state_konno(tmp_path):
     assert kolmogorov_distance(xs / 100, vals, konno_cdf) < 0.08
 
 
-def test_limits_requires_product_start(tmp_path):
+def test_limits_requires_product_start(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("steps = 300\ninit = mixed\n")
     with pytest.raises(ValueError, match="product"):
-        main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        cmd_limits(config_from_text(cfg.read_text()), tmp_path)
+    rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "product" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, needle",
+    [
+        ("spectrum", "m = 70\n", "exceeds limit"),
+        ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
+        ("limits", "steps = 300\ninit = mixed\n", "init = product"),
+        ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
+    ],
+)
+def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, needle):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and needle in err
+    assert "Traceback" not in err
+
+
+def test_simulate_rejects_zero_spinor(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 10\ng = 0,0 0,0\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "g must be a nonzero finite 2-vector" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "measure_n10.csv").exists()
+
+
+def test_simulate_nan_measure_fails_checks(tmp_path):
+    # A NaN band start must fail the conservation check, and the running
+    # maxima must carry the NaN rather than report 0.
+    cfg = tmp_path / "cfg.txt"
+    pairs = " ".join(["nan,0"] + ["0.5,0"] * 11)
+    cfg.write_text(f"steps = 10\nm = 3\ninit = band\nband = {pairs}\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    assert math.isnan(prov["measure_sum_drift"])
+    assert math.isnan(prov["max_abs_imag"])
+    assert prov["failures"]
+
+
+@pytest.mark.parametrize("steps, ncrit_nmax", [(100, 0), (60, 80)])
+def test_characteristics_n_crit_matches_standalone(tmp_path, steps, ncrit_nmax):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"steps = {steps}\nmlist = 1 2 3 5\nncrit_nmax = {ncrit_nmax}\n")
+    rc = main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    _, _, rows = _read_csv(tmp_path / "o" / "characteristics.csv")
+    hadamard = make_hadamard()
+    for r in rows:
+        m = int(r[0])
+        nmax = ncrit_nmax or 4 * m + 40
+        assert int(r[1]) == n_crit(hadamard, m, nmax, tol=1e-12, g=(1.0, 0.0))
+    sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
+    assert all(entry["n"] == steps for entry in sidecar["per_m"])
+
+
+def test_sweep_rows_match_simulate(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 40\nmlist = 2 3\ng = 0.6,0 0,0.8\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    for m in (2, 3):
+        sim = tmp_path / f"sim{m}"
+        assert main(["simulate", "--config", str(cfg), "--m", str(m), "--out", str(sim)]) == 0
+        for kind in ("measure", "normalized"):
+            swept = (tmp_path / "sw" / f"{kind}_M{m}_n40.csv").read_text().splitlines()
+            single = (sim / f"{kind}_n40.csv").read_text().splitlines()
+            assert swept[1:] == single[1:]  # line 0 is the config digest
 
 
 def test_simulate_complex_band_init_odd_width(tmp_path):

@@ -53,6 +53,8 @@ def test_make_coin_matches_hadamard():
 def test_make_coin_rejects_non_unitary():
     with pytest.raises(ValueError, match="residual"):
         make_coin(1, 1, 0, 0)
+    with pytest.raises(ValueError, match="residual"):
+        make_coin(math.nan, 0, 0, 1)
     # The reported residual for [[1,1],[0,0]] is the max entry of H*H - I.
     assert abs(unitarity_residual(np.array([[1, 1], [0, 0]])) - 1.0) < 1e-15
 

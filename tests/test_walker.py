@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from stripewalk import (
     measure,
     oqrw_reference,
     qw1d_reference,
+    qw1d_trajectory,
     step,
     stripe_for_width,
+    trajectory,
 )
 from stripewalk.limits import gaussian_cdf, kolmogorov_distance, konno_cdf
 
@@ -94,12 +97,65 @@ def test_evolve_composition_bitwise(hadamard):
     assert np.array_equal(a.amps, b.amps)
 
 
+def _dense_step(state):
+    """Oracle step: the four 4x4 tensor blocks applied as dense matrices."""
+    b, src = state.blocks, state.amps
+    dst = np.zeros_like(src)
+    r = state.n + 1
+    lo, hi = state.center - r, state.center + r + 1
+    out = dst[:, :, lo:hi]
+    np.einsum("ij,jvu->ivu", b.pp, src[:, :, lo + 1 : hi + 1], out=out)
+    out += np.einsum("ij,jvu->ivu", b.qq, src[:, :, lo - 1 : hi - 1])
+    out[:, :-1, :] += np.einsum("ij,jvu->ivu", b.pq, src[:, 1:, lo:hi])
+    out[:, 1:, :] += np.einsum("ij,jvu->ivu", b.qp, src[:, :-1, lo:hi])
+    return dataclasses.replace(state, n=r, amps=dst)
+
+
 def test_dense_and_rank1_paths_agree(hadamard, complex_coin):
     for coin in (hadamard, complex_coin):
         state = init_product(coin, PLUS, -2, 1, 12)
-        a = evolve(state, 12)
-        b = evolve(state, 12, dense=True)
-        assert np.max(np.abs(a.amps - b.amps)) < 1e-14
+        dense = state
+        for _ in range(12):
+            dense = _dense_step(dense)
+        assert np.max(np.abs(evolve(state, 12).amps - dense.amps)) < 1e-14
+
+
+def test_trajectory_yields_each_step(hadamard):
+    state = init_product(hadamard, PLUS, -2, 1, 9)
+    items = [(s.n, s.amps.copy()) for s in trajectory(state, 9)]
+    assert [n for n, _ in items] == list(range(1, 10))
+    assert np.array_equal(items[-1][1], evolve(state, 9).amps)
+    assert np.array_equal(items[3][1], evolve(state, 4).amps)
+    assert list(trajectory(state, 0)) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        next(trajectory(state, -1))
+
+
+def test_qw1d_trajectory_items_match_reference(hadamard, complex_coin):
+    for coin in (hadamard, complex_coin):
+        for g in (LEFT, np.array([1.0, 1.0j]) / math.sqrt(2)):
+            j = 0
+            for j, probs in enumerate(qw1d_trajectory(coin, g, 30), start=1):
+                assert probs.shape == (2 * j + 1,)
+                assert np.max(np.abs(probs - qw1d_reference(coin, g, j))) <= 1e-15
+            assert j == 30
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, 1.0)])
+def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
+    from stripewalk.characteristics import oracle_series
+    from stripewalk.limits import limit_coefficients
+
+    calls = (
+        lambda: init_product(hadamard, bad, -1, 0, 4),
+        lambda: qw1d_reference(hadamard, bad, 3),
+        lambda: oqrw_reference(hadamard, bad, 3),
+        lambda: oracle_series(hadamard, bad, 3),
+        lambda: limit_coefficients(bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unit"):
+            call()
 
 
 def test_measure_initial_point_mass(hadamard):
