@@ -69,7 +69,8 @@ class RunSeries:
     Arrays are indexed by step number minus one (entry i is time n = i+1).
     ``edges`` maps each recorded support threshold to the a_n trace.
     ``peak_xbar`` is nan whenever the window [delta, 1] holds no positive
-    real value.
+    real value.  ``engine`` is ``BandState.engine()`` of the last state
+    (empty for the one-dimensional oracle).
     """
 
     label: str
@@ -84,6 +85,7 @@ class RunSeries:
     peak_xbar: np.ndarray
     peak_val: np.ndarray
     edges: dict[float, np.ndarray]
+    engine: dict = field(default_factory=dict)
 
     @property
     def edge(self) -> np.ndarray:
@@ -185,9 +187,17 @@ def run_series(
     else:
         state = init_product(coin, g, s, t, n)
         label = f"product:M={m}"
-    measures = (measure(st) for st in trajectory(state, n))
-    samples = ((mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n) for mu in measures)
-    return _assemble_series(label, m, delta, samples)
+    final = state
+
+    def samples():
+        nonlocal final
+        for final in trajectory(state, n):
+            mu = measure(final)
+            yield mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n
+
+    series = _assemble_series(label, m, delta, samples())
+    series.engine = final.engine()
+    return series
 
 
 def oracle_series(

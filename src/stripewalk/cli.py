@@ -142,6 +142,16 @@ class RunConfig:
             raise ValueError(f"g must be a nonzero finite 2-vector, got {_format_value(self.g)!r}")
         return g / norm
 
+    def band_data(self) -> np.ndarray:
+        """The band start as an (M, 4) array; its count must be 4M and every entry finite."""
+        m = self.width()
+        data = np.asarray(self.band, dtype=complex)
+        if data.size != 4 * m:
+            raise ValueError(f"band init needs {4 * m} complex entries, got {data.size}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("band entries must be finite")
+        return data.reshape(m, 4)
+
 
 def _format_value(v) -> str:
     if isinstance(v, bool):
@@ -155,9 +165,12 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_complex(text: str) -> complex:
-    re_s, im_s = text.split(",")
-    return complex(float(re_s), float(im_s))
+def _parse_complex(name: str, text: str) -> complex:
+    try:
+        re_s, im_s = text.split(",")
+        return complex(float(re_s), float(im_s))
+    except ValueError:
+        raise ValueError(f"{name}: expected a complex number written re,im, got {text!r}") from None
 
 
 #: Element type of each tuple-valued config field.
@@ -168,14 +181,14 @@ def _parse_value(name: str, text: str, template):
     if name in _TUPLE_FIELDS:
         parts = text.split()
         if _TUPLE_FIELDS[name] is complex:
-            return tuple(_parse_complex(p) for p in parts)
+            return tuple(_parse_complex(name, p) for p in parts)
         return tuple(int(p) for p in parts)
     if isinstance(template, bool):
         if text.lower() not in ("true", "false"):
             raise ValueError(f"{name}: expected true/false, got {text!r}")
         return text.lower() == "true"
     if isinstance(template, complex) and not isinstance(template, bool):
-        return _parse_complex(text)
+        return _parse_complex(name, text)
     if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
@@ -211,6 +224,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
+    # The engine reads the band to choose dtype and sublattices, so a
+    # non-finite entry stops here; the 4M count is checked per width when a
+    # state is built, since sweep builds one for each width in mlist.
+    if cfg.init == "band" and not np.all(np.isfinite(np.asarray(cfg.band, dtype=complex))):
+        raise ValueError("band entries must be finite")
     return cfg
 
 
@@ -275,11 +293,7 @@ def _initial_state(cfg: RunConfig, n_max: int):
         data[-s] = [0.5, 0.0, 0.0, 0.5]
         return init_band_vector(coin, data, s, t, n_max)
     if cfg.init == "band":
-        m = t - s + 1
-        data = np.asarray(cfg.band, dtype=complex)
-        if data.size != 4 * m:
-            raise ValueError(f"band init needs {4 * m} complex entries, got {data.size}")
-        return init_band_vector(coin, data.reshape(m, 4), s, t, n_max)
+        return init_band_vector(coin, cfg.band_data(), s, t, n_max)
     raise ValueError(f"unknown init {cfg.init!r}")
 
 
@@ -307,12 +321,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         _write_measure(out, f"n{n_snap}", mu, digest, cfg.emit_normalized)
         if cfg.emit_band_field:
             field = band_field(state)
+            keys = sorted(field)  # not the items: a tuple per cell would raise peak memory
             _write_csv(
                 out / f"band_n{n_snap}.csv",
                 "n,x,y,re,im",
                 (
                     (n_snap, x, y, float(v.real), float(v.imag))
-                    for (x, y), v in sorted(field.items())
+                    for (x, y), v in zip(keys, map(field.get, keys))
                 ),
                 digest,
             )
@@ -339,6 +354,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "max_abs_imag": max_imag,
             "measure_sum_drift": sum_drift,
             "norm_trace": norm_trace,
+            "engine": state.engine(),
             "failures": failures,
             "deterministic": True,
         },
@@ -538,6 +554,7 @@ def _characteristics_row(args) -> tuple[list, dict]:
         "r_side": {"slope": r_side.slope, "rms_residual": r_side.rms_residual},
         "max_sum_deviation": float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0]))),
         "max_abs_imag": float(np.max(series.max_abs_im[:n])),
+        "engine": series.engine,
     }
     return row, sidecar
 

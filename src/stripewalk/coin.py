@@ -103,6 +103,7 @@ class CoinBlocks:
         Q(x)conj(P) driving the two-coordinate evolution.
     w_pp, w_qq, w_pq, w_qp : length-4 weight vectors such that e.g.
         ``pp == outer(w_pp, e_LL)``; the rank-1 factors of the blocks.
+    weights : the four weight vectors stacked for the step kernel.
     """
 
     coin: Coin
@@ -155,6 +156,11 @@ class CoinBlocks:
     @cached_property
     def w_qp(self) -> np.ndarray:
         return self.qp[:, RL].copy()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w_pp, w_qq, w_pq, w_qp stacked as (4, 4, 1, 1), to broadcast over (rows, columns)."""
+        return np.stack([self.w_pp, self.w_qq, self.w_pq, self.w_qp])[:, :, None, None]
 
 
 def blocks(coin: Coin) -> CoinBlocks:

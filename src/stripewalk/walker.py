@@ -25,14 +25,40 @@ after each step to consumers that reduce as they go, and ``evolve`` is its
 last item.  ``qw1d_trajectory`` and its last item ``qw1d_reference`` do the
 same for the unitary reference walk.
 
-Stepping is double-buffered: the kernel reads one array and writes a fresh
-one, and every output cell depends only on the read buffer, so positions
+The step kernel computes only cells that can be nonzero and visible:
+
+* dtype: float64 when the coin's rank-1 weights and the initial band data
+  are exactly real (Hadamard from a real spinor, the mixed start),
+  complex128 otherwise.  The real path does the same arithmetic on the
+  real parts, so its values equal the complex path's bit for bit.  Every
+  accessor (``measure``, ``band_field``, ``BandState.cell``/``row``)
+  returns complex values either way.
+* sublattices: a step moves every cell from u+v even to u+v odd or back,
+  so the two parity classes of u+v evolve independently.  The kernel runs
+  only on the classes the initial data occupies: one for product and
+  mixed starts (row v = 0 only), possibly both for band starts.
+* live window: each state carries the column range that may be nonzero.
+  It grows by at most one column per side per step; after each step, edge
+  columns whose entries are all finite and below ``np.finfo(dtype).tiny``
+  are set to zero and leave the window.  A column holding NaN or inf is
+  never dropped.  The dropped values are below tiny, and the cut walk does
+  not increase the l2 norm, so every cell, and every measure value, stays
+  within (2n+1) * 2 sqrt(2M) * tiny (about 2.8e-304 at M = 2, n = 1600) of
+  the evolution that keeps them.  Without the drop the subnormal floor
+  spreads to the edge of the light cone: the Hadamard weight
+  fl(1/sqrt2)^2 rounds the smallest subnormal back to itself.
+
+Stepping is double-buffered: the kernel reads one array and writes the
+other, and every output cell depends only on the read buffer, so positions
 could be partitioned across workers with nothing but a per-step barrier.
-States are treated as single-writer; snapshots may be shared read-only.
+``trajectory`` swaps two buffers of its own: a yielded state's buffer is
+overwritten two items later, so copy ``amps`` (or take ``measure``) to keep
+it.  The caller's initial state is never written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -94,17 +120,26 @@ class ComplexMeasure:
         return complex(self.values.sum())
 
     def max_abs_imag(self) -> float:
-        return float(np.max(np.abs(self.values.imag))) if len(self.values) else 0.0
+        """Largest |Im mu|; NaN when a value is not finite, whose imaginary
+        part a real-dtype field cannot carry."""
+        if not len(self.values):
+            return 0.0
+        if not np.all(np.isfinite(self.values)):
+            return math.nan
+        return float(np.max(np.abs(self.values.imag)))
 
 
 @dataclass
 class BandState:
-    """The walker's complex 4-vector field over the stripe.
+    """The walker's 4-vector field over the stripe.
 
     ``amps`` has shape (4, M, 2*n_max + 3); axis 0 is the component
     (LL, LR, RL, RR), axis 1 the row index v - s (v ascending from s to t),
     axis 2 the position index u + n_max + 1 (one guard column per side so
-    the step kernel never reads out of bounds).  Support satisfies |u| <= n.
+    the step kernel never reads out of bounds).  Its dtype is float64 or
+    complex128 (see the module docstring); entries outside the column
+    range ``live`` = [lo, hi) are exactly zero, and |u| <= n inside it.
+    ``sublattices`` lists the parities of u+v occupied at n = 0.
     """
 
     coin: Coin
@@ -114,10 +149,14 @@ class BandState:
     n_max: int
     amps: np.ndarray
     blocks: CoinBlocks = field(repr=False, default=None)  # type: ignore[assignment]
+    sublattices: tuple[int, ...] = (0, 1)
+    live: tuple[int, int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.blocks is None:
             self.blocks = blocks(self.coin)
+        if self.live is None:
+            self.live = (self.center - self.n, self.center + self.n + 1)
 
     @property
     def m(self) -> int:
@@ -128,18 +167,32 @@ class BandState:
         return self.n_max + 1
 
     def row(self, v: int) -> np.ndarray:
-        """View of the (4, U) field at transverse row v."""
+        """Complex copy of the (4, U) field at transverse row v."""
         if not self.s <= v <= self.t:
             raise ValueError(f"row v={v} outside stripe [{self.s}, {self.t}]")
-        return self.amps[:, v - self.s, :]
+        return self.amps[:, v - self.s, :].astype(complex)
 
     def cell(self, u: int, v: int) -> np.ndarray:
         """The complex 4-vector at (u, v)."""
-        return self.row(v)[:, u + self.center].copy()
+        return self.row(v)[:, u + self.center]
 
     def norm(self) -> float:
         """l2 norm of the whole field."""
-        return float(np.linalg.norm(self.amps))
+        lo, hi = self.live
+        return float(np.linalg.norm(self.amps[:, :, lo:hi]))
+
+    def engine(self) -> dict:
+        """The stepping choices behind this state, for provenance records.
+
+        ``live_u`` is the inclusive u-range of the live window (None when
+        the field is zero).
+        """
+        lo, hi = self.live
+        return {
+            "dtype": self.amps.dtype.name,
+            "sublattices": list(self.sublattices),
+            "live_u": [lo - self.center, hi - 1 - self.center] if lo < hi else None,
+        }
 
 
 def _validate_stripe(s: int, t: int) -> None:
@@ -184,71 +237,156 @@ def init_band_vector(
 
     ``data`` holds M 4-vectors indexed by v ascending from s to t, matching
     the block order of the momentum-space operator (a flat 4M vector from
-    the spectral module reshapes to (M, 4) directly).
+    the spectral module reshapes to (M, 4) directly).  The data and the
+    coin choose the engine: float64 when both are exactly real, and the
+    u+v parities of the nonzero rows as the sublattices to step.
     """
     _validate_stripe(s, t)
     data = np.asarray(data, dtype=complex)
     m = t - s + 1
     if data.shape != (m, 4):
         raise ValueError(f"band data must have shape ({m}, 4), got {data.shape}")
-    amps = np.zeros((4, m, 2 * n_max + 3), dtype=complex)
-    amps[:, :, n_max + 1] = data.T
-    return BandState(coin=coin, s=s, t=t, n=0, n_max=n_max, amps=amps)
+    b = blocks(coin)
+    inputs = (b.w_pp, b.w_qq, b.w_pq, b.w_qp, data)
+    dtype = complex if any(np.any(x.imag) for x in inputs) else float
+    occupied = np.any(data != 0, axis=1)  # a NaN row counts as occupied
+    sublattices = tuple(sorted({v % 2 for v in range(s, t + 1) if occupied[v - s]}))
+    amps = np.zeros((4, m, 2 * n_max + 3), dtype=dtype)
+    amps[:, :, n_max + 1] = data.T if dtype is complex else data.T.real
+    c = n_max + 1
+    live = (c, c + 1) if sublattices else (c, c)
+    return BandState(
+        coin=coin, s=s, t=t, n=0, n_max=n_max, amps=amps, blocks=b,
+        sublattices=sublattices, live=live,
+    )
 
 
-def _step_kernel_rank1(src: np.ndarray, dst: np.ndarray, b: CoinBlocks, lo: int, hi: int) -> None:
-    """Write one step of the cut evolution into dst[:, :, lo:hi].
+def _step_kernel_rank1(
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    groups: Sequence[tuple[slice, slice]],
+) -> None:
+    """Write one step of the cut evolution into dst[:, rows, cols] per group.
 
     Uses the rank-1 factorization of the four tensor blocks: each block
     contributes (weight vector) times one scalar component of a shifted
-    neighbor.  Reads src on [lo-1, hi+1), so callers keep one guard column.
+    neighbor, summed in the order PP, QQ, PQ, QP.  ``rows`` and ``cols``
+    are slices with steps 1 or 2.  Each strided neighbor is copied into a
+    contiguous array once, so the four broadcast products stream over
+    contiguous memory instead of re-reading the strided source.  Reads src
+    one column beyond ``cols`` on each side, so callers keep one guard
+    column.  ``weights`` is ``CoinBlocks.weights`` in the field's dtype.
     """
-    w_pp = b.w_pp[:, None, None]
-    w_qq = b.w_qq[:, None, None]
-    w_pq = b.w_pq[:, None, None]
-    w_qp = b.w_qp[:, None, None]
-    out = dst[:, :, lo:hi]
-    np.multiply(w_pp, src[LL, :, lo + 1 : hi + 1][None, :, :], out=out)
-    out += w_qq * src[RR, :, lo - 1 : hi - 1][None, :, :]
-    # Transverse coupling: row v reads v+1 through PQ and v-1 through QP;
-    # rows beyond the stripe edge contribute nothing (the cut).
-    out[:, :-1, :] += w_pq * src[LR, 1:, lo:hi][None, :, :]
-    out[:, 1:, :] += w_qp * src[RL, :-1, lo:hi][None, :, :]
+    w_pp, w_qq, w_pq, w_qp = weights
+    m = src.shape[1]
+    for rows, cols in groups:
+        r0, rs = rows.start, rows.step
+        c0, c1, cs = cols.start, cols.stop, cols.step
+        acc = np.multiply(w_pp, src[LL, rows, c0 + 1 : c1 + 1 : cs].copy())
+        acc += w_qq * src[RR, rows, c0 - 1 : c1 - 1 : cs].copy()
+        # Transverse coupling: row r reads r+1 through PQ and r-1 through QP;
+        # rows beyond the stripe edge contribute nothing (the cut).
+        up = acc[:, : len(range(r0, m - 1, rs))]
+        up += w_pq * src[LR, r0 + 1 : m : rs, cols].copy()
+        r1 = r0 if r0 >= 1 else r0 + rs
+        down = acc[:, (r1 - r0) // rs :]
+        down += w_qp * src[RL, r1 - 1 : m - 1 : rs, cols].copy()
+        dst[:, rows, cols] = acc
 
 
-def step(state: BandState) -> BandState:
-    """One cut-evolution step; returns a new state with n incremented."""
+def _droppable(column: np.ndarray, tiny: float) -> bool:
+    """True when every entry is finite and below tiny; NaN and inf compare False."""
+    return bool(np.abs(column).max() < tiny)
+
+
+def _live_groups(state: BandState, n: int, lo: int, hi: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices of the cells of columns [lo, hi) that are live at time n."""
+    m = state.m
+    if len(state.sublattices) == 2:
+        return [(slice(0, m, 1), slice(lo, hi, 1))]
+    # Row r (v = s + r) is live on the columns with u + v = n + sublattice
+    # (mod 2); the column index is u + center, so the offset is absolute.
+    parity = state.sublattices[0] + n - state.s + state.center
+    return [
+        (slice(r0, m, 2), slice(lo + (parity - r0 - lo) % 2, hi, 2)) for r0 in range(min(m, 2))
+    ]
+
+
+def step(state: BandState, out: BandState | None = None) -> BandState:
+    """One cut-evolution step; returns a state with n incremented.
+
+    The result is written into a fresh buffer, or into ``out.amps`` when a
+    spent state ``out`` is given: it must be the state one step before
+    ``state`` (``trajectory`` passes it), on a separate buffer of the same
+    dtype and shape, so that its live cells lie on the sublattice the
+    kernel writes.  Only the columns live in ``out`` that the new window
+    does not cover are cleared.
+    """
     if state.n >= state.n_max:
         raise RuntimeError(
             f"horizon exhausted: n = {state.n} has reached n_max = {state.n_max}"
         )
     src = state.amps
-    dst = np.zeros_like(src)
-    c = state.center
-    r = state.n + 1  # support radius after the step
-    lo, hi = c - r, c + r + 1
-    _step_kernel_rank1(src, dst, state.blocks, lo, hi)
+    lo, hi = state.live
+    if lo < hi:
+        lo, hi = lo - 1, hi + 1
+    if out is None:
+        dst = np.zeros_like(src)
+    else:
+        dst = out.amps
+        if (
+            out.n != state.n - 1
+            or out.sublattices != state.sublattices
+            or dst.dtype != src.dtype
+            or dst.shape != src.shape
+            or np.may_share_memory(dst, src)
+        ):
+            raise ValueError(
+                "out must be the state one step before, on its own buffer of the same dtype and shape"
+            )
+        olo, ohi = out.live
+        dst[:, :, olo : min(ohi, lo)] = 0
+        dst[:, :, max(olo, hi) : ohi] = 0
+    n = state.n + 1
+    if lo < hi:
+        w = state.blocks.weights
+        weights = w.real if src.dtype.kind == "f" else w  # in the field's dtype
+        _step_kernel_rank1(src, dst, weights, _live_groups(state, n, lo, hi))
+    tiny = np.finfo(dst.dtype).tiny
+    while lo < hi and _droppable(dst[:, :, lo], tiny):
+        dst[:, :, lo] = 0
+        lo += 1
+    while lo < hi and _droppable(dst[:, :, hi - 1], tiny):
+        dst[:, :, hi - 1] = 0
+        hi -= 1
     return BandState(
         coin=state.coin,
         s=state.s,
         t=state.t,
-        n=state.n + 1,
+        n=n,
         n_max=state.n_max,
         amps=dst,
         blocks=state.blocks,
+        sublattices=state.sublattices,
+        live=(lo, hi),
     )
 
 
 def trajectory(state: BandState, steps: int) -> Iterator[BandState]:
     """Yield the state after each of the next ``steps`` steps.
 
-    Each yielded state owns a fresh buffer, so a consumer that keeps only
-    the current item holds at most two band buffers at a time.
+    Two buffers are allocated and swapped: the buffer of a yielded state
+    is overwritten two items later, so copy ``amps`` to keep it.  The
+    initial state's buffer is never written.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    for _ in range(steps):
-        state = step(state)
+    spare = None
+    for i in range(steps):
+        nxt = step(state, out=spare)
+        spare = state if i > 0 else None
+        state = nxt
         yield state
 
 
@@ -264,7 +402,7 @@ def measure(state: BandState) -> ComplexMeasure:
     c, n = state.center, state.n
     row0 = state.amps[:, -state.s, c - n : c + n + 1]
     return ComplexMeasure(
-        n=n, s=state.s, t=state.t, offset=-n, values=row0[LL] + row0[RR]
+        n=n, s=state.s, t=state.t, offset=-n, values=np.add(row0[LL], row0[RR], dtype=complex)
     )
 
 
@@ -274,14 +412,18 @@ def band_field(state: BandState) -> dict[tuple[int, int], complex]:
     Positions follow x = u + v, y = u - v; entries with |u| > n are omitted
     (they are exactly zero).
     """
-    c, n = state.center, state.n
+    c, n, s, t = state.center, state.n, state.s, state.t
+    # x and y lie in [-n - w, n + w]; slices of one list share its ints
+    # across rows, which keeps the dict of 4M(2n+1) cells smaller.
+    w = max(-s, t)
+    ints = list(range(-n - w, n + w + 1))
     out: dict[tuple[int, int], complex] = {}
-    us = np.arange(-n, n + 1)
-    for v in range(state.s, state.t + 1):
-        row = state.amps[:, v - state.s, c - n : c + n + 1]
-        vals = row[LL] + row[RR]
-        for u, val in zip(us, vals):
-            out[(int(u) + v, int(u) - v)] = complex(val)
+    for v in range(s, t + 1):
+        row = state.amps[:, v - s, c - n : c + n + 1]
+        vals = np.add(row[LL], row[RR], dtype=complex).tolist()
+        xs = ints[w + v : w + v + 2 * n + 1]
+        ys = ints[w - v : w - v + 2 * n + 1]
+        out.update(zip(zip(xs, ys), vals))
     return out
 
 

@@ -197,6 +197,22 @@ def test_characteristics_command(tmp_path):
     sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
     assert [entry["M"] for entry in sidecar["per_m"]] == [1, 2, 3]
     assert sidecar["per_m"][1]["gamma"]["sensitivity"]
+    engine = sidecar["per_m"][1]["engine"]
+    assert engine["dtype"] == "float64" and engine["sublattices"] == [0]
+    lo, hi = engine["live_u"]
+    assert -200 <= lo < 0 < hi <= 200
+
+
+def test_simulate_provenance_records_engine(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 30\nm = 3\ng = 1,0 0,1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    assert prov["engine"] == {"dtype": "complex128", "sublattices": [0], "live_u": [-30, 30]}
+    cfg.write_text("steps = 30\nm = 3\ninit = mixed\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    assert prov["engine"] == {"dtype": "float64", "sublattices": [0], "live_u": [-30, 30]}
 
 
 def test_characteristics_parallel_matches_serial(tmp_path):
@@ -265,6 +281,11 @@ def test_limits_requires_product_start(tmp_path, capsys):
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
+        ("simulate", "steps = 10\ng = 1 0\n", "g: expected a complex number written re,im"),
+        ("simulate", "steps = 10\ncoin_a = 1\n", "coin_a: expected a complex number written re,im"),
+        ("simulate", "m = 3\ninit = band\nband = 1,0 0,0\n", "needs 12 complex entries"),
+        ("simulate", "m = 2\ninit = band\nband = " + " ".join(["nan,0"] + ["0.5,0"] * 7) + "\n", "finite"),
+        ("spectrum", "m = 2\ninit = band\nband = " + " ".join(["0,inf"] + ["0.5,0"] * 7) + "\n", "finite"),
     ],
 )
 def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, needle):
@@ -287,14 +308,18 @@ def test_simulate_rejects_zero_spinor(tmp_path, capsys):
 
 
 def test_simulate_nan_measure_fails_checks(tmp_path):
-    # A NaN band start must fail the conservation check, and the running
-    # maxima must carry the NaN rather than report 0.
+    # A NaN band start stops at the config pass (exit 2), but a finite one
+    # can still overflow: cells reach inf and then inf - inf = NaN on the
+    # float64 engine.  That must fail the conservation check, and the
+    # running maxima must carry the NaN rather than report 0.
     cfg = tmp_path / "cfg.txt"
-    pairs = " ".join(["nan,0"] + ["0.5,0"] * 11)
-    cfg.write_text(f"steps = 10\nm = 3\ninit = band\nband = {pairs}\n")
-    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    pairs = " ".join(["1.7e308,0"] * 12)
+    cfg.write_text(f"steps = 10\nsnapshots = 5 10\nm = 3\ninit = band\nband = {pairs}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    assert prov["engine"]["dtype"] == "float64"
     assert math.isnan(prov["measure_sum_drift"])
     assert math.isnan(prov["max_abs_imag"])
     assert prov["failures"]
@@ -327,6 +352,21 @@ def test_sweep_rows_match_simulate(tmp_path):
             swept = (tmp_path / "sw" / f"{kind}_M{m}_n40.csv").read_text().splitlines()
             single = (sim / f"{kind}_n40.csv").read_text().splitlines()
             assert swept[1:] == single[1:]  # line 0 is the config digest
+
+
+def test_band_count_is_checked_per_width(tmp_path, capsys):
+    # The band's 4M count is checked against the width each state is built
+    # for: sweep builds one per width in mlist, characteristics none.
+    cfg = tmp_path / "cfg.txt"
+    pairs = " ".join(["0.5,0"] * 12)
+    cfg.write_text(f"steps = 20\nmlist = 3\ninit = band\nband = {pairs}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    assert (tmp_path / "sw" / "measure_M3_n20.csv").exists()
+    cfg.write_text(f"steps = 20\nmlist = 2\ninit = band\nband = {pairs}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 2
+    assert "needs 8 complex entries" in capsys.readouterr().err
+    cfg.write_text(f"steps = 200\nmlist = 2\nncrit_nmax = 44\ninit = band\nband = {pairs}\n")
+    assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "ch")]) == 0
 
 
 def test_simulate_complex_band_init_odd_width(tmp_path):

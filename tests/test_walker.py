@@ -20,6 +20,7 @@ from stripewalk import (
     stripe_for_width,
     trajectory,
 )
+from stripewalk.coin import LL
 from stripewalk.limits import gaussian_cdf, kolmogorov_distance, konno_cdf
 
 from conftest import unit_spinor_strategy, unitary_coin_strategy
@@ -98,8 +99,9 @@ def test_evolve_composition_bitwise(hadamard):
 
 
 def _dense_step(state):
-    """Oracle step: the four 4x4 tensor blocks applied as dense matrices."""
-    b, src = state.blocks, state.amps
+    """Oracle step: the four 4x4 tensor blocks applied as dense complex
+    matrices over the whole light cone, with no window and no parity."""
+    b, src = state.blocks, state.amps.astype(complex)
     dst = np.zeros_like(src)
     r = state.n + 1
     lo, hi = state.center - r, state.center + r + 1
@@ -118,6 +120,136 @@ def test_dense_and_rank1_paths_agree(hadamard, complex_coin):
         for _ in range(12):
             dense = _dense_step(dense)
         assert np.max(np.abs(evolve(state, 12).amps - dense.amps)) < 1e-14
+
+
+def _band_starts(coin, m):
+    """Product (real and complex spinor), mixed and two-sublattice band starts."""
+    s, t = stripe_for_width(m)
+    rng = np.random.default_rng(m)
+    mixed = np.zeros((m, 4))
+    mixed[-s] = [0.5, 0.0, 0.0, 0.5]
+    band = rng.normal(size=(m, 4))
+    return {
+        "product": init_product(coin, PLUS, s, t, 40),
+        "product complex spinor": init_product(coin, np.array([1.0, 1.0j]) / math.sqrt(2), s, t, 40),
+        "mixed": init_band_vector(coin, mixed, s, t, 40),
+        "band": init_band_vector(coin, band, s, t, 40),
+        "band complex": init_band_vector(coin, band + 1j * rng.normal(size=(m, 4)), s, t, 40),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_step_matches_dense_oracle(hadamard, complex_coin, m):
+    for coin in (hadamard, complex_coin):
+        for name, state in _band_starts(coin, m).items():
+            dense = state
+            for got in trajectory(state, 40):
+                dense = _dense_step(dense)
+                assert got.n == dense.n
+                assert np.max(np.abs(got.amps - dense.amps)) <= 1e-14, (name, got.n)
+
+
+def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
+    starts = _band_starts(hadamard, 3)
+    assert starts["product"].amps.dtype == np.float64
+    assert starts["mixed"].amps.dtype == np.float64
+    assert starts["band"].amps.dtype == np.float64
+    assert starts["product complex spinor"].amps.dtype == np.complex128
+    assert starts["band complex"].amps.dtype == np.complex128
+    assert all(st.amps.dtype == np.complex128 for st in _band_starts(complex_coin, 3).values())
+    assert starts["product"].sublattices == (0,)
+    assert starts["mixed"].sublattices == (0,)
+    assert starts["band"].sublattices == (0, 1)
+    odd_rows = np.zeros((3, 4))
+    odd_rows[0] = [1.0, 0.0, 0.0, 0.0]  # v = -1 only
+    assert init_band_vector(hadamard, odd_rows, -1, 1, 4).sublattices == (1,)
+    state = evolve(starts["product"], 5)
+    # The accessors stay complex whatever the engine's dtype.
+    assert measure(state).values.dtype == np.complex128
+    assert state.row(0).dtype == np.complex128
+    assert state.cell(1, 0).dtype == np.complex128
+    assert all(isinstance(v, complex) for v in band_field(state).values())
+    # Exact zeros are dropped too: with Hg = (1, 0) the right edge stays empty.
+    nonzero_u = np.flatnonzero(np.any(state.amps != 0, axis=(0, 1))) - state.center
+    assert state.engine() == {
+        "dtype": "float64",
+        "sublattices": [0],
+        "live_u": [int(nonzero_u[0]), int(nonzero_u[-1])],
+    }
+
+
+def test_trajectory_swaps_two_buffers(hadamard):
+    state = init_product(hadamard, PLUS, -1, 0, 30)
+    buffers = {id(st.amps) for st in trajectory(state, 30)}
+    assert len(buffers) == 2 and id(state.amps) not in buffers
+
+
+def test_step_into_spent_buffer_clears_stale_columns(hadamard):
+    # A spent state whose live window is wider than the new one: the
+    # columns it alone covers must read zero after the step.
+    x = init_product(hadamard, PLUS, -2, 1, 30)
+    spent = evolve(x, 9)
+    src = evolve(x, 10)
+    c = src.center
+    amps = np.zeros_like(src.amps)
+    amps[:, :, c - 3 : c + 4] = src.amps[:, :, c - 3 : c + 4]
+    narrow = dataclasses.replace(src, amps=amps, live=(c - 3, c + 4))
+    fresh = step(narrow)
+    reused = step(narrow, out=spent)
+    assert reused.amps is spent.amps
+    assert reused.live == fresh.live == (c - 4, c + 5)
+    assert np.array_equal(reused.amps, fresh.amps)
+
+
+def test_step_rejects_a_wrong_spent_state(hadamard, complex_coin):
+    # Only the state one step back, on its own buffer of the same dtype and
+    # shape, has its live cells where the kernel writes.
+    x = init_product(hadamard, PLUS, -2, 1, 30)
+    state = evolve(x, 10)
+    wrong = {
+        "same parity": evolve(x, 8),
+        "newer": evolve(x, 11),
+        "itself": state,
+        "complex": evolve(init_product(complex_coin, PLUS, -2, 1, 30), 9),
+        "narrower": evolve(init_product(hadamard, PLUS, -2, 1, 20), 9),
+    }
+    for name, out in wrong.items():
+        with pytest.raises(ValueError, match="one step before"):
+            step(state, out=out)
+    assert step(state, out=evolve(x, 9)).n == 11
+
+
+def test_non_finite_edge_column_survives_trajectory(hadamard):
+    # A column of sub-tiny values that also holds a NaN (or an inf) must
+    # not be dropped as if it were an underflowed tail.
+    for bad in (math.nan, math.inf):
+        state = evolve(init_product(hadamard, PLUS, -1, 0, 80), 20)
+        lo, hi = state.live
+        state.amps[:, :, lo] = 1e-310
+        state.amps[LL, :, lo] = bad
+        with np.errstate(invalid="ignore"):
+            final = evolve(state, 40)
+        assert not np.all(np.isfinite(final.amps))
+        assert not np.all(np.isfinite(measure(final).values))
+        assert final.live[0] <= lo - 40
+
+
+def test_window_drop_bound_against_dense_oracle(hadamard):
+    # At M = 2 the lone edge path carries 2^-n, which is subnormal from
+    # n = 1022 on; the window drops those columns, the oracle keeps them.
+    n = 1600
+    state = init_product(hadamard, PLUS, -1, 0, n)
+    dense = state
+    for _ in range(n):
+        dense = _dense_step(dense)
+    for got in trajectory(state, n):
+        lo, hi = got.live  # everything outside the live window reads zero
+        assert not np.any(got.amps[:, :, :lo]) and not np.any(got.amps[:, :, hi:])
+    assert got.center - n < lo and hi < got.center + n + 1
+    subnormal = (dense.amps != 0) & (np.abs(dense.amps) < np.finfo(float).tiny)
+    assert np.count_nonzero(subnormal) > 100
+    diff = np.max(np.abs(measure(got).values - measure(dense).values))
+    assert diff <= 1e-300
 
 
 def test_trajectory_yields_each_step(hadamard):
