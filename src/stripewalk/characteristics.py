@@ -31,7 +31,6 @@ import numpy as np
 from .coin import Coin
 from .walker import (
     ComplexMeasure,
-    init_band_vector,
     init_product,
     measure,
     qw1d_trajectory,
@@ -172,21 +171,10 @@ def run_series(
     n: int,
     g: Sequence[complex] = (1.0, 0.0),
     delta: float = DEFAULT_DELTA,
-    band: np.ndarray | None = None,
-    stripe: tuple[int, int] | None = None,
 ) -> RunSeries:
-    """Evolve the band walk for n steps recording all per-step observables.
-
-    ``band`` overrides the product start with an explicit (M, 4) band
-    vector; ``stripe`` overrides the standard width-m placement.
-    """
-    s, t = stripe if stripe is not None else stripe_for_width(m)
-    if band is not None:
-        state = init_band_vector(coin, band, s, t, n)
-        label = f"band:M={m}"
-    else:
-        state = init_product(coin, g, s, t, n)
-        label = f"product:M={m}"
+    """Evolve the width-m product start for n steps recording all per-step observables."""
+    s, t = stripe_for_width(m)
+    state = init_product(coin, g, s, t, n)
     final = state
 
     def samples():
@@ -195,7 +183,7 @@ def run_series(
             mu = measure(final)
             yield mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n
 
-    series = _assemble_series(label, m, delta, samples())
+    series = _assemble_series(f"product:M={m}", m, delta, samples())
     series.engine = final.engine()
     return series
 

@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,14 +144,26 @@ class RunConfig:
         return g / norm
 
     def band_data(self) -> np.ndarray:
-        """The band start as an (M, 4) array; its count must be 4M and every entry finite."""
+        """The band start as an (M, 4) array; its count must be 4M and its l2 norm finite."""
         m = self.width()
-        data = np.asarray(self.band, dtype=complex)
+        data = _bounded_band(self.band)
         if data.size != 4 * m:
             raise ValueError(f"band init needs {4 * m} complex entries, got {data.size}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("band entries must be finite")
         return data.reshape(m, 4)
+
+
+def _bounded_band(band) -> np.ndarray:
+    """The band entries as a complex array; rejects a non-finite entry or an overflowing l2 norm.
+
+    The cut walk does not increase the l2 norm, so a band whose norm is
+    finite keeps every cell, measure value and norm of the run finite.
+    """
+    data = np.asarray(band, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(data)
+    if not np.isfinite(norm):
+        raise ValueError(f"band must have finite entries and a finite l2 norm, got norm {norm}")
+    return data
 
 
 def _format_value(v) -> str:
@@ -224,11 +237,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
-    # The engine reads the band to choose dtype and sublattices, so a
-    # non-finite entry stops here; the 4M count is checked per width when a
-    # state is built, since sweep builds one for each width in mlist.
-    if cfg.init == "band" and not np.all(np.isfinite(np.asarray(cfg.band, dtype=complex))):
-        raise ValueError("band entries must be finite")
+    # The engine reads the band to choose dtype and sublattices, so a bad
+    # band stops here; the 4M count is checked per width when a state is
+    # built, since sweep builds one for each width in mlist.
+    if cfg.init == "band":
+        _bounded_band(cfg.band)
     return cfg
 
 
@@ -242,12 +255,21 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, header: str, rows, digest: str) -> None:
+    """Write tuple rows under the digest comment and the header.
+
+    The first row fixes one format for the file: ``FLOAT_FMT`` for its float
+    columns, ``%d`` for the others, which must be integers in every row.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={digest}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        if first is None:
+            return
+        fmt = ",".join(FLOAT_FMT if isinstance(v, float) else "%d" for v in first) + "\n"
+        fh.write(fmt % first)
+        fh.writelines(fmt % row for row in rows)
 
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
@@ -259,28 +281,26 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
 
 def _write_measure(out: Path, tag: str, mu: ComplexMeasure, digest: str, normalized: bool) -> None:
     """measure_{tag}.csv and, if asked, normalized_{tag}.csv of one snapshot."""
-    n, xs = mu.n, mu.positions()
+    n, xs, values = mu.n, mu.positions(), mu.values
     _write_csv(
         out / f"measure_{tag}.csv",
         "n,x,re_mu,im_mu",
-        ((n, int(x), float(v.real), float(v.imag)) for x, v in zip(xs, mu.values)),
+        zip(repeat(n), xs.tolist(), values.real.tolist(), values.imag.tolist()),
         digest,
     )
     if normalized:
         _write_csv(
             out / f"normalized_{tag}.csv",
             "xbar,n_times_mu",
-            ((float(x / n), float(n * v.real)) for x, v in zip(xs, mu.values)),
+            zip((xs / n).tolist(), (n * values.real).tolist()),
             digest,
         )
 
 
-def _complex_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _complex_vector(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
+def _complex_pairs(values) -> list:
+    """A complex scalar or array of any shape as nested [re, im] lists for JSON."""
+    a = np.asarray(values)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _initial_state(cfg: RunConfig, n_max: int):
@@ -321,13 +341,16 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         _write_measure(out, f"n{n_snap}", mu, digest, cfg.emit_normalized)
         if cfg.emit_band_field:
             field = band_field(state)
-            keys = sorted(field)  # not the items: a tuple per cell would raise peak memory
+            values = field["value"]
             _write_csv(
                 out / f"band_n{n_snap}.csv",
                 "n,x,y,re,im",
-                (
-                    (n_snap, x, y, float(v.real), float(v.imag))
-                    for (x, y), v in zip(keys, map(field.get, keys))
+                zip(
+                    repeat(n_snap),
+                    field["x"].tolist(),
+                    field["y"].tolist(),
+                    values.real.tolist(),
+                    values.imag.tolist(),
                 ),
                 digest,
             )
@@ -350,7 +373,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "config": config_to_text(cfg),
             "command": "simulate",
             "stripe": [s, t],
-            "initial_measure_total": [total0.real, total0.imag],
+            "initial_measure_total": _complex_pairs(total0),
             "max_abs_imag": max_imag,
             "measure_sum_drift": sum_drift,
             "norm_trace": norm_trace,
@@ -412,7 +435,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         projections.append(
             {
                 "delta": rep["delta"],
-                "matched_eigenvalues": [[z.real, z.imag] for z in map(complex, rep["eigenvalues"])],
+                "matched_eigenvalues": _complex_pairs(rep["eigenvalues"]),
                 "residuals": rep["residuals"],
             }
         )
@@ -434,12 +457,12 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         {
             "command": "kato",
             "stripe": [s, t],
-            "pi": _complex_matrix(red.pi),
-            "t1": _complex_matrix(red.t1),
-            "r": _complex_matrix(red.r),
-            "onb": [_complex_vector(p) for p in red.onb],
-            "eigenvalues": _complex_vector(red.eigenvalues),
-            "eigenvectors": [_complex_vector(v) for v in red.vectors],
+            "pi": _complex_pairs(red.pi),
+            "t1": _complex_pairs(red.t1),
+            "r": _complex_pairs(red.r),
+            "onb": _complex_pairs(red.onb),
+            "eigenvalues": _complex_pairs(red.eigenvalues),
+            "eigenvectors": _complex_pairs(red.vectors),
             "checks": checks,
             "perturbed_projections": projections,
             "failures": failures,
@@ -488,9 +511,9 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             "command": "limits",
             "n": n,
             "coefficients": {
-                "c_minus": [c_minus.real, c_minus.imag],
-                "c_zero": [c_zero.real, c_zero.imag],
-                "c_plus": [c_plus.real, c_plus.imag],
+                "c_minus": _complex_pairs(c_minus),
+                "c_zero": _complex_pairs(c_zero),
+                "c_plus": _complex_pairs(c_plus),
                 "nonreal_flag": bool(nonreal),
             },
             "masses": {"left": masses[0], "center": masses[1], "right": masses[2]},
@@ -675,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep jobs")
+        p.add_argument("--workers", type=int, default=1, help="worker processes for characteristics")
         p.add_argument(
             "--seedless",
             action="store_true",

@@ -76,12 +76,6 @@ class WOperator:
     def m(self) -> int:
         return self.t - self.s + 1
 
-    def block_of_v(self, v: int) -> int:
-        """Block index of stripe row v (ascending order)."""
-        if not self.s <= v <= self.t:
-            raise ValueError(f"v={v} outside stripe [{self.s}, {self.t}]")
-        return v - self.s
-
 
 def v_block(b: CoinBlocks, k: float) -> np.ndarray:
     """Diagonal block V(k) = e^{-ik} PP + e^{ik} QQ."""
@@ -122,12 +116,6 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray  # columns are right eigenvectors, unit norm
     residual: float
-
-    def pairs(self) -> list[tuple[complex, np.ndarray]]:
-        return [
-            (complex(self.values[i]), self.vectors[:, i])
-            for i in range(len(self.values))
-        ]
 
 
 def eig(w: WOperator, size_limit: int = EIG_SIZE_LIMIT) -> EigResult:

@@ -406,24 +406,22 @@ def measure(state: BandState) -> ComplexMeasure:
     )
 
 
-def band_field(state: BandState) -> dict[tuple[int, int], complex]:
-    """Full off-diagonal view: map (x, y) -> LL + RR component.
+def band_field(state: BandState) -> np.ndarray:
+    """Full off-diagonal view: one record (x, y, value) per cell, sorted by (x, y).
 
-    Positions follow x = u + v, y = u - v; entries with |u| > n are omitted
-    (they are exactly zero).
+    ``value`` is the LL + RR component (complex128) at x = u + v, y = u - v;
+    cells with |u| > n are omitted (they are exactly zero), so there are
+    M (2n + 1) records.
     """
     c, n, s, t = state.center, state.n, state.s, state.t
-    # x and y lie in [-n - w, n + w]; slices of one list share its ints
-    # across rows, which keeps the dict of 4M(2n+1) cells smaller.
-    w = max(-s, t)
-    ints = list(range(-n - w, n + w + 1))
-    out: dict[tuple[int, int], complex] = {}
-    for v in range(s, t + 1):
-        row = state.amps[:, v - s, c - n : c + n + 1]
-        vals = np.add(row[LL], row[RR], dtype=complex).tolist()
-        xs = ints[w + v : w + v + 2 * n + 1]
-        ys = ints[w - v : w - v + 2 * n + 1]
-        out.update(zip(zip(xs, ys), vals))
+    u = np.arange(-n, n + 1)
+    v = np.arange(s, t + 1)[:, None]
+    x, y = (u + v).ravel(), (u - v).ravel()
+    cells = state.amps[:, :, c - n : c + n + 1]
+    values = np.add(cells[LL], cells[RR], dtype=complex).ravel()
+    order = np.lexsort((y, x))
+    out = np.empty(x.size, dtype=[("x", np.int64), ("y", np.int64), ("value", np.complex128)])
+    out["x"], out["y"], out["value"] = x[order], y[order], values[order]
     return out
 
 

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stripewalk import make_hadamard
+from stripewalk import cli, evolve, init_product, make_hadamard
 from stripewalk.characteristics import n_crit
+from stripewalk.coin import LL, RR
 from stripewalk.cli import (
     RunConfig,
     _NoRandomGuard,
+    _write_csv,
     cmd_limits,
     config_from_text,
     config_hash,
@@ -76,13 +78,40 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
 
 def test_simulate_band_field_emission(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 12\nm = 3\nemit_band_field = true\nsnapshots = 12\n")
+    cfg.write_text("steps = 12\nm = 3\nemit_band_field = true\nsnapshots = 12\ng = 0.6,0 0,0.8\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     _, header, rows = _read_csv(tmp_path / "o" / "band_n12.csv")
     assert header == ["n", "x", "y", "re", "im"]
-    diag = {(r[1], r[2]) for r in rows if r[1] == r[2]}
-    assert diag  # diagonal entries present
+    # One row per cell with |u| <= n, sorted by (x, y), holding LL + RR.
+    n, (s, t) = 12, (-1, 1)
+    state = evolve(init_product(make_hadamard(), (0.6, 0.8j), s, t, n), n)
+    expected = []
+    for v in range(s, t + 1):
+        for u in range(-n, n + 1):
+            cell = state.amps[:, v - s, state.center + u]
+            value = complex(cell[LL]) + complex(cell[RR])
+            expected.append((u + v, u - v, value))
+    expected.sort(key=lambda r: (r[0], r[1]))
+    assert len(rows) == 3 * (2 * n + 1)
+    assert rows == [
+        [str(n), str(x), str(y), "%.17g" % z.real, "%.17g" % z.imag] for x, y, z in expected
+    ]
+    assert any(float(r[4]) != 0.0 for r in rows)
+
+
+def test_write_csv_formats_ints_and_floats(tmp_path):
+    rows = [(1, -2, 2.0, -0.0), (3, 4, math.nan, math.inf), (5, 6, 5e-324, 0.1)]
+    _write_csv(tmp_path / "a.csv", "a,b,c,d", iter(rows), "abc")
+    assert (tmp_path / "a.csv").read_text().splitlines() == [
+        "# config_sha256=abc",
+        "a,b,c,d",
+        "1,-2,2,-0",
+        "3,4,nan,inf",
+        "5,6,4.9406564584124654e-324,0.10000000000000001",
+    ]
+    _write_csv(tmp_path / "empty.csv", "a,b", iter(()), "abc")
+    assert (tmp_path / "empty.csv").read_text() == "# config_sha256=abc\na,b\n"
 
 
 def test_simulate_failure_exit_code(tmp_path):
@@ -286,8 +315,11 @@ def test_limits_requires_product_start(tmp_path, capsys):
         ("simulate", "m = 3\ninit = band\nband = 1,0 0,0\n", "needs 12 complex entries"),
         ("simulate", "m = 2\ninit = band\nband = " + " ".join(["nan,0"] + ["0.5,0"] * 7) + "\n", "finite"),
         ("spectrum", "m = 2\ninit = band\nband = " + " ".join(["0,inf"] + ["0.5,0"] * 7) + "\n", "finite"),
+        ("simulate", "m = 3\ninit = band\nband = " + " ".join(["1.7e308,0"] * 12) + "\n", "l2 norm"),
+        ("simulate", "m = 3\ninit = band\nband = " + " ".join(["6e153,0"] * 12) + "\n", "l2 norm"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, needle):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
@@ -307,16 +339,23 @@ def test_simulate_rejects_zero_spinor(tmp_path, capsys):
     assert not (tmp_path / "o" / "measure_n10.csv").exists()
 
 
-def test_simulate_nan_measure_fails_checks(tmp_path):
-    # A NaN band start stops at the config pass (exit 2), but a finite one
-    # can still overflow: cells reach inf and then inf - inf = NaN on the
-    # float64 engine.  That must fail the conservation check, and the
-    # running maxima must carry the NaN rather than report 0.
+def test_simulate_nan_measure_fails_checks(tmp_path, monkeypatch):
+    # No config reaches NaN (a band must be finite with a finite l2 norm),
+    # so one live cell of the stepped float64 state is poisoned at n = 5.
+    # That must fail the conservation check, and the running maxima must
+    # carry the NaN rather than report 0.
+    trajectory = cli.trajectory
+
+    def poisoned(state, steps):
+        for st in trajectory(state, steps):
+            if st.n == 5:
+                st.amps[LL, -st.s, st.center + 1] = np.nan  # u = 1, v = 0: u + v odd, live at n = 5
+            yield st
+
+    monkeypatch.setattr(cli, "trajectory", poisoned)
     cfg = tmp_path / "cfg.txt"
-    pairs = " ".join(["1.7e308,0"] * 12)
-    cfg.write_text(f"steps = 10\nsnapshots = 5 10\nm = 3\ninit = band\nband = {pairs}\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    cfg.write_text("steps = 10\nsnapshots = 5 10\nm = 3\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
     assert prov["engine"]["dtype"] == "float64"
