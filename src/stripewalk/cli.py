@@ -43,13 +43,12 @@ from .walker import (
     trajectory,
 )
 from .spectral import (
-    build_w,
-    eig,
     kato_reduction,
     minimal_poly_residual,
     char_poly_residual,
     minimality_witness,
     perturbed_projection_check,
+    spectrum_grid,
 )
 from .limits import (
     SIDE_VARIANCE,
@@ -242,6 +241,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     # built, since sweep builds one for each width in mlist.
     if cfg.init == "band":
         _bounded_band(cfg.band)
+    times = cfg.snapshot_times()
+    if min(times) < 1 or max(times) > cfg.steps:
+        raise ValueError("snapshots must lie in [1, steps]")
     return cfg
 
 
@@ -325,10 +327,11 @@ def _initial_state(cfg: RunConfig, n_max: int):
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     snapshots = sorted(set(cfg.snapshot_times()))
-    if snapshots[0] < 1 or snapshots[-1] > cfg.steps:
-        raise ValueError("snapshots must lie in [1, steps]")
     state = _initial_state(cfg, cfg.steps)
     total0 = measure(state).total()
+    # Drift is held relative to the initial total when that exceeds 1:
+    # a band start's total scales with the square of its norm.
+    sum_tol = cfg.conservation_tol * max(1.0, abs(total0))
     failures: list[str] = []
     sum_drift = 0.0
     max_imag = 0.0
@@ -359,8 +362,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         sum_drift = float(np.maximum(sum_drift, drift))
         max_imag = float(np.maximum(max_imag, mu.max_abs_imag()))
         norm_trace.append([n_snap, state.norm()])
-        if not drift <= cfg.conservation_tol:
-            failures.append(f"measure sum drift {drift:.3e} at n={n_snap}")
+        if not drift <= sum_tol:
+            failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e} at n={n_snap}")
     # The conjugate-mirror symmetry forcing a real measure on symmetric
     # stripes holds for product and mixed starts; arbitrary band vectors
     # may legitimately carry imaginary parts, which are only recorded.
@@ -376,6 +379,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "initial_measure_total": _complex_pairs(total0),
             "max_abs_imag": max_imag,
             "measure_sum_drift": sum_drift,
+            "measure_sum_tol": sum_tol,
             "norm_trace": norm_trace,
             "engine": state.engine(),
             "failures": failures,
@@ -395,16 +399,18 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     m = t - s + 1
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
+    ks, values = spectrum_grid(coin, s, t, cfg.kgrid)
     failures = []
-    rows = []
-    for i in range(cfg.kgrid):
-        k = 2.0 * math.pi * i / cfg.kgrid
-        values = eig(build_w(coin, s, t, k)).values
-        for lam in sorted(values, key=lambda z: (-abs(z), z.real, z.imag)):
-            rows.append((m, float(k), float(lam.real), float(lam.imag), float(abs(lam))))
-            if not abs(lam) <= 1.0 + 1e-10:
-                failures.append(f"|lambda| = {abs(lam)} > 1 + 1e-10 at k={k}")
-    _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows, digest)
+
+    def rows():
+        for k, lams in zip(ks.tolist(), values):
+            for lam in sorted(lams.tolist(), key=lambda z: (-abs(z), z.real, z.imag)):
+                modulus = abs(lam)
+                if not modulus <= 1.0 + 1e-10:
+                    failures.append(f"|lambda| = {modulus} > 1 + 1e-10 at k={k}")
+                yield m, k, lam.real, lam.imag, modulus
+
+    _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows(), digest)
     for msg in failures:
         print(f"FAIL spectrum: {msg}", file=sys.stderr)
     return 1 if failures else 0

@@ -27,17 +27,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .coin import LL, RR, Coin, CoinBlocks, blocks, make_hadamard
+from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_hadamard
 
 __all__ = [
     "WOperator",
     "EigResult",
     "KatoReduction",
+    "w_stack",
     "build_w",
+    "reflection",
     "v_block",
     "t1_block",
     "t1_matrix",
     "eig",
+    "eig_stack",
+    "spectrum_grid",
     "eig_multiplicities",
     "cubic_roots",
     "cubic_spectrum_m2",
@@ -57,6 +61,10 @@ __all__ = [
 ]
 
 EIG_SIZE_LIMIT = 256
+#: Bytes of W(k) matrices that ``spectrum_grid`` holds per chunk of momenta:
+#: 5 solved and 5 mirrored k at M = 10.  Larger chunks raised peak memory
+#: (41 MB at 512 KiB, 75 MB at 8 MiB for M = 10, kgrid 1024) and ran no faster.
+GRID_CHUNK_BYTES = 1 << 18
 EIG_RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 MATCH_AMBIGUITY_TOL = 1e-6
@@ -78,7 +86,7 @@ class WOperator:
 
 
 def v_block(b: CoinBlocks, k: float) -> np.ndarray:
-    """Diagonal block V(k) = e^{-ik} PP + e^{ik} QQ."""
+    """Diagonal block V(k) = e^{-ik} PP + e^{ik} QQ; an array k of shape (K, 1, 1) gives K blocks."""
     return np.exp(-1j * k) * b.pp + np.exp(1j * k) * b.qq
 
 
@@ -93,20 +101,40 @@ def t1_matrix(coin: Coin, m: int) -> np.ndarray:
     return np.kron(np.eye(m), t1_block(b))
 
 
-def build_w(coin: Coin, s: int, t: int, k: float) -> WOperator:
-    """Assemble W(k) for stripe rows v in {s..t}."""
+def w_stack(coin: Coin, s: int, t: int, ks: Sequence[float]) -> np.ndarray:
+    """W(k) for every momentum of ``ks`` as one (K, 4M, 4M) array."""
     if not s <= 0 <= t:
         raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
-    b = blocks(coin)
-    m = t - s + 1
-    w = np.zeros((4 * m, 4 * m), dtype=complex)
-    v = v_block(b, k)
-    for i in range(m):
-        w[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = v
-        if i + 1 < m:
-            w[4 * i : 4 * i + 4, 4 * i + 4 : 4 * i + 8] = b.pq
-            w[4 * i + 4 : 4 * i + 8, 4 * i : 4 * i + 4] = b.qp
-    return WOperator(coin=coin, s=s, t=t, k=float(k), matrix=w)
+    return _w_stack(blocks(coin), t - s + 1, ks)
+
+
+def _w_stack(b: CoinBlocks, m: int, ks: Sequence[float]) -> np.ndarray:
+    ks = np.asarray(ks, dtype=float)[:, None, None]
+    w = np.zeros((len(ks), m, 4, m, 4), dtype=complex)
+    i = np.arange(m)
+    # Advanced indices on axes 1 and 3 put the block axis first: (m, K, 4, 4).
+    w[:, i, :, i, :] = v_block(b, ks)
+    w[:, i[:-1], :, i[1:], :] = b.pq
+    w[:, i[1:], :, i[:-1], :] = b.qp
+    return w.reshape(len(ks), 4 * m, 4 * m)
+
+
+def build_w(coin: Coin, s: int, t: int, k: float) -> WOperator:
+    """Assemble W(k) for stripe rows v in {s..t}: the one-k case of ``w_stack``."""
+    return WOperator(coin=coin, s=s, t=t, k=float(k), matrix=w_stack(coin, s, t, [k])[0])
+
+
+def reflection(m: int) -> np.ndarray:
+    """Index form of the permutation Pi with W(2 pi - k) = Pi conj(W(k)) Pi^T.
+
+    Pi reverses the block order (block i <-> m-1-i) and swaps LR <-> RL
+    inside each block, so ``(Pi x)[j] == x[reflection(m)[j]]``.  The
+    identity holds for every coin: the swap maps conj(A (x) conj(B)) to
+    B (x) conj(A), which keeps PP and QQ, exchanges PQ with QP and turns
+    conj V(k) into V(-k), while the block reversal exchanges the super-
+    and subdiagonal.
+    """
+    return (4 * np.arange(m)[::-1, None] + np.array([LL, RL, LR, RR])).ravel()
 
 
 @dataclass(frozen=True)
@@ -118,29 +146,88 @@ class EigResult:
     residual: float
 
 
-def eig(w: WOperator, size_limit: int = EIG_SIZE_LIMIT) -> EigResult:
-    """Dense eigendecomposition with a per-pair residual guarantee.
+def _check_size(n: int, size_limit: int) -> None:
+    if n > size_limit:
+        raise ValueError(f"matrix size {n} exceeds limit {size_limit}")
 
-    Raises if the matrix exceeds ``size_limit``, if LAPACK fails to
-    converge, or if any residual ||W x - lambda x|| exceeds
-    ``EIG_RESIDUAL_TOL`` times ||W||.
-    """
-    mat = w.matrix
-    if mat.shape[0] > size_limit:
-        raise ValueError(f"matrix size {mat.shape[0]} exceeds limit {size_limit}")
+
+def _solve(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        values, vectors = np.linalg.eig(mat)
+        return np.linalg.eig(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    scale = np.linalg.norm(mat, 2)
-    residual = float(
-        np.max(np.linalg.norm(mat @ vectors - vectors * values[None, :], axis=0))
-    )
-    if residual > EIG_RESIDUAL_TOL * max(scale, 1.0):
+
+
+def _check_pairs(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks) -> np.ndarray:
+    """Max residual ||W x - lambda x|| of each matrix in a stack, checked.
+
+    Raises if a residual exceeds ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1)
+    of its own matrix, or is NaN; the message names the failing momenta.
+    """
+    scale = np.linalg.norm(mats, 2, axis=(-2, -1))
+    residual = np.max(np.linalg.norm(mats @ vectors - vectors * values[:, None, :], axis=-2), axis=-1)
+    bad = ~(residual <= EIG_RESIDUAL_TOL * np.maximum(scale, 1.0))
+    if np.any(bad):
         raise RuntimeError(
-            f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||W||"
+            f"eigenpair residual {np.max(residual[bad]):.3e} exceeds "
+            f"{EIG_RESIDUAL_TOL:.1e} * ||W|| at k = {np.asarray(ks)[bad].tolist()}"
         )
-    return EigResult(values=values, vectors=vectors, residual=residual)
+    return residual
+
+
+def eig_stack(mats: np.ndarray, ks, size_limit: int = EIG_SIZE_LIMIT) -> tuple[np.ndarray, ...]:
+    """Dense eigendecomposition of each W(k) of a (K, N, N) stack at momenta ``ks``.
+
+    Returns values (K, N), right eigenvectors (K, N, N) as unit columns,
+    and the max residual of each matrix (K,).  Raises if N exceeds
+    ``size_limit``, if LAPACK fails to converge, or if any residual
+    ||W x - lambda x|| exceeds ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1).
+    """
+    _check_size(mats.shape[-1], size_limit)
+    values, vectors = _solve(mats)
+    return values, vectors, _check_pairs(mats, values, vectors, ks)
+
+
+def eig(w: WOperator, size_limit: int = EIG_SIZE_LIMIT) -> EigResult:
+    """Checked eigendecomposition of one W(k): the one-matrix case of ``eig_stack``."""
+    values, vectors, residual = eig_stack(w.matrix[None], [w.k], size_limit)
+    return EigResult(values=values[0], vectors=vectors[0], residual=float(residual[0]))
+
+
+def spectrum_grid(
+    coin: Coin, s: int, t: int, kgrid: int, size_limit: int = EIG_SIZE_LIMIT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of W(k) at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
+
+    Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M) in LAPACK
+    order.  Only k_i with i <= kgrid/2 go to the eigensolver: row kgrid-i
+    takes conj(lambda) with eigenvectors Pi conj(x) (see ``reflection``).
+    Every pair, solved or mirrored, passes the residual check of
+    ``eig_stack`` against W built at its own k.  The grid is built in
+    chunks of at most ``GRID_CHUNK_BYTES`` of matrices.
+    """
+    if not s <= 0 <= t:
+        raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
+    m = t - s + 1
+    _check_size(4 * m, size_limit)
+    b = blocks(coin)
+    perm = reflection(m)
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    values = np.empty((kgrid, 4 * m), dtype=complex)
+    solved = np.arange(kgrid // 2 + 1)
+    # Each solved k brings at most one mirrored W into the chunk.
+    step = max(1, GRID_CHUNK_BYTES // (2 * 16 * (4 * m) ** 2))
+    for lo in range(0, len(solved), step):
+        own = solved[lo : lo + step]
+        mirrored = (own > 0) & (2 * own < kgrid)
+        rows = np.concatenate([own, kgrid - own[mirrored]])
+        w = _w_stack(b, m, ks[rows])
+        vals, vecs = _solve(w[: len(own)])
+        vals = np.concatenate([vals, vals[mirrored].conj()])
+        vecs = np.concatenate([vecs, vecs[mirrored].conj()[:, perm, :]])
+        _check_pairs(w, vals, vecs, ks[rows])
+        values[rows] = vals
+    return ks, values
 
 
 def eig_multiplicities(
@@ -469,18 +556,12 @@ def char_function(
     (Hg) (x) conj(Hg) at the same block (k-independent for a point start).
     Agrees with the Fourier sum of the simulated measure.
     """
-    b = blocks(coin)
     hg = coin.matrix @ np.asarray(g, dtype=complex)
-    cell = np.kron(hg, hg.conj())
     m = t - s + 1
     i0 = -s  # block index of v = 0
-    phi0 = np.zeros(4 * m, dtype=complex)
-    phi0[4 * i0 : 4 * i0 + 4] = cell
-    out = np.empty(len(ks), dtype=complex)
-    for idx, k in enumerate(ks):
-        w = build_w(coin, s, t, k).matrix
-        vec = phi0
-        for _ in range(n):
-            vec = w @ vec
-        out[idx] = vec[4 * i0 + LL] + vec[4 * i0 + RR]
-    return out
+    w = w_stack(coin, s, t, ks)
+    vec = np.zeros((len(w), 4 * m, 1), dtype=complex)
+    vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
+    for _ in range(n):
+        vec = w @ vec
+    return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]

@@ -19,6 +19,19 @@ def complex_coin():
     return make_coin(r, 1j * r, 1j * r, r)
 
 
+@pytest.fixture(scope="session")
+def phased_coin():
+    # Unitary with unequal phases on all four entries: no entrywise
+    # symmetry between W(k) and conj W(-k) without the reflection.
+    c, s, g, p1, p2 = 0.6, 0.8, 0.3, 0.7, -1.1
+    return make_coin(
+        c * np.exp(1j * (g + p1)),
+        s * np.exp(1j * (g + p2)),
+        -s * np.exp(1j * (g - p2)),
+        c * np.exp(1j * (g - p1)),
+    )
+
+
 def unitary_coin_strategy():
     """Arbitrary U(2) coin from four angles (always exactly unitary)."""
     angle = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stripewalk import cli, evolve, init_product, make_hadamard
+from stripewalk import cli, evolve, init_product, make_hadamard, spectral, stripe_for_width
 from stripewalk.characteristics import n_crit
 from stripewalk.coin import LL, RR
 from stripewalk.cli import (
@@ -114,13 +114,30 @@ def test_write_csv_formats_ints_and_floats(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "# config_sha256=abc\na,b\n"
 
 
-def test_simulate_failure_exit_code(tmp_path):
+def test_simulate_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("steps = 20\nm = 2\nconservation_tol = 0.0\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
     assert prov["failures"]
+    assert prov["measure_sum_tol"] == 0.0
+    assert "> tol 0.000e+00 at n=20" in capsys.readouterr().err
+
+
+def test_simulate_drift_tolerance_scales_with_initial_total(tmp_path):
+    # A band start's measure total scales with the square of its norm; a
+    # drift of about 4e-14 of a 6e153 total is rounding, not a failure.
+    cfg = tmp_path / "cfg.txt"
+    band = " ".join(["3e153,0"] * 12)
+    cfg.write_text(f"m = 3\ninit = band\nsteps = 200\nsnapshots = 10 200\nband = {band}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    total = abs(complex(*prov["initial_measure_total"]))
+    assert total > 1e153
+    assert prov["measure_sum_tol"] == 1e-10 * total
+    assert 1e-10 < prov["measure_sum_drift"] <= prov["measure_sum_tol"]
+    assert prov["failures"] == []
 
 
 def test_simulate_m1_profile(tmp_path):
@@ -183,6 +200,54 @@ def test_spectrum_command(tmp_path):
         for z in by_k[k]:
             i = int(np.argmin(np.abs(np.array(remaining) - z)))
             assert abs(remaining.pop(i) - z) < 1e-9
+
+
+def _coin_config(coin) -> str:
+    entries = zip("abcd", (coin.a, coin.b, coin.c, coin.d))
+    return "coin = custom\n" + "".join(f"coin_{n} = {z.real!r},{z.imag!r}\n" for n, z in entries)
+
+
+@pytest.mark.parametrize("kgrid", [2, 7, 16])
+def test_spectrum_rows_match_per_k_eig(tmp_path, phased_coin, kgrid):
+    # Odd K, and even K whose k = pi is its own mirror: every row, solved
+    # or mirrored, matches the eigenvalues of W at its own k.
+    m = 3
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_coin_config(phased_coin) + f"m = {m}\nkgrid = {kgrid}\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    _, _, rows = _read_csv(tmp_path / "o" / "spectrum.csv")
+    assert len(rows) == kgrid * 4 * m
+    s, t = stripe_for_width(m)
+    for i in range(kgrid):
+        k = 2.0 * math.pi * i / kgrid
+        group = rows[4 * m * i : 4 * m * (i + 1)]
+        assert all(r[0] == str(m) and float(r[1]) == k for r in group)
+        got = [complex(float(r[2]), float(r[3])) for r in group]
+        assert all(float(r[4]) == abs(z) for r, z in zip(group, got))
+        remaining = list(spectral.eig(spectral.build_w(phased_coin, s, t, k)).values)
+        for z in got:
+            j = int(np.argmin(np.abs(np.array(remaining) - z)))
+            assert abs(remaining.pop(j) - z) < 1e-12
+
+
+def test_spectrum_rerun_is_byte_identical(tmp_path, phased_coin):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_coin_config(phased_coin) + "m = 3\nkgrid = 16\n")
+    for out, extra in (("a", []), ("b", ["--seedless"])):
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / out), *extra]) == 0
+    assert (tmp_path / "a" / "spectrum.csv").read_bytes() == (tmp_path / "b" / "spectrum.csv").read_bytes()
+
+
+def test_spectrum_size_limit_before_any_stack(tmp_path, capsys, monkeypatch):
+    def no_stack(*args):
+        raise AssertionError("a W stack was built")
+
+    monkeypatch.setattr(spectral, "_w_stack", no_stack)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("m = 70\nkgrid = 1024\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "matrix size 280 exceeds limit 256" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
 
 
 def test_kato_command(tmp_path):
@@ -307,6 +372,8 @@ def test_limits_requires_product_start(tmp_path, capsys):
     "command, text, needle",
     [
         ("spectrum", "m = 70\n", "exceeds limit"),
+        ("simulate", "steps = 10\nsnapshots = 5 11\n", "snapshots must lie in [1, steps]"),
+        ("simulate", "steps = 10\nsnapshots = 0 5\n", "snapshots must lie in [1, steps]"),
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
@@ -328,6 +395,15 @@ def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, need
     assert rc == 2
     assert err.count("\n") == 1 and needle in err
     assert "Traceback" not in err
+
+
+def test_snapshot_range_is_checked_on_load(tmp_path):
+    # The config pass checks snapshots after the --steps override.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 10\nsnapshots = 5 10\n")
+    assert cli.load_config(str(cfg), {"steps": 10}).snapshots == (5, 10)
+    with pytest.raises(ValueError, match=r"snapshots must lie in \[1, steps\]"):
+        cli.load_config(str(cfg), {"steps": 8})
 
 
 def test_simulate_rejects_zero_spinor(tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unitary_coin_strategy
-from stripewalk import evolve, init_product, make_coin, measure
+from stripewalk import evolve, init_product, make_coin, measure, stripe_for_width
+from stripewalk import spectral
 from stripewalk.spectral import (
     build_w,
     cardano_lambda1_j0,
@@ -18,6 +19,7 @@ from stripewalk.spectral import (
     delta_of_k,
     eig,
     eig_multiplicities,
+    eig_stack,
     k_of_delta,
     kato_reduction,
     lambda1_expansion,
@@ -25,9 +27,12 @@ from stripewalk.spectral import (
     minimal_poly_residual,
     minimality_witness,
     perturbed_projection_check,
+    reflection,
     spectral_projections,
+    spectrum_grid,
     t1_matrix,
     v_block,
+    w_stack,
 )
 
 S2, S3, S7 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(7.0)
@@ -120,6 +125,87 @@ def test_w_conjugation_symmetry(hadamard):
         a = build_w(hadamard, -1, 0, k).matrix
         b = build_w(hadamard, -1, 0, 2 * math.pi - k).matrix
         assert np.max(np.abs(b - a.conj())) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_reflection_conjugates_w_for_any_coin(phased_coin, m):
+    # W(-k) = Pi conj(W(k)) Pi^T, Pi reversing the blocks and swapping
+    # LR <-> RL inside each; conj alone does not do it for this coin.
+    s, t = stripe_for_width(m)
+    ks = np.array([0.0, 0.3, 1.1, 2.0, math.pi, 4.4])
+    w, w_neg = w_stack(phased_coin, s, t, ks), w_stack(phased_coin, s, t, -ks)
+    p = reflection(m)
+    assert sorted(p) == list(range(4 * m))
+    assert np.max(np.abs(w.conj()[:, p][:, :, p] - w_neg)) < 1e-15
+    if m > 1:
+        assert np.max(np.abs(w.conj() - w_neg)) > 0.1
+
+
+def test_w_stack_rows_are_build_w(phased_coin):
+    ks = [0.0, 0.7, 2.5, 5.9]
+    stack = w_stack(phased_coin, -1, 1, ks)
+    assert stack.shape == (4, 12, 12)
+    for k, w in zip(ks, stack):
+        assert np.array_equal(w, build_w(phased_coin, -1, 1, k).matrix)
+
+
+def test_eig_stack_rows_are_eig(phased_coin):
+    ks = [0.0, 0.7, 2.5]
+    values, vectors, residual = eig_stack(w_stack(phased_coin, -1, 1, ks), ks)
+    for i, k in enumerate(ks):
+        one = eig(build_w(phased_coin, -1, 1, k))
+        assert np.array_equal(values[i], one.values)
+        assert np.array_equal(vectors[i], one.vectors)
+        assert residual[i] == one.residual
+
+
+def _corrupt_eig(monkeypatch, index, value):
+    """Make np.linalg.eig return a wrong first eigenvector for stack entry ``index``."""
+    solve = np.linalg.eig
+
+    def corrupted(mats):
+        values, vectors = solve(mats)
+        vectors[index, :, 0] = value
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+
+
+def test_residual_check_covers_mirrored_rows(phased_coin, monkeypatch):
+    # A bad eigenvector at k_1 fails at k_1 and at its mirror k_{K-1},
+    # whose pair is derived from it and checked against W(k_{K-1}).
+    kgrid = 16
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    _corrupt_eig(monkeypatch, 1, 0.5)
+    with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
+        spectrum_grid(phased_coin, -1, 1, kgrid)
+    assert str(exc.value).endswith(f"k = {ks[[1, kgrid - 1]].tolist()}")
+
+
+def test_residual_check_catches_a_wrong_mirror(phased_coin, monkeypatch):
+    # With the reflection replaced by the identity, every solved pair is
+    # right and every mirrored one is wrong: only k > pi may fail.
+    kgrid = 8
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    monkeypatch.setattr(spectral, "reflection", lambda m: np.arange(4 * m))
+    with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
+        spectrum_grid(phased_coin, -1, 1, kgrid)
+    assert str(exc.value).endswith(f"k = {ks[kgrid // 2 + 1:][::-1].tolist()}")
+
+
+def test_residual_check_catches_nan(phased_coin, monkeypatch):
+    _corrupt_eig(monkeypatch, 0, np.nan)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        eig(build_w(phased_coin, -1, 1, 0.4))
+
+
+def test_spectrum_grid_size_limit_before_allocation(hadamard, monkeypatch):
+    def no_stack(*args):
+        raise AssertionError("a W stack was built")
+
+    monkeypatch.setattr(spectral, "_w_stack", no_stack)
+    with pytest.raises(ValueError, match="matrix size 280 exceeds limit 256"):
+        spectrum_grid(hadamard, -35, 34, 1024)
 
 
 def test_eigenvalues_at_zero_momentum(hadamard):
