@@ -40,7 +40,6 @@ __all__ = [
     "t1_block",
     "t1_matrix",
     "eig",
-    "eig_stack",
     "spectrum_grid",
     "eig_multiplicities",
     "cubic_roots",
@@ -175,41 +174,34 @@ def _check_pairs(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks) 
     return residual
 
 
-def eig_stack(mats: np.ndarray, ks, size_limit: int = EIG_SIZE_LIMIT) -> tuple[np.ndarray, ...]:
-    """Dense eigendecomposition of each W(k) of a (K, N, N) stack at momenta ``ks``.
-
-    Returns values (K, N), right eigenvectors (K, N, N) as unit columns,
-    and the max residual of each matrix (K,).  Raises if N exceeds
-    ``size_limit``, if LAPACK fails to converge, or if any residual
-    ||W x - lambda x|| exceeds ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1).
-    """
-    _check_size(mats.shape[-1], size_limit)
-    values, vectors = _solve(mats)
-    return values, vectors, _check_pairs(mats, values, vectors, ks)
-
-
 def eig(w: WOperator, size_limit: int = EIG_SIZE_LIMIT) -> EigResult:
-    """Checked eigendecomposition of one W(k): the one-matrix case of ``eig_stack``."""
-    values, vectors, residual = eig_stack(w.matrix[None], [w.k], size_limit)
+    """Dense eigendecomposition of W(k) with a residual check.
+
+    Raises if the matrix exceeds ``size_limit``, if LAPACK fails to
+    converge, or if any residual ||W x - lambda x|| exceeds
+    ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1).
+    """
+    _check_size(w.matrix.shape[0], size_limit)
+    mats = w.matrix[None]
+    values, vectors = _solve(mats)
+    residual = _check_pairs(mats, values, vectors, [w.k])
     return EigResult(values=values[0], vectors=vectors[0], residual=float(residual[0]))
 
 
-def spectrum_grid(
-    coin: Coin, s: int, t: int, kgrid: int, size_limit: int = EIG_SIZE_LIMIT
-) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of W(k) at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
 
     Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M) in LAPACK
     order.  Only k_i with i <= kgrid/2 go to the eigensolver: row kgrid-i
     takes conj(lambda) with eigenvectors Pi conj(x) (see ``reflection``).
-    Every pair, solved or mirrored, passes the residual check of
-    ``eig_stack`` against W built at its own k.  The grid is built in
-    chunks of at most ``GRID_CHUNK_BYTES`` of matrices.
+    Every pair, solved or mirrored, passes the residual check of ``eig``
+    against W built at its own k.  The grid is built in chunks of at most
+    ``GRID_CHUNK_BYTES`` of matrices.
     """
     if not s <= 0 <= t:
         raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
     m = t - s + 1
-    _check_size(4 * m, size_limit)
+    _check_size(4 * m, EIG_SIZE_LIMIT)
     b = blocks(coin)
     perm = reflection(m)
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid

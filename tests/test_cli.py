@@ -238,18 +238,6 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, phased_coin):
     assert (tmp_path / "a" / "spectrum.csv").read_bytes() == (tmp_path / "b" / "spectrum.csv").read_bytes()
 
 
-def test_spectrum_size_limit_before_any_stack(tmp_path, capsys, monkeypatch):
-    def no_stack(*args):
-        raise AssertionError("a W stack was built")
-
-    monkeypatch.setattr(spectral, "_w_stack", no_stack)
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("m = 70\nkgrid = 1024\n")
-    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "matrix size 280 exceeds limit 256" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "spectrum.csv").exists()
-
-
 def test_kato_command(tmp_path):
     rc = main(["kato", "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -395,6 +383,7 @@ def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, need
     assert rc == 2
     assert err.count("\n") == 1 and needle in err
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("o/*.csv"))
 
 
 def test_snapshot_range_is_checked_on_load(tmp_path):

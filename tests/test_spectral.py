@@ -19,7 +19,6 @@ from stripewalk.spectral import (
     delta_of_k,
     eig,
     eig_multiplicities,
-    eig_stack,
     k_of_delta,
     kato_reduction,
     lambda1_expansion,
@@ -147,16 +146,6 @@ def test_w_stack_rows_are_build_w(phased_coin):
     assert stack.shape == (4, 12, 12)
     for k, w in zip(ks, stack):
         assert np.array_equal(w, build_w(phased_coin, -1, 1, k).matrix)
-
-
-def test_eig_stack_rows_are_eig(phased_coin):
-    ks = [0.0, 0.7, 2.5]
-    values, vectors, residual = eig_stack(w_stack(phased_coin, -1, 1, ks), ks)
-    for i, k in enumerate(ks):
-        one = eig(build_w(phased_coin, -1, 1, k))
-        assert np.array_equal(values[i], one.values)
-        assert np.array_equal(vectors[i], one.vectors)
-        assert residual[i] == one.residual
 
 
 def _corrupt_eig(monkeypatch, index, value):
