@@ -31,8 +31,8 @@ import numpy as np
 from .coin import Coin
 from .walker import (
     ComplexMeasure,
+    diagonal,
     init_product,
-    measure,
     qw1d_trajectory,
     stripe_for_width,
     trajectory,
@@ -67,12 +67,11 @@ class RunSeries:
 
     Arrays are indexed by step number minus one (entry i is time n = i+1).
     ``edges`` maps each recorded support threshold to the a_n trace.
-    ``peak_xbar`` is nan whenever the window [delta, 1] holds no positive
-    real value.  ``engine`` is ``BandState.engine()`` of the last state
+    ``peak_xbar`` is nan when the maximum over the window [delta, 1] is
+    NaN.  ``engine`` is ``BandState.engine()`` of the last state
     (empty for the one-dimensional oracle).
     """
 
-    label: str
     m: int
     n: int
     delta: float
@@ -86,6 +85,19 @@ class RunSeries:
     edges: dict[float, np.ndarray]
     engine: dict = field(default_factory=dict)
 
+    @classmethod
+    def allocate(cls, m: int, n: int, delta: float) -> RunSeries:
+        """A series of n steps whose entries read NaN until written."""
+
+        def nans() -> np.ndarray:
+            return np.full(n, math.nan)
+
+        return cls(
+            m=m, n=n, delta=delta, ns=np.arange(1, n + 1), sum_re=nans(),
+            max_abs_im=nans(), min_re=nans(), mu_center=nans(), peak_xbar=nans(),
+            peak_val=nans(), edges={thr: nans() for thr in SUPPORT_THRESHOLDS},
+        )
+
     @property
     def edge(self) -> np.ndarray:
         return self.edges[SUPPORT_THRESHOLDS[1]]
@@ -95,74 +107,44 @@ class RunSeries:
         return (self.ns >= n_lo) & (self.ns <= n_hi)
 
 
-def _peak_in_window(vals: np.ndarray, xs: np.ndarray, n: int, delta: float) -> tuple[float, float]:
-    """Normalized argmax of Re over x/n in [delta, 1], ties toward larger x."""
-    sel = (xs >= delta * n) & (xs <= n)
-    if not np.any(sel):
-        return math.nan, math.nan
-    window = vals[sel]
-    xw = xs[sel]
-    rev = np.argmax(window[::-1])  # first max from the right = largest-x tie
-    i = len(window) - 1 - rev
-    return float(xw[i]) / n, float(window[i])
+def _peak_in_window(re: np.ndarray, n: int, delta: float) -> tuple[float, float]:
+    """Rightmost maximum of Re mu_n (index x + n) over x/n in [delta, 1], as (x/n, value).
 
-
-def _stats_from_values(
-    vals_re: np.ndarray,
-    vals_im_max: float,
-    xs: np.ndarray,
-    n: int,
-    delta: float,
-    out: dict[str, list],
-) -> None:
-    out["sum_re"].append(float(vals_re.sum()))
-    out["max_abs_im"].append(vals_im_max)
-    out["min_re"].append(float(vals_re.min()))
-    i0 = np.searchsorted(xs, 0)
-    mu0 = float(vals_re[i0]) if i0 < len(xs) and xs[i0] == 0 else 0.0
-    out["mu_center"].append(mu0)
-    xbar, pval = _peak_in_window(vals_re, xs, n, delta)
-    out["peak_xbar"].append(xbar)
-    out["peak_val"].append(pval)
-    amax = float(np.max(np.abs(vals_re)))
-    for thr in SUPPORT_THRESHOLDS:
-        if amax == 0.0:
-            out[f"edge_{thr:g}"].append(0.0)
-            continue
-        above = np.abs(vals_re) > thr * amax
-        out[f"edge_{thr:g}"].append(float(np.max(np.abs(xs[above]))))
-
-
-def _assemble_series(
-    label: str,
-    m: int,
-    delta: float,
-    samples: Iterable[tuple[np.ndarray, float, np.ndarray, int]],
-) -> RunSeries:
-    """Reduce per-step samples (Re mu, max |Im mu|, positions, n) to a RunSeries.
-
-    Samples are consumed one at a time, so no per-step measure is kept.
+    x/n is NaN when that maximum is NaN.  n >= 1 and 0 < delta < 1 keep
+    x = n inside the window.
     """
-    keys = ["sum_re", "max_abs_im", "min_re", "mu_center", "peak_xbar", "peak_val"]
-    keys += [f"edge_{thr:g}" for thr in SUPPORT_THRESHOLDS]
-    acc: dict[str, list] = {k: [] for k in keys}
-    for vals_re, vals_im_max, xs, n in samples:
-        _stats_from_values(vals_re, vals_im_max, xs, n, delta, acc)
-    n = len(acc["sum_re"])
-    return RunSeries(
-        label=label,
-        m=m,
-        n=n,
-        delta=delta,
-        ns=np.arange(1, n + 1),
-        sum_re=np.array(acc["sum_re"]),
-        max_abs_im=np.array(acc["max_abs_im"]),
-        min_re=np.array(acc["min_re"]),
-        mu_center=np.array(acc["mu_center"]),
-        peak_xbar=np.array(acc["peak_xbar"]),
-        peak_val=np.array(acc["peak_val"]),
-        edges={thr: np.array(acc[f"edge_{thr:g}"]) for thr in SUPPORT_THRESHOLDS},
-    )
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    window = re[n + math.ceil(delta * n) :][::-1]
+    j = int(np.argmax(window))  # first max from the right = largest-x tie
+    value = float(window[j])
+    return (math.nan if math.isnan(value) else (n - j) / n), value
+
+
+def _stats_from_values(series: RunSeries, n: int, values: np.ndarray) -> None:
+    """Write entry n-1 of ``series`` from mu_n, real or complex, over x in [-n, n] (index x + n).
+
+    The support edge a_n at each threshold is the largest |x| whose |Re mu|
+    exceeds threshold times max |Re mu|: 0 for a zero measure, NaN when a
+    value is not finite, as is max |Im mu|.
+    """
+    i = n - 1
+    re = values.real
+    a = np.abs(re)
+    amax = a.max()
+    finite = math.isfinite(amax)
+    im = np.abs(values.imag).max() if np.iscomplexobj(values) else 0.0
+    series.sum_re[i] = re.sum()
+    series.max_abs_im[i] = im if finite and math.isfinite(im) else math.nan
+    series.min_re[i] = re.min()
+    series.mu_center[i] = re[n]
+    series.peak_xbar[i], series.peak_val[i] = _peak_in_window(re, n, series.delta)
+    for thr, edge in series.edges.items():
+        if finite and amax > 0.0:
+            above = a > thr * amax
+            edge[i] = n - min(np.argmax(above), np.argmax(above[::-1]))
+        else:
+            edge[i] = 0.0 if finite else math.nan
 
 
 def run_series(
@@ -175,15 +157,10 @@ def run_series(
     """Evolve the width-m product start for n steps recording all per-step observables."""
     s, t = stripe_for_width(m)
     state = init_product(coin, g, s, t, n)
+    series = RunSeries.allocate(m, n, delta)
     final = state
-
-    def samples():
-        nonlocal final
-        for final in trajectory(state, n):
-            mu = measure(final)
-            yield mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n
-
-    series = _assemble_series(f"product:M={m}", m, delta, samples())
+    for final in trajectory(state, n):
+        _stats_from_values(series, final.n, diagonal(final))
     series.engine = final.engine()
     return series
 
@@ -195,11 +172,10 @@ def oracle_series(
     delta: float = DEFAULT_DELTA,
 ) -> RunSeries:
     """Per-step observables of the untruncated one-dimensional walk."""
-    samples = (
-        (probs, 0.0, np.arange(-j, j + 1), j)
-        for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1)
-    )
-    return _assemble_series("oracle:1d", 2 * n + 1, delta, samples)
+    series = RunSeries.allocate(2 * n + 1, n, delta)
+    for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1):
+        _stats_from_values(series, j, probs)
+    return series
 
 
 def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> int:
@@ -228,17 +204,15 @@ def n_crit(
     """Last time before Re mu first dips below -tol anywhere; n_max if never."""
     s, t = stripe_for_width(m)
     state = init_product(coin, g, s, t, n_max)
-    min_re = (float(measure(st).values.real.min()) for st in trajectory(state, n_max))
+    min_re = (float(diagonal(st).real.min()) for st in trajectory(state, n_max))
     return n_crit_of_trace(min_re, m, n_max, tol)
 
 
 def peak_position(mu: ComplexMeasure, delta: float = DEFAULT_DELTA) -> float:
     """Normalized off-center peak position of one measure snapshot."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    xbar, _ = _peak_in_window(mu.values.real, mu.positions(), mu.n, delta)
+    xbar, _ = _peak_in_window(mu.values.real, mu.n, delta)
     if math.isnan(xbar):
-        raise ValueError(f"no lattice sites in the window [{delta}, 1] at n={mu.n}")
+        raise ValueError(f"no finite peak in the window [{delta}, 1] at n={mu.n}")
     return xbar
 
 

@@ -554,15 +554,18 @@ def _characteristics_row(args) -> tuple[list, dict]:
     # One evolution serves both the fits and n_crit; it runs past n only
     # when the n_crit horizon does.
     series = run_series(coin, m, max(n, nmax), g=cfg.spinor(), delta=cfg.delta)
-    nc = n_crit_of_trace(series.min_re, m, nmax, cfg.ncrit_tol)
     lo = cfg.fit_lo or n // 2
     hi = cfg.fit_hi or n
     sel = series.slice_window(lo, hi)
     xmax = float(np.nanmean(series.peak_xbar[sel]))
-    ratio = height_ratio(series, lo, hi)
-    gamma = tail_exponent(series, (lo, hi), cfg.support_threshold)
-    r_center = decay_exponent(series, "center", (lo, hi))
-    r_side = decay_exponent(series, "side", (lo, hi))
+    try:
+        nc = n_crit_of_trace(series.min_re, m, nmax, cfg.ncrit_tol)
+        ratio = height_ratio(series, lo, hi)
+        gamma = tail_exponent(series, (lo, hi), cfg.support_threshold)
+        r_center = decay_exponent(series, "center", (lo, hi))
+        r_side = decay_exponent(series, "side", (lo, hi))
+    except ValueError as exc:
+        raise ValueError(f"M={m}: {exc}") from None
     row = [m, nc, xmax, ratio, gamma.slope, r_center.slope, r_side.slope]
     sidecar = {
         "M": m,
@@ -716,7 +719,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a rejected configuration or input exits 2 with one line."""
+    """Run one subcommand; a rejected configuration or input exits 2 with one line.
+
+    A check inside the library that fails (an eigenpair residual, a solver
+    that does not converge, an ambiguous projection) raises RuntimeError,
+    which exits 1 with one ``FAIL`` line like the subcommands' own checks.
+    """
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"steps": args.steps, "m": args.m})
@@ -736,6 +744,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"stripewalk {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"FAIL {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -67,6 +67,9 @@ GRID_CHUNK_BYTES = 1 << 18
 EIG_RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 MATCH_AMBIGUITY_TOL = 1e-6
+#: Distance from 1 within which a W(0) eigenvalue joins the group that a
+#: non-Hadamard coin's Kato projection spans.
+UNIT_GROUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,9 @@ class EigResult:
     residual: float
 
 
-def _check_size(n: int, size_limit: int) -> None:
-    if n > size_limit:
-        raise ValueError(f"matrix size {n} exceeds limit {size_limit}")
+def _check_size(n: int) -> None:
+    if n > EIG_SIZE_LIMIT:
+        raise ValueError(f"matrix size {n} exceeds limit {EIG_SIZE_LIMIT}")
 
 
 def _solve(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +177,14 @@ def _check_pairs(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks) 
     return residual
 
 
-def eig(w: WOperator, size_limit: int = EIG_SIZE_LIMIT) -> EigResult:
+def eig(w: WOperator) -> EigResult:
     """Dense eigendecomposition of W(k) with a residual check.
 
-    Raises if the matrix exceeds ``size_limit``, if LAPACK fails to
+    Raises if the matrix exceeds ``EIG_SIZE_LIMIT``, if LAPACK fails to
     converge, or if any residual ||W x - lambda x|| exceeds
     ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1).
     """
-    _check_size(w.matrix.shape[0], size_limit)
+    _check_size(w.matrix.shape[0])
     mats = w.matrix[None]
     values, vectors = _solve(mats)
     residual = _check_pairs(mats, values, vectors, [w.k])
@@ -201,7 +204,7 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     if not s <= 0 <= t:
         raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
     m = t - s + 1
-    _check_size(4 * m, EIG_SIZE_LIMIT)
+    _check_size(4 * m)
     b = blocks(coin)
     perm = reflection(m)
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
@@ -410,12 +413,12 @@ def kato_reduction(coin: Coin | None = None, s: int = -1, t: int = 0) -> KatoRed
 
 
 def _numerical_unit_group_projection(
-    coin: Coin, s: int, t: int, tol: float = 1e-8
+    coin: Coin, s: int, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis and orthogonal projection for the eigenvalue group at 1."""
     w = build_w(coin, s, t, 0.0)
     res = eig(w)
-    sel = np.abs(res.values - 1.0) <= max(tol, 1e-6)
+    sel = np.abs(res.values - 1.0) <= UNIT_GROUP_TOL
     if not np.any(sel):
         raise ValueError("W(0) has no eigenvalue group at 1 for this coin")
     basis = res.vectors[:, sel]

@@ -32,7 +32,8 @@ The step kernel computes only cells that can be nonzero and visible:
   complex128 otherwise.  The real path does the same arithmetic on the
   real parts, so its values equal the complex path's bit for bit.  Every
   accessor (``measure``, ``band_field``, ``BandState.cell``/``row``)
-  returns complex values either way.
+  returns complex values either way; ``diagonal`` keeps the field's dtype
+  for consumers that reduce every step.
 * sublattices: a step moves every cell from u+v even to u+v odd or back,
   so the two parity classes of u+v evolve independently.  The kernel runs
   only on the classes the initial data occupies: one for product and
@@ -76,6 +77,7 @@ __all__ = [
     "step",
     "trajectory",
     "evolve",
+    "diagonal",
     "measure",
     "band_field",
     "qw1d_trajectory",
@@ -97,23 +99,18 @@ def stripe_for_width(m: int) -> tuple[int, int]:
 class ComplexMeasure:
     """The diagonal complex measure mu_n: Z -> C at a fixed time.
 
-    ``values[i]`` is mu_n(offset + i); positions outside the stored range
-    are exactly zero.
+    ``values[x + n]`` is mu_n(x) for x in [-n, n]; mu_n vanishes outside.
     """
 
     n: int
-    s: int
-    t: int
-    offset: int
     values: np.ndarray
 
     def positions(self) -> np.ndarray:
-        return self.offset + np.arange(len(self.values))
+        return np.arange(-self.n, self.n + 1)
 
     def at(self, x: int) -> complex:
-        i = x - self.offset
-        if 0 <= i < len(self.values):
-            return complex(self.values[i])
+        if -self.n <= x <= self.n:
+            return complex(self.values[x + self.n])
         return 0j
 
     def total(self) -> complex:
@@ -397,13 +394,20 @@ def evolve(state: BandState, steps: int) -> BandState:
     return state
 
 
-def measure(state: BandState) -> ComplexMeasure:
-    """Diagonal measure: LL + RR components of the v = 0 row, trimmed to |x| <= n."""
+def diagonal(state: BandState) -> np.ndarray:
+    """mu_n over x in [-n, n] (index x + n) in the field's dtype.
+
+    The LL + RR components of the v = 0 row; real for a float64 field,
+    where ``measure`` would add a zero imaginary part.
+    """
     c, n = state.center, state.n
     row0 = state.amps[:, -state.s, c - n : c + n + 1]
-    return ComplexMeasure(
-        n=n, s=state.s, t=state.t, offset=-n, values=np.add(row0[LL], row0[RR], dtype=complex)
-    )
+    return row0[LL] + row0[RR]
+
+
+def measure(state: BandState) -> ComplexMeasure:
+    """Diagonal measure: LL + RR components of the v = 0 row, trimmed to |x| <= n."""
+    return ComplexMeasure(n=state.n, values=diagonal(state).astype(complex, copy=False))
 
 
 def band_field(state: BandState) -> np.ndarray:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripewalk import evolve, init_product, measure
+from stripewalk import (
+    characteristics,
+    evolve,
+    init_product,
+    measure,
+    qw1d_trajectory,
+    stripe_for_width,
+    trajectory,
+)
 from stripewalk.characteristics import (
     SUPPORT_THRESHOLDS,
     RunSeries,
@@ -22,13 +30,13 @@ from stripewalk.characteristics import (
 
 LEFT = np.array([1.0, 0.0])
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+CIRCULAR = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 
 
 def _synthetic_series(ns, mu_center, peak_val, peak_xbar=0.6, edge_slope=0.5):
     ns = np.asarray(ns, dtype=int)
     edge = ns * peak_xbar + ns.astype(float) ** edge_slope
     return RunSeries(
-        label="synthetic",
         m=2,
         n=int(ns[-1]),
         delta=0.3,
@@ -82,7 +90,7 @@ def test_peak_position_tie_breaks_right():
     values = np.zeros(21, dtype=complex)
     values[14] = 0.3  # x = 4
     values[16] = 0.3  # x = 6: tie resolves toward larger x
-    mu = ComplexMeasure(n=10, s=-1, t=0, offset=-10, values=values)
+    mu = ComplexMeasure(n=10, values=values)
     assert peak_position(mu, 0.3) == 0.6
 
 
@@ -91,9 +99,7 @@ def test_peak_position_scale_invariant(hadamard):
 
     state = evolve(init_product(hadamard, LEFT, -1, 0, 202), 200)
     mu = measure(state)
-    scaled = ComplexMeasure(
-        n=mu.n, s=mu.s, t=mu.t, offset=mu.offset, values=3.7 * mu.values
-    )
+    scaled = ComplexMeasure(n=mu.n, values=3.7 * mu.values)
     assert peak_position(mu, 0.3) == peak_position(scaled, 0.3)
 
 
@@ -221,3 +227,88 @@ def test_exponent_fits_scale_invariant_hypothesis(c):
     ns = np.arange(1, 301)
     series = _synthetic_series(ns, c * ns ** (-0.5), c * ns ** (-0.5))
     assert abs(decay_exponent(series, "center", (50, 300)).slope + 0.5) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The per-step reducer against the mask-based formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_peak(vals, xs, n, delta):
+    sel = (xs >= delta * n) & (xs <= n)
+    if not np.any(sel):
+        return math.nan, math.nan
+    window = vals[sel]
+    xw = xs[sel]
+    rev = np.argmax(window[::-1])
+    i = len(window) - 1 - rev
+    return float(xw[i]) / n, float(window[i])
+
+
+def _oracle_sample(vals_re, vals_im_max, xs, n, delta):
+    """One step's observables as masks over the positions array."""
+    row = {"sum_re": float(vals_re.sum()), "max_abs_im": vals_im_max, "min_re": float(vals_re.min())}
+    i0 = np.searchsorted(xs, 0)
+    row["mu_center"] = float(vals_re[i0]) if i0 < len(xs) and xs[i0] == 0 else 0.0
+    row["peak_xbar"], row["peak_val"] = _oracle_peak(vals_re, xs, n, delta)
+    amax = float(np.max(np.abs(vals_re)))
+    for thr in SUPPORT_THRESHOLDS:
+        if amax == 0.0:
+            row[thr] = 0.0
+        else:
+            row[thr] = float(np.max(np.abs(xs[np.abs(vals_re) > thr * amax])))
+    return row
+
+
+def _assert_series_equal(series, rows):
+    assert series.n == len(rows)
+    assert np.array_equal(series.ns, np.arange(1, len(rows) + 1))
+    for key in ("sum_re", "max_abs_im", "min_re", "mu_center", "peak_xbar", "peak_val"):
+        assert np.array_equal(getattr(series, key), [r[key] for r in rows], equal_nan=True), key
+    for thr in SUPPORT_THRESHOLDS:
+        assert np.array_equal(series.edges[thr], [r[thr] for r in rows], equal_nan=True), thr
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+@pytest.mark.parametrize("g", [PLUS, CIRCULAR], ids=["real", "complex"])
+def test_run_series_matches_mask_oracle(hadamard, m, g):
+    n, delta = 240, 0.3
+    s, t = stripe_for_width(m)
+    rows = [
+        _oracle_sample(mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n, delta)
+        for mu in map(measure, trajectory(init_product(hadamard, g, s, t, n), n))
+    ]
+    series = run_series(hadamard, m, n, g=g, delta=delta)
+    assert series.m == m and series.delta == delta
+    _assert_series_equal(series, rows)
+
+
+def test_oracle_series_matches_mask_oracle(hadamard):
+    n, delta = 120, 0.45
+    rows = [
+        _oracle_sample(probs, 0.0, np.arange(-j, j + 1), j, delta)
+        for j, probs in enumerate(qw1d_trajectory(hadamard, CIRCULAR, n), start=1)
+    ]
+    _assert_series_equal(oracle_series(hadamard, CIRCULAR, n, delta=delta), rows)
+
+
+def test_run_series_nan_cell_never_reads_finite(hadamard, monkeypatch):
+    n, bad = 60, 40
+    clean = run_series(hadamard, 2, n, g=PLUS)
+    stepping = characteristics.trajectory
+
+    def poisoned(state, steps):
+        for later in stepping(state, steps):
+            if later.n == bad:
+                later.amps[0, -later.s, later.center + bad] = math.nan  # LL at x = n, v = 0
+            yield later
+
+    monkeypatch.setattr(characteristics, "trajectory", poisoned)
+    series = run_series(hadamard, 2, n, g=PLUS)
+    before = series.ns < bad
+    for key in ("sum_re", "max_abs_im", "min_re", "peak_xbar", "peak_val"):
+        assert np.array_equal(getattr(series, key)[before], getattr(clean, key)[before]), key
+        assert np.all(np.isnan(getattr(series, key)[~before])), key
+    for thr in SUPPORT_THRESHOLDS:
+        assert np.array_equal(series.edges[thr][before], clean.edges[thr][before])
+        assert np.all(np.isnan(series.edges[thr][~before])), thr

@@ -372,6 +372,8 @@ def test_limits_requires_product_start(tmp_path, capsys):
         ("spectrum", "m = 2\ninit = band\nband = " + " ".join(["0,inf"] + ["0.5,0"] * 7) + "\n", "finite"),
         ("simulate", "m = 3\ninit = band\nband = " + " ".join(["1.7e308,0"] * 12) + "\n", "l2 norm"),
         ("simulate", "m = 3\ninit = band\nband = " + " ".join(["6e153,0"] * 12) + "\n", "l2 norm"),
+        # Width 1 has no ballistic tail in the default fit window (600, 1200).
+        ("characteristics", "mlist = 1 2\nsteps = 1200\n", "M=1: only 0 positive tail widths"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -384,6 +386,25 @@ def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, need
     assert err.count("\n") == 1 and needle in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("o/*.csv"))
+
+
+def test_library_check_failure_is_one_fail_line_exit_1(tmp_path, capsys, monkeypatch):
+    solve = np.linalg.eig
+
+    def corrupted(mats):
+        values, vectors = solve(mats)
+        vectors[0, :, 0] = 0.5  # a wrong first eigenvector at k = 0
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("m = 2\nkgrid = 8\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("FAIL spectrum: eigenpair residual")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
 
 
 def test_snapshot_range_is_checked_on_load(tmp_path):

@@ -184,13 +184,9 @@ def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
 def test_scaled_cdf_distance_empty_window(hadamard, m2_measure_600):
     profile = LimitProfile("right", 0.1, SPEED, SIDE_VARIANCE)
     small = measure(evolve(init_product(hadamard, PLUS, -1, 0, 702), 700))
-    # Shrink the stored range artificially to force an empty window.
-    clipped = type(small)(
-        n=small.n, s=small.s, t=small.t, offset=small.offset,
-        values=small.values[: len(small.values) // 4],
-    )
+    # A half-width of 1e-3 sqrt(n) leaves the right window [405, 404] empty.
     with pytest.raises(ValueError, match="empty"):
-        scaled_cdf_distance(clipped, profile, 4.0)
+        scaled_cdf_distance(small, profile, 1e-3)
 
 
 def test_oqrw_clt(hadamard):

@@ -1,0 +1,39 @@
+"""Smoke tests of the experiment scripts: each runs and writes its CSVs."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exc.value.code == 0
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_crossover_profiles(tmp_path, monkeypatch):
+    _run(monkeypatch, "crossover_profiles.py", "--steps", "20", "--out", str(tmp_path))
+    for m in (1, 2, 3, 5, 10, 51):
+        header, rows = _rows(tmp_path / f"profile_M{m}_n20.csv")
+        assert header == "xbar,n_times_mu,konno"
+        assert len(rows) == 41
+        assert [float(r[0]) for r in rows] == [x / 20 for x in range(-20, 21)]
+
+
+def test_eigenvector_runs(tmp_path, monkeypatch):
+    _run(monkeypatch, "eigenvector_runs.py", "--steps", "20", "--out", str(tmp_path))
+    for name in ("v1", "v2", "v3"):
+        header, rows = _rows(tmp_path / f"measure_{name}_n20.csv")
+        assert header == "n,x,re_mu,im_mu"
+        assert [int(r[1]) for r in rows] == list(range(-20, 21))
+        assert all(r[0] == "20" for r in rows)
