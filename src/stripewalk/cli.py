@@ -48,6 +48,9 @@ from .spectral import (
     char_poly_residual,
     minimality_witness,
     perturbed_projection_check,
+    snapshot_measure,
+    snapshot_method,
+    snapshot_sum_tol,
     spectrum_grid,
 )
 from .limits import (
@@ -305,6 +308,11 @@ def _complex_pairs(values) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+def _versions() -> dict:
+    """Python and numpy versions, recorded next to each engine record."""
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+
+
 def _initial_state(cfg: RunConfig, n_max: int):
     coin = cfg.coin_obj()
     s, t = cfg.stripe()
@@ -382,6 +390,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "measure_sum_tol": sum_tol,
             "norm_trace": norm_trace,
             "engine": state.engine(),
+            "versions": _versions(),
             "failures": failures,
             "deterministic": True,
         },
@@ -420,6 +429,9 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     s, t = cfg.stripe()
+    if cfg.width() != 2:
+        # Rank 3, the minimal and the characteristic polynomial are width-2 facts.
+        raise ValueError(f"kato checks the width-2 statements; got width {cfg.width()}, set m = 2")
     red = kato_reduction(coin, s, t)
     eye = np.eye(red.pi.shape[0])
     checks = {
@@ -494,7 +506,12 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     cell_spinor = coin.matrix @ g
     cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
     c_minus, c_zero, c_plus = limit_coefficients(cell_spinor)
-    mu = measure(evolve(init_product(coin, g, s, t, n), n))
+    state = init_product(coin, g, s, t, n)
+    total0 = measure(state).total()
+    method = snapshot_method(state.m, n)
+    mu = snapshot_measure(state, n) if method == "spectral" else measure(evolve(state, n))
+    drift = abs(mu.total() - total0)
+    sum_tol = snapshot_sum_tol(n, total0)
     masses = mode_masses(mu, cfg.w_coeff)
     profiles = limit_profiles(cell_spinor)
     distances = {}
@@ -510,6 +527,8 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     for name, got, want in zip(("left", "center", "right"), masses, expected):
         if not abs(got - want) <= 0.02:
             failures.append(f"{name} mass {got:.4f} vs {want:.4f} (tol 0.02)")
+    if not drift <= sum_tol:
+        failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e} ({method} snapshot)")
     nonreal = abs(np.conj(cell_spinor[0]) * cell_spinor[1] - (np.conj(cell_spinor[0]) * cell_spinor[1]).real) > 1e-14
     _write_json(
         out / "limits.json",
@@ -536,6 +555,13 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
                 "second_order_cumulant": SIDE_VARIANCE_CUMULANT,
             },
             "max_abs_imag": mu.max_abs_imag(),
+            "engine": {
+                "snapshot": method,
+                "momenta": 2 * n + 1 if method == "spectral" else None,
+                "measure_sum_drift": drift,
+                "measure_sum_tol": sum_tol,
+            },
+            "versions": _versions(),
             "failures": failures,
         },
         digest,
@@ -587,6 +613,7 @@ def _characteristics_row(args) -> tuple[list, dict]:
         "max_sum_deviation": float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0]))),
         "max_abs_imag": float(np.max(series.max_abs_im[:n])),
         "engine": series.engine,
+        "versions": _versions(),
     }
     return row, sidecar
 

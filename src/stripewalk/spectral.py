@@ -18,16 +18,23 @@ to the reduced generator R = Pi T1 Pi on the unperturbed eigenspace, where
 Pi is the (orthogonal) eigenprojection of 1 and T1 = dW/dk(0).  This module
 implements both the exact objects and the numerical checks tying them to
 the evolution engine.
+
+It also holds the spectral snapshot engine: ``snapshot_measure`` reads
+one late measure mu_n off W(k)^n on 2n + 1 momenta and one FFT, with no
+stepping, and ``snapshot_method`` says when that is cheaper than the
+real-space engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_hadamard
+from .walker import BandState, ComplexMeasure
 
 __all__ = [
     "WOperator",
@@ -57,6 +64,10 @@ __all__ = [
     "perturbed_projection_check",
     "spectral_projections",
     "char_function",
+    "apply_power",
+    "snapshot_method",
+    "snapshot_measure",
+    "snapshot_sum_tol",
 ]
 
 EIG_SIZE_LIMIT = 256
@@ -537,6 +548,24 @@ def perturbed_projection_check(
     return {"delta": float(delta), "eigenvalues": matched, "residuals": residuals}
 
 
+def apply_power(w: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """W^n x for a stack of matrices w (K, d, d) and vectors x (K, d, r).
+
+    Binary powering: x takes the factor W^(2^j) of each set bit j of n, and
+    W^(2^j) comes from squaring, so there are log2(n) squarings and
+    popcount(n) products with x; the matrix W^n itself is never formed.
+    """
+    if n < 0:
+        raise ValueError(f"power must be non-negative, got {n}")
+    while n:
+        if n & 1:
+            x = w @ x
+        n >>= 1
+        if n:
+            w = w @ w
+    return x
+
+
 def char_function(
     coin: Coin,
     s: int,
@@ -557,6 +586,75 @@ def char_function(
     w = w_stack(coin, s, t, ks)
     vec = np.zeros((len(w), 4 * m, 1), dtype=complex)
     vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
-    for _ in range(n):
-        vec = w @ vec
+    vec = apply_power(w, n, vec)
     return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]
+
+
+#: Measure-sum drift allowed to a snapshot, in units of n log2(2n+2) eps
+#: times max(1, |initial total|).  Both engines drift by at most 0.5 units
+#: (M <= 10, n <= 4000, Hadamard and a complex coin, three spinors).
+SNAPSHOT_DRIFT_UNITS = 8.0
+
+
+def snapshot_method(m: int, n: int) -> str:
+    """The cheaper engine for one snapshot mu_n at width m: "spectral" or "real-space".
+
+    The spectral engine costs O(n m^3 log n) and the real-space one
+    O(n^2 m), so the spectral one pays once n >= c m^2 log2 n.  Measured
+    (one BLAS thread, 2 vCPU) the two break even near c = 1: at m = 10
+    and n = 1000, and at m = 15 between n = 2000 (real-space 0.65 s,
+    spectral 1.03 s) and n = 4000 (2.6 s, 2.2 s).  For m <= 5 the spectral
+    engine was 2-14 times faster at every measured n (20 to 4000); the
+    rule leaves that to the real-space engine below n = m^2 log2 n, about
+    n = 55 at m = 3 and n = 200 at m = 5, where either takes milliseconds.
+    """
+    return "spectral" if n >= m * m * math.log2(max(n, 2)) else "real-space"
+
+
+def snapshot_sum_tol(n: int, total0: complex) -> float:
+    """Allowed |sum mu_n - sum mu_0| of a snapshot at time n (see ``SNAPSHOT_DRIFT_UNITS``)."""
+    unit = max(n, 1) * math.log2(2 * n + 2) * np.finfo(float).eps
+    return SNAPSHOT_DRIFT_UNITS * unit * max(1.0, abs(total0))
+
+
+def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
+    """mu_n of an initial state (n = 0, data at u = 0) without stepping.
+
+    With K = 2n + 1 momenta k_i = 2 pi i / K, the characteristic function
+    chi(k) = sum_x mu_n(x) e^{ikx} = q^T W(k)^n phi, where phi is the
+    state's 4M vector and q puts LL + RR on the v = 0 block; K exceeds
+    the support [-n, n], so mu_n(x) = fft(chi)[x mod K] / K exactly.
+    W(k) is built and powered (``apply_power``) only for i <= n, in chunks
+    of ``GRID_CHUNK_BYTES``; the reflection W(2 pi - k) = Pi conj(W(k)) Pi^T
+    gives chi(k_{K-i}) = conj((Pi^T q)^T W(k_i)^n conj(Pi^T phi)) for every
+    coin and start.  As in the real-space engine, the cells off the
+    state's one sublattice are exactly 0 and a float64 state gives a
+    measure with zero imaginary part.
+    """
+    if state.n != 0:
+        raise ValueError(f"snapshot_measure needs the initial state, got n = {state.n}")
+    if n < 0:
+        raise ValueError(f"snapshot time must be non-negative, got {n}")
+    m = state.m
+    perm = reflection(m)
+    phi = state.amps[:, :, state.center].T.reshape(4 * m).astype(complex)
+    vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
+    q = 4 * -state.s + np.array([LL, RR])
+    q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()
+    size = 2 * n + 1
+    ks = 2.0 * np.pi * np.arange(n + 1) / size
+    chi = np.empty(size, dtype=complex)
+    step = max(1, GRID_CHUNK_BYTES // (16 * (4 * m) ** 2))
+    for lo in range(0, n + 1, step):
+        own = np.arange(lo, min(lo + step, n + 1))
+        x = np.broadcast_to(vecs, (len(own), 4 * m, 2))
+        y = apply_power(_w_stack(state.blocks, m, ks[own]), n, x)
+        chi[own] = y[:, q, 0].sum(axis=1)
+        mirrored = own > 0
+        chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()
+    values = np.roll(np.fft.fft(chi) / size, n)  # index x + n holds mu(x mod K)
+    if len(state.sublattices) == 1:
+        values[(state.sublattices[0] + 1) % 2 :: 2] = 0
+    if state.amps.dtype.kind == "f":
+        values = values.real.astype(complex)
+    return ComplexMeasure(n=n, values=values)

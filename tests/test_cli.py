@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -356,6 +357,81 @@ def test_limits_requires_product_start(tmp_path, capsys):
     assert "product" in capsys.readouterr().err
 
 
+def _floats(a, b, path=""):
+    """(path, |a - b|) for every float of a JSON document b, read in a alike."""
+    if isinstance(b, dict):
+        assert a.keys() == b.keys(), path
+        for key in b:
+            yield from _floats(a[key], b[key], f"{path}.{key}")
+    elif isinstance(b, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _floats(x, y, f"{path}[{i}]")
+    elif isinstance(b, float):
+        yield path, abs(a - b)
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "m = 2\ng = 0.6,0 0.8,0\n",
+        "m = 3\ncoin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\ng = 1,0 0,1\n",
+    ],
+)
+def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 600\n" + text)
+    rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    report = json.loads((tmp_path / "s" / "limits.json").read_text())
+    engine = report.pop("engine")
+    assert engine["snapshot"] == "spectral" and engine["momenta"] == 1201
+    assert engine["measure_sum_drift"] <= engine["measure_sum_tol"]
+    monkeypatch.setattr(cli, "snapshot_method", lambda m, n: "real-space")
+    assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
+    reference = json.loads((tmp_path / "r" / "limits.json").read_text())
+    assert reference.pop("engine")["snapshot"] == "real-space"
+    worst = max(_floats(report, reference), key=lambda item: item[1])
+    assert worst[1] <= 1e-12, worst
+
+
+def test_limits_measure_sum_drift_is_one_fail_line(tmp_path, capsys, monkeypatch):
+    power = spectral.apply_power
+
+    def corrupted(w, n, x):
+        y = power(w, n, x).copy()
+        y[0] *= 1.0 + 1e-6  # chi(0) of the first chunk, which sum mu_n reads
+        return y
+
+    monkeypatch.setattr(spectral, "apply_power", corrupted)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 600\nm = 2\n")
+    rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("FAIL limits: measure sum drift")
+    assert "Traceback" not in err
+    report = json.loads((tmp_path / "o" / "limits.json").read_text())
+    assert report["engine"]["measure_sum_drift"] > report["engine"]["measure_sum_tol"]
+    assert report["failures"] == [err[len("FAIL limits: ") : -1]]
+
+
+def test_engine_records_carry_versions(tmp_path):
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 250\nmlist = 2 3\nncrit_nmax = 48\n")
+    for command, name in (
+        ("simulate", "provenance.json"),
+        ("limits", "limits.json"),
+        ("characteristics", "characteristics.json"),
+    ):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / command / name).read_text())
+        for entry in report.get("per_m", [report]):
+            assert "engine" in entry and entry["versions"] == versions
+
+
 @pytest.mark.parametrize(
     "command, text, needle",
     [
@@ -364,6 +440,8 @@ def test_limits_requires_product_start(tmp_path, capsys):
         ("simulate", "steps = 10\nsnapshots = 0 5\n", "snapshots must lie in [1, steps]"),
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
+        ("kato", "m = 3\n", "kato checks the width-2 statements; got width 3"),
+        ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\nm = 3\n", "width-2"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
         ("simulate", "steps = 10\ng = 1 0\n", "g: expected a complex number written re,im"),
         ("simulate", "steps = 10\ncoin_a = 1\n", "coin_a: expected a complex number written re,im"),

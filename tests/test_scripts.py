@@ -1,4 +1,4 @@
-"""Smoke tests of the experiment scripts: each runs and writes its CSVs."""
+"""Smoke tests of the experiment scripts: each runs and writes its CSVs or table."""
 
 import runpy
 import sys
@@ -37,3 +37,15 @@ def test_eigenvector_runs(tmp_path, monkeypatch):
         assert header == "n,x,re_mu,im_mu"
         assert [int(r[1]) for r in rows] == list(range(-20, 21))
         assert all(r[0] == "20" for r in rows)
+
+
+def test_side_mode_convergence(monkeypatch, capsys):
+    _run(monkeypatch, "side_mode_convergence.py", "--steps", "300", "600")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split(",")[:2] == ["n", "ks_left_1/9"]
+    assert [int(r.split(",")[0]) for r in rows] == [300, 600]
+    for row in rows:
+        values = [float(v) for v in row.split(",")[1:]]
+        assert len(values) == 7
+        assert all(0.0 <= v < 1.0 for v in values[:4])
+        assert all(abs(v) < 0.02 for v in values[4:])

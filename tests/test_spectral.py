@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unitary_coin_strategy
-from stripewalk import evolve, init_product, make_coin, measure, stripe_for_width
+from stripewalk import evolve, init_band_vector, init_product, make_coin, measure, stripe_for_width
 from stripewalk import spectral
 from stripewalk.spectral import (
+    apply_power,
     build_w,
     cardano_lambda1_j0,
     cardano_lambda2_j0,
@@ -27,6 +28,8 @@ from stripewalk.spectral import (
     minimality_witness,
     perturbed_projection_check,
     reflection,
+    snapshot_measure,
+    snapshot_method,
     spectral_projections,
     spectrum_grid,
     t1_matrix,
@@ -444,3 +447,73 @@ def test_general_coin_reduction_fallback():
     assert abs(vals[1]) < 1e-8
     assert abs(vals[0] + vals[2]) < 1e-8  # conjugate imaginary pair
     assert vals[2].imag > 0.1
+
+
+def test_apply_power_is_matrix_power(phased_coin):
+    w = w_stack(phased_coin, -1, 1, [0.0, 0.4, 3.0])
+    x = np.arange(24.0).reshape(12, 2) + 1j
+    for n in (0, 1, 2, 5, 64, 77):
+        want = np.linalg.matrix_power(w, n) @ x
+        assert np.max(np.abs(apply_power(w, n, x) - want)) < 1e-13
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_power(w, -1, x)
+
+
+#: Largest cross-checked time per width; the real-space runs take about 2 s in all.
+SNAPSHOT_N = {1: 2000, 2: 1200, 3: 600, 10: 250}
+
+
+def _snapshot_starts(coin, m):
+    """Initial states covering both dtypes, one and two sublattices."""
+    s, t = stripe_for_width(m)
+    mixed = np.zeros((m, 4))
+    mixed[-s] = [0.5, 0.0, 0.0, 0.5]
+    rng = np.random.default_rng(m)
+    band = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+    band /= np.linalg.norm(band)
+    return {
+        "real spinor": init_product(coin, np.array([0.6, 0.8]), s, t, SNAPSHOT_N[m]),
+        "complex spinor": init_product(coin, np.array([1.0, 1j]) / S2, s, t, SNAPSHOT_N[m]),
+        "mixed": init_band_vector(coin, mixed, s, t, SNAPSHOT_N[m]),
+        "band": init_band_vector(coin, band, s, t, SNAPSHOT_N[m]),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+@pytest.mark.parametrize("coin_name", ["hadamard", "phased_coin"])
+def test_snapshot_measure_matches_real_space_engine(request, coin_name, m):
+    coin = request.getfixturevalue(coin_name)
+    for name, state in _snapshot_starts(coin, m).items():
+        if name == "band" and m > 1:
+            assert state.sublattices == (0, 1)
+        for n in (0, 1, SNAPSHOT_N[m]):
+            want = measure(evolve(state, n))
+            got = snapshot_measure(state, n)
+            assert got.n == n and got.values.shape == want.values.shape
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12, (name, n)
+            if len(state.sublattices) == 1:
+                # Cells with x + n off the state's sublattice are exactly 0.
+                off = got.values[(state.sublattices[0] + 1) % 2 :: 2]
+                assert not np.any(off), (name, n)
+            if state.amps.dtype.kind == "f":
+                assert got.max_abs_imag() == 0.0, (name, n)
+            elif m % 2 == 1 and name != "band":
+                assert got.max_abs_imag() <= 1e-12, (name, n)
+
+
+def test_snapshot_measure_needs_the_initial_state(hadamard):
+    state = init_product(hadamard, np.array([1.0, 0.0]), -1, 0, 4)
+    with pytest.raises(ValueError, match="initial state"):
+        snapshot_measure(evolve(state, 1), 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        snapshot_measure(state, -1)
+
+
+def test_snapshot_method_rule():
+    # Spectral once n >= m^2 log2 n: always for the narrow stripes of the
+    # limit theorems, only at large n for wide ones.
+    assert snapshot_method(2, 4000) == "spectral"
+    assert snapshot_method(2, 20) == "spectral"
+    assert snapshot_method(10, 1000) == "spectral"
+    assert snapshot_method(10, 250) == "real-space"
+    assert snapshot_method(30, 4000) == "real-space"
