@@ -21,13 +21,11 @@ the evolution engine.
 
 It also holds the spectral snapshot engine: ``snapshot_measure`` reads
 one late measure mu_n off W(k)^n on 2n + 1 momenta and one FFT, with no
-stepping, and ``snapshot_method`` says when that is cheaper than the
-real-space engine.
+stepping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,9 +63,7 @@ __all__ = [
     "spectral_projections",
     "char_function",
     "apply_power",
-    "snapshot_method",
     "snapshot_measure",
-    "snapshot_sum_tol",
 ]
 
 EIG_SIZE_LIMIT = 256
@@ -81,6 +77,10 @@ MATCH_AMBIGUITY_TOL = 1e-6
 #: Distance from 1 within which a W(0) eigenvalue joins the group that a
 #: non-Hadamard coin's Kato projection spans.
 UNIT_GROUP_TOL = 1e-6
+#: Largest off-sublattice |mu| and, for a float64 start, largest |Im mu|
+#: that ``snapshot_measure`` may round to exactly 0, times max(1, |phi|).
+#: Measured residues stay below 1e-14 (M <= 10, n <= 5e4).
+SNAPSHOT_RESIDUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -590,33 +590,6 @@ def char_function(
     return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]
 
 
-#: Measure-sum drift allowed to a snapshot, in units of n log2(2n+2) eps
-#: times max(1, |initial total|).  Both engines drift by at most 0.5 units
-#: (M <= 10, n <= 4000, Hadamard and a complex coin, three spinors).
-SNAPSHOT_DRIFT_UNITS = 8.0
-
-
-def snapshot_method(m: int, n: int) -> str:
-    """The cheaper engine for one snapshot mu_n at width m: "spectral" or "real-space".
-
-    The spectral engine costs O(n m^3 log n) and the real-space one
-    O(n^2 m), so the spectral one pays once n >= c m^2 log2 n.  Measured
-    (one BLAS thread, 2 vCPU) the two break even near c = 1: at m = 10
-    and n = 1000, and at m = 15 between n = 2000 (real-space 0.65 s,
-    spectral 1.03 s) and n = 4000 (2.6 s, 2.2 s).  For m <= 5 the spectral
-    engine was 2-14 times faster at every measured n (20 to 4000); the
-    rule leaves that to the real-space engine below n = m^2 log2 n, about
-    n = 55 at m = 3 and n = 200 at m = 5, where either takes milliseconds.
-    """
-    return "spectral" if n >= m * m * math.log2(max(n, 2)) else "real-space"
-
-
-def snapshot_sum_tol(n: int, total0: complex) -> float:
-    """Allowed |sum mu_n - sum mu_0| of a snapshot at time n (see ``SNAPSHOT_DRIFT_UNITS``)."""
-    unit = max(n, 1) * math.log2(2 * n + 2) * np.finfo(float).eps
-    return SNAPSHOT_DRIFT_UNITS * unit * max(1.0, abs(total0))
-
-
 def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     """mu_n of an initial state (n = 0, data at u = 0) without stepping.
 
@@ -629,7 +602,9 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     gives chi(k_{K-i}) = conj((Pi^T q)^T W(k_i)^n conj(Pi^T phi)) for every
     coin and start.  As in the real-space engine, the cells off the
     state's one sublattice are exactly 0 and a float64 state gives a
-    measure with zero imaginary part.
+    measure with zero imaginary part.  The rounding residue set to 0 there
+    is checked first: above ``SNAPSHOT_RESIDUE_TOL`` times max(1, |phi|)
+    it raises RuntimeError, since chi is then wrong at some k != 0.
     """
     if state.n != 0:
         raise ValueError(f"snapshot_measure needs the initial state, got n = {state.n}")
@@ -653,8 +628,18 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
         mirrored = own > 0
         chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()
     values = np.roll(np.fft.fft(chi) / size, n)  # index x + n holds mu(x mod K)
+    tol = SNAPSHOT_RESIDUE_TOL * max(1.0, float(np.linalg.norm(phi)))  # |chi| <= sqrt(2) |phi|
     if len(state.sublattices) == 1:
-        values[(state.sublattices[0] + 1) % 2 :: 2] = 0
+        off = values[(state.sublattices[0] + 1) % 2 :: 2]
+        _check_residue("off-sublattice |mu|", np.abs(off), tol, n)
+        off[:] = 0
     if state.amps.dtype.kind == "f":
+        _check_residue("|Im mu| of a real start", np.abs(values.imag), tol, n)
         values = values.real.astype(complex)
     return ComplexMeasure(n=n, values=values)
+
+
+def _check_residue(what: str, residue: np.ndarray, tol: float, n: int) -> None:
+    worst = float(np.max(residue, initial=0.0))
+    if not worst <= tol:
+        raise RuntimeError(f"snapshot {what} {worst:.3e} > tol {tol:.1e} at n={n}")

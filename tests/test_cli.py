@@ -5,7 +5,7 @@ import platform
 import numpy as np
 import pytest
 
-from stripewalk import cli, evolve, init_product, make_hadamard, spectral, stripe_for_width
+from stripewalk import cli, evolve, init_product, make_hadamard, measure, spectral, stripe_for_width
 from stripewalk.characteristics import n_crit
 from stripewalk.coin import LL, RR
 from stripewalk.cli import (
@@ -385,23 +385,31 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
     cfg.write_text("steps = 600\n" + text)
     rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "s")])
     report = json.loads((tmp_path / "s" / "limits.json").read_text())
-    engine = report.pop("engine")
-    assert engine["snapshot"] == "spectral" and engine["momenta"] == 1201
-    assert engine["measure_sum_drift"] <= engine["measure_sum_tol"]
-    monkeypatch.setattr(cli, "snapshot_method", lambda m, n: "real-space")
+    assert report["engine"] == {"momenta": 1201}
+    assert report["measure_sum_drift"] <= report["measure_sum_tol"]
+    # The same report made from the real-space engine's measure.
+    monkeypatch.setattr(cli, "snapshot_measure", lambda state, n: measure(evolve(state, n)))
     assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
     reference = json.loads((tmp_path / "r" / "limits.json").read_text())
-    assert reference.pop("engine")["snapshot"] == "real-space"
     worst = max(_floats(report, reference), key=lambda item: item[1])
     assert worst[1] <= 1e-12, worst
 
 
-def test_limits_measure_sum_drift_is_one_fail_line(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "scale, needle",
+    [
+        # chi(0) alone is off by 5e-10: sum mu_n drifts past 1e-10 while
+        # each cell moves by 5e-10 / 1201, under the residue tolerance.
+        (5e-10, "measure sum drift"),
+        (1e-6, "snapshot off-sublattice"),
+    ],
+)
+def test_limits_snapshot_checks_are_one_fail_line(tmp_path, capsys, monkeypatch, scale, needle):
     power = spectral.apply_power
 
     def corrupted(w, n, x):
         y = power(w, n, x).copy()
-        y[0] *= 1.0 + 1e-6  # chi(0) of the first chunk, which sum mu_n reads
+        y[0] *= 1.0 + scale  # chi(0) of the first chunk, which sum mu_n reads
         return y
 
     monkeypatch.setattr(spectral, "apply_power", corrupted)
@@ -410,11 +418,12 @@ def test_limits_measure_sum_drift_is_one_fail_line(tmp_path, capsys, monkeypatch
     rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.count("\n") == 1 and err.startswith("FAIL limits: measure sum drift")
+    assert err.count("\n") == 1 and err.startswith(f"FAIL limits: {needle}")
     assert "Traceback" not in err
-    report = json.loads((tmp_path / "o" / "limits.json").read_text())
-    assert report["engine"]["measure_sum_drift"] > report["engine"]["measure_sum_tol"]
-    assert report["failures"] == [err[len("FAIL limits: ") : -1]]
+    if needle == "measure sum drift":
+        report = json.loads((tmp_path / "o" / "limits.json").read_text())
+        assert report["measure_sum_drift"] > report["measure_sum_tol"]
+        assert report["failures"] == [err[len("FAIL limits: ") : -1]]
 
 
 def test_engine_records_carry_versions(tmp_path):

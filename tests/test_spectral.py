@@ -29,7 +29,6 @@ from stripewalk.spectral import (
     perturbed_projection_check,
     reflection,
     snapshot_measure,
-    snapshot_method,
     spectral_projections,
     spectrum_grid,
     t1_matrix,
@@ -509,11 +508,25 @@ def test_snapshot_measure_needs_the_initial_state(hadamard):
         snapshot_measure(state, -1)
 
 
-def test_snapshot_method_rule():
-    # Spectral once n >= m^2 log2 n: always for the narrow stripes of the
-    # limit theorems, only at large n for wide ones.
-    assert snapshot_method(2, 4000) == "spectral"
-    assert snapshot_method(2, 20) == "spectral"
-    assert snapshot_method(10, 1000) == "spectral"
-    assert snapshot_method(10, 250) == "real-space"
-    assert snapshot_method(30, 4000) == "real-space"
+@pytest.mark.parametrize("sublattices, columns, needle", [(1, [0, 1], "off-sublattice"), (2, [0], "Im mu")])
+def test_snapshot_measure_rejects_a_wrong_chi_off_k0(hadamard, monkeypatch, sublattices, columns, needle):
+    # A chi that is wrong only at k_1 leaves sum mu_n = chi(0) alone; the
+    # off-sublattice cells or, with the mirror half untouched, the
+    # imaginary part of a real start show it.
+    power = spectral.apply_power
+
+    def corrupted(w, n, x):
+        y = power(w, n, x).copy()
+        y[1, :, columns] *= 1.0 + 1e-6
+        return y
+
+    if sublattices == 1:
+        state = init_product(hadamard, np.array([0.6, 0.8]), -1, 0, 200)
+    else:
+        band = np.random.default_rng(2).normal(size=(2, 4))
+        state = init_band_vector(hadamard, band / np.linalg.norm(band), -1, 0, 200)
+    assert len(state.sublattices) == sublattices and state.amps.dtype.kind == "f"
+    assert np.max(np.abs(snapshot_measure(state, 200).values - measure(evolve(state, 200)).values)) <= 1e-12
+    monkeypatch.setattr(spectral, "apply_power", corrupted)
+    with pytest.raises(RuntimeError, match=needle):
+        snapshot_measure(state, 200)
