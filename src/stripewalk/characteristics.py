@@ -57,6 +57,7 @@ __all__ = [
 #: Relative support thresholds recorded per run: the middle one is the
 #: default for fits, the outer two feed the sensitivity report.
 SUPPORT_THRESHOLDS = (1e-10, 1e-12, 1e-14)
+_THRESHOLD_COLUMN = np.array(SUPPORT_THRESHOLDS)[:, None]
 
 DEFAULT_DELTA = 0.3
 
@@ -139,12 +140,16 @@ def _stats_from_values(series: RunSeries, n: int, values: np.ndarray) -> None:
     series.min_re[i] = re.min()
     series.mu_center[i] = re[n]
     series.peak_xbar[i], series.peak_val[i] = _peak_in_window(re, n, series.delta)
-    for thr, edge in series.edges.items():
-        if finite and amax > 0.0:
-            above = a > thr * amax
-            edge[i] = n - min(np.argmax(above), np.argmax(above[::-1]))
-        else:
-            edge[i] = 0.0 if finite else math.nan
+    if finite and amax > 0.0:
+        # One comparison for all thresholds; a_n is n minus the distance
+        # from the nearer end of the array to the first value above.
+        above = a > _THRESHOLD_COLUMN * amax
+        inner = np.minimum(above.argmax(axis=1), above[:, ::-1].argmax(axis=1))
+        edges = (n - inner).tolist()
+    else:
+        edges = [0.0 if finite else math.nan] * len(SUPPORT_THRESHOLDS)
+    for thr, edge in zip(SUPPORT_THRESHOLDS, edges):
+        series.edges[thr][i] = edge
 
 
 def run_series(

@@ -103,7 +103,9 @@ class CoinBlocks:
         Q(x)conj(P) driving the two-coordinate evolution.
     w_pp, w_qq, w_pq, w_qp : length-4 weight vectors such that e.g.
         ``pp == outer(w_pp, e_LL)``; the rank-1 factors of the blocks.
-    weights : the four weight vectors stacked for the step kernel.
+    weights : the (4, 4) matrix with columns w_pp, w_qq, w_pq, w_qp, which
+        the step kernel applies to the four gathered neighbor components;
+        ``real_weights`` is its real part for float64 fields.
     """
 
     coin: Coin
@@ -159,8 +161,15 @@ class CoinBlocks:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """w_pp, w_qq, w_pq, w_qp stacked as (4, 4, 1, 1), to broadcast over (rows, columns)."""
-        return np.stack([self.w_pp, self.w_qq, self.w_pq, self.w_qp])[:, :, None, None]
+        """The (4, 4) matrix whose columns are w_pp, w_qq, w_pq, w_qp: it maps
+        the neighbor components (LL at u+1, RR at u-1, LR at v+1, RL at v-1)
+        to the new 4-vector."""
+        return np.stack([self.w_pp, self.w_qq, self.w_pq, self.w_qp], axis=1)
+
+    @cached_property
+    def real_weights(self) -> np.ndarray:
+        """Real part of ``weights``, contiguous so the product goes through BLAS."""
+        return np.ascontiguousarray(self.weights.real)
 
 
 def blocks(coin: Coin) -> CoinBlocks:

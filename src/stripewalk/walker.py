@@ -29,11 +29,15 @@ The step kernel computes only cells that can be nonzero and visible:
 
 * dtype: float64 when the coin's rank-1 weights and the initial band data
   are exactly real (Hadamard from a real spinor, the mixed start),
-  complex128 otherwise.  The real path does the same arithmetic on the
-  real parts, so its values equal the complex path's bit for bit.  Every
-  accessor (``measure``, ``band_field``, ``BandState.cell``/``row``)
-  returns complex values either way; ``diagonal`` keeps the field's dtype
-  for consumers that reduce every step.
+  complex128 otherwise.  The kernel's product rounds differently in the
+  two dtypes, so the contract is a bound, not bit equality: the float64
+  path stays within 1e-14 per cell of the exact integer Hadamard walk for
+  n <= 200, a real state stepped as complex128 agrees with it within
+  1e-15 per cell, and a rerun of the same code gives the same bytes
+  whatever the BLAS thread count.  Every accessor (``measure``,
+  ``band_field``, ``BandState.cell``/``row``) returns complex values
+  either way; ``diagonal`` keeps the field's dtype for consumers that
+  reduce every step.
 * sublattices: a step moves every cell from u+v even to u+v odd or back,
   so the two parity classes of u+v evolve independently.  The kernel runs
   only on the classes the initial data occupies: one for product and
@@ -174,9 +178,13 @@ class BandState:
         return self.row(v)[:, u + self.center]
 
     def norm(self) -> float:
-        """l2 norm of the whole field."""
+        """l2 norm of the whole field.
+
+        A numpy reduction over the live window, not ``np.linalg.norm``,
+        whose BLAS dot product rounds differently with the thread count.
+        """
         lo, hi = self.live
-        return float(np.linalg.norm(self.amps[:, :, lo:hi]))
+        return math.sqrt(np.square(np.abs(self.amps[:, :, lo:hi])).sum())
 
     def engine(self) -> dict:
         """The stepping choices behind this state, for provenance records.
@@ -268,28 +276,31 @@ def _step_kernel_rank1(
 
     Uses the rank-1 factorization of the four tensor blocks: each block
     contributes (weight vector) times one scalar component of a shifted
-    neighbor, summed in the order PP, QQ, PQ, QP.  ``rows`` and ``cols``
-    are slices with steps 1 or 2.  Each strided neighbor is copied into a
-    contiguous array once, so the four broadcast products stream over
-    contiguous memory instead of re-reading the strided source.  Reads src
-    one column beyond ``cols`` on each side, so callers keep one guard
-    column.  ``weights`` is ``CoinBlocks.weights`` in the field's dtype.
+    neighbor.  The four neighbors (LL from u+1, RR from u-1, LR from v+1,
+    RL from v-1) are gathered into one contiguous (4, rows, cols) array,
+    and one (4, 4) by (4, rows * cols) product mixes them.  ``rows`` and
+    ``cols`` are slices with steps 1 or 2.  Reads src one column beyond
+    ``cols`` on each side, so callers keep one guard column.  ``weights``
+    is ``CoinBlocks.weights`` (columns w_pp, w_qq, w_pq, w_qp) as a
+    contiguous array in the field's dtype.
     """
-    w_pp, w_qq, w_pq, w_qp = weights
     m = src.shape[1]
     for rows, cols in groups:
         r0, rs = rows.start, rows.step
         c0, c1, cs = cols.start, cols.stop, cols.step
-        acc = np.multiply(w_pp, src[LL, rows, c0 + 1 : c1 + 1 : cs].copy())
-        acc += w_qq * src[RR, rows, c0 - 1 : c1 - 1 : cs].copy()
+        shape = (len(range(r0, m, rs)), len(range(c0, c1, cs)))
+        gathered = np.empty((4, *shape), dtype=src.dtype)
+        gathered[0] = src[LL, rows, c0 + 1 : c1 + 1 : cs]
+        gathered[1] = src[RR, rows, c0 - 1 : c1 - 1 : cs]
         # Transverse coupling: row r reads r+1 through PQ and r-1 through QP;
-        # rows beyond the stripe edge contribute nothing (the cut).
-        up = acc[:, : len(range(r0, m - 1, rs))]
-        up += w_pq * src[LR, r0 + 1 : m : rs, cols].copy()
-        r1 = r0 if r0 >= 1 else r0 + rs
-        down = acc[:, (r1 - r0) // rs :]
-        down += w_qp * src[RL, r1 - 1 : m - 1 : rs, cols].copy()
-        dst[:, rows, cols] = acc
+        # rows beyond the stripe edge read zero (the cut).
+        up = len(range(r0 + 1, m, rs))
+        gathered[2, :up] = src[LR, r0 + 1 : m : rs, cols]
+        gathered[2, up:] = 0
+        down = 1 if r0 == 0 else 0
+        gathered[3, :down] = 0
+        gathered[3, down:] = src[RL, r0 - 1 + down * rs : m - 1 : rs, cols]
+        dst[:, rows, cols] = (weights @ gathered.reshape(4, -1)).reshape(4, *shape)
 
 
 def _droppable(column: np.ndarray, tiny: float) -> bool:
@@ -347,8 +358,8 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
         dst[:, :, max(olo, hi) : ohi] = 0
     n = state.n + 1
     if lo < hi:
-        w = state.blocks.weights
-        weights = w.real if src.dtype.kind == "f" else w  # in the field's dtype
+        b = state.blocks
+        weights = b.real_weights if src.dtype.kind == "f" else b.weights  # in the field's dtype
         _step_kernel_rank1(src, dst, weights, _live_groups(state, n, lo, hi))
     tiny = np.finfo(dst.dtype).tiny
     while lo < hi and _droppable(dst[:, :, lo], tiny):

@@ -69,6 +69,8 @@ from stripewalk.spectral import (
     perturbed_projection_check,
 )
 
+from oracles import exact_onset
+
 HAD = make_hadamard()
 LEFT = np.array([1.0, 0.0])
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -371,11 +373,15 @@ def test_c08_critical_time_rule():
         60,
     )
     assert nc1 == nmax1
+    # Exact onsets (sign test at tolerance 0) and the dip there, for the message.
+    exact = {m: exact_onset(m, max(4 * m, nc + 10)) for m, nc in observed.items()}
+    margins = "; ".join(f"M={m}: n={n} {low:.2e}" for m, (n, low) in exact.items())
     assert not violations, (
         "the exact dynamics does not follow the 3M/2M rule within +-2: "
         + "; ".join(violations)
-        + " - measured onsets are genuine interference dips of size 1e-4..1e-2 "
-        "(width 2 stays non-negative until n=36); see the frozen table supplement"
+        + " - measured onsets are genuine interference dips of size 3e-5..2e-2 "
+        "(width 2 stays non-negative until n=36); see the frozen table supplement. "
+        "Exact first negative n and min Re mu there: " + margins
     )
 
 
@@ -393,6 +399,13 @@ def test_c08_supplement_frozen_onsets():
         got[m] = n_crit(HAD, m, nmax, tol=1e-12, g=PLUS)
     assert got == expected
     print("[PASS] supplement: frozen critical times reproduced for M=2..20")
+    # The same table from the exact integer walk with tolerance 0: every
+    # onset dip is at least 2.9e-5 deep, so no float rounding can move it.
+    exact = {m: exact_onset(m, max(4 * m, value + 10)) for m, value in expected.items()}
+    assert {m: n - 1 for m, (n, _) in exact.items()} == expected
+    assert all(low < -2.9e-5 for _, low in exact.values())
+    margins = ", ".join(f"{m}: {low:.2e}" for m, (_, low) in exact.items())
+    print(f"[PASS] supplement: exact onsets (tol 0) match; min Re mu at onset per M: {margins}")
 
 
 def test_c09_peak_positions(m2_measure_2000, oracle_2000):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,36 @@ def test_characteristics_parallel_matches_serial(tmp_path):
     assert (tmp_path / "s" / "characteristics.csv").read_bytes() == (
         tmp_path / "p" / "characteristics.csv"
     ).read_bytes()
+
+
+def test_reruns_do_not_depend_on_blas_threads(tmp_path):
+    # Fresh processes with one and two BLAS threads write byte-identical
+    # files: the step kernel's products and the norm trace.  The M = 10
+    # band start steps both sublattices, so late steps multiply over more
+    # than 16k cells at once, where a threaded BLAS splits the work.
+    band = " ".join(f"{(7 * k) % 11 - 5},0" for k in range(40))
+    runs = [
+        ("simulate", f"m = 10\ninit = band\nband = {band}\nsteps = 1000\n"
+         "snapshots = 500 1000\nemit_band_field = true\n", "band_n1000.csv"),
+        ("characteristics", "steps = 300\nmlist = 2 3\nncrit_nmax = 48\n", "characteristics.csv"),
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    run_main = "import sys; from stripewalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    for command, text, table in runs:
+        cfg = tmp_path / f"{command}.txt"
+        cfg.write_text(text)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-c", run_main, command, "--config", str(cfg), "--out", str(out)],
+                env=env, check=True,
+            )
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert table in outputs[0]
+        assert outputs[0] == outputs[1], command
 
 
 def test_oracle_check_command(tmp_path):
