@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -616,6 +615,9 @@ def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     digest = config_hash(cfg)
     jobs = [(config_to_text(cfg), m) for m in cfg.mlist]
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which no other run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_characteristics_row, jobs))
     else:

@@ -19,6 +19,12 @@ Pi is the (orthogonal) eigenprojection of 1 and T1 = dW/dk(0).  This module
 implements both the exact objects and the numerical checks tying them to
 the evolution engine.
 
+Two exact symmetries hold for every coin: the reflection
+W(-k) = Pi conj(W(k)) Pi^T (``reflection``) and the pi-shift
+W(k + pi) = -D W(k) D with D = diag((-1)^v) (``shift_signs``).
+``spectrum_grid`` solves one momentum per orbit of the two, about a
+quarter of its grid, and derives the other rows' eigenpairs.
+
 It also holds the spectral snapshot engine: ``snapshot_measure`` reads
 one late measure mu_n off W(k)^n on 2n + 1 momenta and one FFT, with no
 stepping.
@@ -41,6 +47,7 @@ __all__ = [
     "w_stack",
     "build_w",
     "reflection",
+    "shift_signs",
     "v_block",
     "t1_block",
     "t1_matrix",
@@ -67,9 +74,10 @@ __all__ = [
 ]
 
 EIG_SIZE_LIMIT = 256
-#: Bytes of W(k) matrices that ``spectrum_grid`` holds per chunk of momenta:
-#: 5 solved and 5 mirrored k at M = 10.  Larger chunks raised peak memory
-#: (41 MB at 512 KiB, 75 MB at 8 MiB for M = 10, kgrid 1024) and ran no faster.
+#: Bytes of W(k) matrices that ``spectrum_grid`` holds per chunk of momenta,
+#: images included: 2 solved k and their 6 images at M = 10.  Larger chunks
+#: raised peak memory (41 MB at 512 KiB, 82 MB at 8 MiB for M = 10, kgrid
+#: 1024, against 39 MB) and ran no faster.
 GRID_CHUNK_BYTES = 1 << 18
 EIG_RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -150,6 +158,17 @@ def reflection(m: int) -> np.ndarray:
     return (4 * np.arange(m)[::-1, None] + np.array([LL, RL, LR, RR])).ravel()
 
 
+def shift_signs(m: int) -> np.ndarray:
+    """Diagonal of D, one sign (-1)^v per 4x4 block, with W(k + pi) = -D W(k) D.
+
+    V(k + pi) = -V(k), while D flips the sign of the off-diagonal blocks
+    PQ and QP, which couple rows of opposite parity; so the identity holds
+    for every coin.  The signs run from +1 at v = s: the overall sign of D
+    drops out of D W D.
+    """
+    return np.repeat((-1.0) ** np.arange(m), 4)
+
+
 @dataclass(frozen=True)
 class EigResult:
     """Eigendecomposition of one W(k): values, right vectors, max residual."""
@@ -171,19 +190,21 @@ def _solve(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _check_pairs(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks) -> np.ndarray:
+def _check_pairs(
+    mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks, scale: np.ndarray
+) -> np.ndarray:
     """Max residual ||W x - lambda x|| of each matrix in a stack, checked.
 
     Raises if a residual exceeds ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1)
-    of its own matrix, or is NaN; the message names the failing momenta.
+    of its own matrix, with ||W||_2 given as ``scale``, or is NaN; the
+    message names the failing momenta in ascending order.
     """
-    scale = np.linalg.norm(mats, 2, axis=(-2, -1))
     residual = np.max(np.linalg.norm(mats @ vectors - vectors * values[:, None, :], axis=-2), axis=-1)
     bad = ~(residual <= EIG_RESIDUAL_TOL * np.maximum(scale, 1.0))
     if np.any(bad):
         raise RuntimeError(
             f"eigenpair residual {np.max(residual[bad]):.3e} exceeds "
-            f"{EIG_RESIDUAL_TOL:.1e} * ||W|| at k = {np.asarray(ks)[bad].tolist()}"
+            f"{EIG_RESIDUAL_TOL:.1e} * ||W|| at k = {sorted(np.asarray(ks)[bad].tolist())}"
         )
     return residual
 
@@ -198,7 +219,7 @@ def eig(w: WOperator) -> EigResult:
     _check_size(w.matrix.shape[0])
     mats = w.matrix[None]
     values, vectors = _solve(mats)
-    residual = _check_pairs(mats, values, vectors, [w.k])
+    residual = _check_pairs(mats, values, vectors, [w.k], np.linalg.norm(mats, 2, axis=(-2, -1)))
     return EigResult(values=values[0], vectors=vectors[0], residual=float(residual[0]))
 
 
@@ -206,32 +227,51 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     """Eigenvalues of W(k) at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
 
     Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M) in LAPACK
-    order.  Only k_i with i <= kgrid/2 go to the eigensolver: row kgrid-i
-    takes conj(lambda) with eigenvectors Pi conj(x) (see ``reflection``).
-    Every pair, solved or mirrored, passes the residual check of ``eig``
-    against W built at its own k.  The grid is built in chunks of at most
-    ``GRID_CHUNK_BYTES`` of matrices.
+    order.  The reflection k -> -k (``reflection``) and the shift
+    k -> k + pi (``shift_signs``) split the grid into orbits of 1, 2 or 4
+    momenta (the shift only where kgrid is even), and only the first k_i of
+    each orbit, about kgrid/4 of them, goes to the eigensolver.  A solved
+    pair (lambda, x) gives row kgrid - i the pair (conj lambda, Pi conj x),
+    row i + kgrid/2 the pair (-lambda, D x) and row kgrid/2 - i the pair
+    (-conj lambda, D Pi conj x); each row is filled once.  Every pair,
+    solved or derived, passes the residual check of ``eig`` against W built
+    at its own k, with the ||W||_2 of its orbit: Pi, D and conjugation are
+    isometries.  The grid is built in chunks of at most ``GRID_CHUNK_BYTES``
+    of matrices.
     """
     if not s <= 0 <= t:
         raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
     m = t - s + 1
     _check_size(4 * m)
     b = blocks(coin)
-    perm = reflection(m)
+    perm, signs = reflection(m), shift_signs(m)[:, None]
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     values = np.empty((kgrid, 4 * m), dtype=complex)
-    solved = np.arange(kgrid // 2 + 1)
-    # Each solved k brings at most one mirrored W into the chunk.
-    step = max(1, GRID_CHUNK_BYTES // (2 * 16 * (4 * m) ** 2))
-    for lo in range(0, len(solved), step):
-        own = solved[lo : lo + step]
-        mirrored = (own > 0) & (2 * own < kgrid)
-        rows = np.concatenate([own, kgrid - own[mirrored]])
+    # Twice the grid index of k_i, -k_i, k_i + pi and pi - k_i; an odd one
+    # falls between the momenta of an odd grid and is marked kgrid.
+    doubled = 2 * np.arange(kgrid)
+    images = np.stack([doubled, -doubled, doubled + kgrid, kgrid - doubled]) % (2 * kgrid)
+    images = np.where(images % 2 == 0, images // 2, kgrid)
+    # Solve the smallest k_i of each orbit; each row of the grid takes its
+    # pair from the first of that k_i's four images that lands on it.
+    orbits = images[:, images.min(axis=0) == images[0]]
+    fills = np.zeros(orbits.size, dtype=bool)
+    fills[np.unique(orbits, return_index=True)[1]] = True
+    fills = fills.reshape(orbits.shape) & (orbits < kgrid)
+    # Each solved k brings at most three images into the chunk.
+    step = max(1, GRID_CHUNK_BYTES // (4 * 16 * (4 * m) ** 2))
+    for lo in range(0, orbits.shape[1], step):
+        fill = fills[:, lo : lo + step]
+        rows = orbits[:, lo : lo + step][fill]  # the solved k first
         w = _w_stack(b, m, ks[rows])
-        vals, vecs = _solve(w[: len(own)])
-        vals = np.concatenate([vals, vals[mirrored].conj()])
-        vecs = np.concatenate([vecs, vecs[mirrored].conj()[:, perm, :]])
-        _check_pairs(w, vals, vecs, ks[rows])
+        solved = w[: fill.shape[1]]
+        vals, vecs = _solve(solved)
+        scale = np.broadcast_to(np.linalg.norm(solved, 2, axis=(-2, -1)), fill.shape)[fill]
+        vals = np.stack([vals, vals.conj()])
+        vecs = np.stack([vecs, vecs.conj()[:, perm, :]])
+        vals = np.concatenate([vals, -vals])[fill]
+        vecs = np.concatenate([vecs, signs * vecs])[fill]
+        _check_pairs(w, vals, vecs, ks[rows], scale)
         values[rows] = vals
     return ks, values
 

@@ -212,10 +212,11 @@ def _coin_config(coin) -> str:
     return "coin = custom\n" + "".join(f"coin_{n} = {z.real!r},{z.imag!r}\n" for n, z in entries)
 
 
-@pytest.mark.parametrize("kgrid", [2, 7, 16])
+@pytest.mark.parametrize("kgrid", [2, 4, 6, 7, 16])
 def test_spectrum_rows_match_per_k_eig(tmp_path, phased_coin, kgrid):
-    # Odd K, and even K whose k = pi is its own mirror: every row, solved
-    # or mirrored, matches the eigenvalues of W at its own k.
+    # Odd K (reflection only), K = 2 mod 4 and K = 0 mod 4 (reflection and
+    # pi-shift, whose orbits differ): every row, solved or derived, matches
+    # the eigenvalues of W at its own k.
     m = 3
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(_coin_config(phased_coin) + f"m = {m}\nkgrid = {kgrid}\n")

@@ -28,6 +28,7 @@ from stripewalk.spectral import (
     minimality_witness,
     perturbed_projection_check,
     reflection,
+    shift_signs,
     snapshot_measure,
     spectral_projections,
     spectrum_grid,
@@ -142,6 +143,31 @@ def test_reflection_conjugates_w_for_any_coin(phased_coin, m):
         assert np.max(np.abs(w.conj() - w_neg)) > 0.1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_shift_by_pi_negates_w_for_any_coin(phased_coin, m):
+    # W(k + pi) = -D W(k) D, D = diag((-1)^v) per block; -W(k) alone
+    # differs in the off-diagonal blocks whenever there are any.
+    s, t = stripe_for_width(m)
+    ks = np.array([0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.4])
+    w, w_shift = w_stack(phased_coin, s, t, ks), w_stack(phased_coin, s, t, ks + math.pi)
+    d = shift_signs(m)
+    assert d.shape == (4 * m,) and np.array_equal(np.abs(d), np.ones(4 * m))
+    assert np.max(np.abs(-d[:, None] * w * d - w_shift)) < 1e-15
+    if m > 1:
+        assert np.max(np.abs(-w - w_shift)) > 0.1
+
+
+def test_shift_by_pi_maps_the_m2_cubics_onto_each_other():
+    # k -> k + pi, lambda -> -lambda turns 2L^3 + (1 - 2 cos k) L^2 - 1
+    # into 2L^3 - (1 + 2 cos k) L^2 + 1: the first cubic onto the second.
+    # Not at k = 0, where the first cubic at pi has the double root -1 that
+    # root finding resolves only to about 1e-9.
+    for k in (0.4, math.pi / 2, 2.3, math.pi, 5.1):
+        first_shifted, _ = cubic_spectrum_m2(k + math.pi)
+        _, second = cubic_spectrum_m2(k)
+        assert _multiset_distance(first_shifted, -second) < 1e-12
+
+
 def test_w_stack_rows_are_build_w(phased_coin):
     ks = [0.0, 0.7, 2.5, 5.9]
     stack = w_stack(phased_coin, -1, 1, ks)
@@ -163,25 +189,64 @@ def _corrupt_eig(monkeypatch, index, value):
 
 
 def test_residual_check_covers_mirrored_rows(phased_coin, monkeypatch):
-    # A bad eigenvector at k_1 fails at k_1 and at its mirror k_{K-1},
-    # whose pair is derived from it and checked against W(k_{K-1}).
+    # A bad eigenvector at k_1 fails at k_1 and at its three images
+    # k_{K-1}, k_{1+K/2} and k_{K/2-1}, whose pairs are derived from it
+    # and checked against W at their own k.
     kgrid = 16
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     _corrupt_eig(monkeypatch, 1, 0.5)
     with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
         spectrum_grid(phased_coin, -1, 1, kgrid)
-    assert str(exc.value).endswith(f"k = {ks[[1, kgrid - 1]].tolist()}")
+    assert str(exc.value).endswith(f"k = {ks[[1, 7, 9, 15]].tolist()}")
 
 
 def test_residual_check_catches_a_wrong_mirror(phased_coin, monkeypatch):
-    # With the reflection replaced by the identity, every solved pair is
-    # right and every mirrored one is wrong: only k > pi may fail.
-    kgrid = 8
+    # With the reflection replaced by the identity, every solved pair and
+    # every pure shift image is right, and every pair that went through
+    # the reflection is wrong: the reflected rows 12..15 (of k_4..k_1) and
+    # the shifted-and-reflected rows 5..7 (of k_3..k_1) fail.
+    kgrid = 16
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     monkeypatch.setattr(spectral, "reflection", lambda m: np.arange(4 * m))
     with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
         spectrum_grid(phased_coin, -1, 1, kgrid)
-    assert str(exc.value).endswith(f"k = {ks[kgrid // 2 + 1:][::-1].tolist()}")
+    assert str(exc.value).endswith(f"k = {ks[[5, 6, 7, 12, 13, 14, 15]].tolist()}")
+
+
+def test_residual_check_catches_a_wrong_shift(phased_coin, monkeypatch):
+    # With D replaced by the identity, exactly the rows whose pair went
+    # through the shift fail: k_8 from k_0, and k_{i+8}, k_{8-i} from the
+    # solved k_1..k_3 (k_4's shift image k_12 is its reflection).
+    kgrid = 16
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    monkeypatch.setattr(spectral, "shift_signs", lambda m: np.ones(4 * m))
+    with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
+        spectrum_grid(phased_coin, -1, 1, kgrid)
+    assert str(exc.value).endswith(f"k = {ks[5:12].tolist()}")
+
+
+def _orbit_count(kgrid):
+    """Orbits of i -> -i and, for even kgrid, i -> i + kgrid/2 on Z_kgrid, by brute force."""
+    shifts = {0, kgrid // 2} if kgrid % 2 == 0 else {0}
+    return len({frozenset((sign * i + d) % kgrid for sign in (1, -1) for d in shifts) for i in range(kgrid)})
+
+
+@pytest.mark.parametrize("kgrid", [2, 4, 6, 7, 16, 1024])
+def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
+    solve = np.linalg.eig
+    solved = []
+
+    def counting(mats):
+        solved.append(len(mats))
+        return solve(mats)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    s, t = stripe_for_width(10)
+    _, values = spectrum_grid(phased_coin, s, t, kgrid)
+    assert values.shape == (kgrid, 40)
+    assert sum(solved) == _orbit_count(kgrid)
+    if kgrid == 1024:
+        assert sum(solved) == 257
 
 
 def test_residual_check_catches_nan(phased_coin, monkeypatch):
