@@ -10,7 +10,7 @@ Three limit shapes matter:
   at the origin with weight 1/2 and two ballistic Gaussians N(0, 4/9)
   travelling at speeds +-1/sqrt3 with weights
 
-      c_pm = [(2 -+ sqrt3) |g1|^2 + (1 -+ sqrt3) conj(g1) g2 + |g2|^2]
+      c_pm = [(2 -+ sqrt3) |g1|^2 + (1 -+ sqrt3) g1 conj(g2) + |g2|^2]
              / (2 (3 -+ sqrt3)),
 
   where (g1, g2) is the spinor whose tensor square seeds the walk.
@@ -76,12 +76,12 @@ def limit_coefficients(g: Sequence[complex]) -> tuple[complex, complex, complex]
 
     ``g`` is the unit 2-vector whose tensor square g (x) conj(g) sits at the
     origin at time zero.  c_zero is exactly 1/2; the side weights are
-    complex in general (real whenever conj(g1) g2 is real) and are returned
-    verbatim.
+    complex in general (real whenever g1 conj(g2) is real) and are returned
+    verbatim.  The cross term g1 conj(g2) is the LR entry of g (x) conj(g).
     """
     g = unit_spinor(g)
     s3 = math.sqrt(3.0)
-    cross = np.conj(g[0]) * g[1]
+    cross = g[0] * np.conj(g[1])
     a1, a2 = abs(g[0]) ** 2, abs(g[1]) ** 2
     c_plus = ((2 - s3) * a1 + (1 - s3) * cross + a2) / (2 * (3 - s3))
     c_minus = ((2 + s3) * a1 + (1 + s3) * cross + a2) / (2 * (3 + s3))

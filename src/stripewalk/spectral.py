@@ -12,12 +12,14 @@ superdiagonal PQ couples row v to v+1, the subdiagonal QP to v-1.  W(k) is
 a non-normal contraction; its spectrum near the unit circle controls the
 long-time measure.
 
-For the Hadamard coin at M = 2 the nonzero spectrum is carried by two
-cubics in closed form; near k = 0 the triple eigenvalue 1 splits according
-to the reduced generator R = Pi T1 Pi on the unperturbed eigenspace, where
-Pi is the (orthogonal) eigenprojection of 1 and T1 = dW/dk(0).  This module
-implements both the exact objects and the numerical checks tying them to
-the evolution engine.
+Near k = 0 the eigenvalue 1 of W(0) (triple for the Hadamard coin at
+M = 2) splits according to the reduced generator R = Pi T1 Pi on the
+unperturbed eigenspace, where Pi is the (orthogonal) eigenprojection of 1
+and T1 = dW/dk(0).  ``kato_reduction`` computes both numerically, by one
+path for every coin and width; the width-2 polynomial and perturbation
+checks of ``kato`` build on it.  The closed forms of the Hadamard M = 2
+case (its two cubics and the paper's basis) are test oracles, not
+library code.
 
 Two exact symmetries hold for every coin: the reflection
 W(-k) = Pi conj(W(k)) Pi^T (``reflection``) and the pi-shift
@@ -53,22 +55,16 @@ __all__ = [
     "t1_matrix",
     "eig",
     "spectrum_grid",
-    "eig_multiplicities",
-    "cubic_roots",
-    "cubic_spectrum_m2",
     "lambda1_expansion",
     "lambda2_expansion",
     "delta_of_k",
     "k_of_delta",
-    "cardano_lambda1_j0",
-    "cardano_lambda2_j0",
     "kato_reduction",
     "minimal_poly_residual",
     "char_poly_residual",
     "minimality_witness",
     "perturbed_projection_check",
     "spectral_projections",
-    "char_function",
     "apply_power",
     "snapshot_measure",
 ]
@@ -80,11 +76,14 @@ EIG_SIZE_LIMIT = 256
 #: 1024, against 39 MB) and ran no faster.
 GRID_CHUNK_BYTES = 1 << 18
 EIG_RESIDUAL_TOL = 1e-10
-CLUSTER_TOL = 1e-8
 MATCH_AMBIGUITY_TOL = 1e-6
-#: Distance from 1 within which a W(0) eigenvalue joins the group that a
-#: non-Hadamard coin's Kato projection spans.
+#: Distance from 1 within which a W(0) eigenvalue joins the group that
+#: ``kato_reduction`` projects onto, for every coin and width.
 UNIT_GROUP_TOL = 1e-6
+#: A reduced eigenvector's phase is fixed by its first entry of modulus
+#: above this value.  The first entry of largest modulus would not do:
+#: the Hadamard v1 has entries +-1/2 that tie.
+PHASE_ENTRY_TOL = 1e-8
 #: Largest off-sublattice |mu| and, for a float64 start, largest |Im mu|
 #: that ``snapshot_measure`` may round to exactly 0, times max(1, |phi|).
 #: Measured residues stay below 1e-14 (M <= 10, n <= 5e4).
@@ -276,57 +275,6 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     return ks, values
 
 
-def eig_multiplicities(
-    values: np.ndarray, tol: float = CLUSTER_TOL
-) -> list[tuple[complex, int]]:
-    """Cluster eigenvalues within ``tol``; returns (center, multiplicity) pairs."""
-    remaining = list(np.asarray(values, dtype=complex))
-    clusters: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        rest = []
-        for z in remaining:
-            if abs(z - seed) <= tol:
-                members.append(z)
-            else:
-                rest.append(z)
-        remaining = rest
-        clusters.append((complex(np.mean(members)), len(members)))
-    return clusters
-
-
-def cubic_roots(coeffs: Sequence[complex]) -> np.ndarray:
-    """Roots of a cubic: companion-matrix eigenvalues, Newton-polished."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (4,) or c[0] == 0:
-        raise ValueError("expected four coefficients with nonzero leading term")
-    roots = np.roots(c)
-    dc = np.polyder(c)
-    for _ in range(2):
-        f = np.polyval(c, roots)
-        fp = np.polyval(dc, roots)
-        ok = np.abs(fp) > 1e-30
-        roots = np.where(ok, roots - f / np.where(ok, fp, 1.0), roots)
-    return roots
-
-
-def cubic_spectrum_m2(k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the two Hadamard M = 2 cubics at momentum k.
-
-    The nonzero spectrum of W(k) is the union of the root sets of
-
-        2 L^3 + (1 - 2 cos k) L^2 - 1 = 0,
-        2 L^3 - (1 + 2 cos k) L^2 + 1 = 0,
-
-    together with the double eigenvalue 0.
-    """
-    c = np.cos(k)
-    first = cubic_roots([2.0, 1.0 - 2.0 * c, 0.0, -1.0])
-    second = cubic_roots([2.0, -(1.0 + 2.0 * c), 0.0, 1.0])
-    return first, second
-
-
 def delta_of_k(k: float) -> float:
     """Expansion parameter delta with delta^2 / 2 = 1 - cos k."""
     return float(np.sqrt(2.0 * (1.0 - np.cos(k))))
@@ -353,52 +301,28 @@ def lambda2_expansion(k: float) -> tuple[complex, complex]:
     return complex(base + shift), complex(base - shift)
 
 
-def cardano_lambda1_j0(k: float) -> float:
-    """Radical form of the dominant root of the first cubic (real branch).
-
-    Cross-check only: root finding goes through ``cubic_spectrum_m2``
-    because the cube roots are multivalued away from the real branch.
-    """
-    r = float(np.cos(k))
-    eta = 53.0 + 6.0 * r - 12.0 * r * r + 8.0 * r**3 + 6.0 * np.sqrt(6.0) * np.sqrt(
-        13.0 + 3.0 * r - 6.0 * r * r + 4.0 * r**3
-    )
-    cr = np.cbrt(eta)
-    s = 2.0 * r - 1.0
-    return float((s + s * s / cr + cr) / 6.0)
-
-
-def cardano_lambda2_j0(k: float) -> float:
-    """Radical form of the real root of the second cubic (real branch)."""
-    r = float(np.cos(k))
-    zeta = -53.0 + 6.0 * r + 12.0 * r * r + 8.0 * r**3 + 6.0 * np.sqrt(6.0) * np.sqrt(
-        13.0 - 3.0 * r - 6.0 * r * r - 4.0 * r**3
-    )
-    cr = np.cbrt(zeta)
-    s = 2.0 * r + 1.0
-    return float((s + s * s / cr + cr) / 6.0)
-
-
 @dataclass(frozen=True)
 class KatoReduction:
-    """Reduction of the perturbed eigenproblem at the triple eigenvalue 1.
+    """Reduction of the perturbed eigenproblem at the eigenvalue 1 of W(0).
 
     ``pi`` is the orthogonal eigenprojection, ``t1`` the momentum derivative
     of W at 0, ``r`` the reduced generator pi t1 pi.  ``eigenvalues`` and
-    ``vectors`` hold the eigenpairs of r on range(pi): (0, v1),
-    (i/sqrt3, v2), (-i/sqrt3, v3).  ``onb`` is an orthonormal basis
-    (phi1, phi2, phi3) of the unperturbed eigenspace.
+    ``vectors`` hold the eigenpairs of r on range(pi), the one nearest 0
+    first and the rest by decreasing imaginary part: for the Hadamard coin
+    at M = 2, (0, v1), (i/sqrt3, v2), (-i/sqrt3, v3).  Each vector has unit
+    norm, and its first entry of modulus above ``PHASE_ENTRY_TOL`` is real
+    and positive.  ``onb`` is an orthonormal basis of range(pi), from QR.
     """
 
     coin: Coin
     s: int
     t: int
-    onb: np.ndarray  # shape (3, 4M), rows phi1, phi2, phi3
+    onb: np.ndarray  # shape (rank, 4M)
     pi: np.ndarray
     t1: np.ndarray
     r: np.ndarray
-    eigenvalues: np.ndarray  # (0, +i/sqrt3, -i/sqrt3)
-    vectors: np.ndarray  # shape (3, 4M), rows v1, v2, v3
+    eigenvalues: np.ndarray
+    vectors: np.ndarray  # shape (rank, 4M), rows v1, v2, v3, ...
 
     @property
     def v1(self) -> np.ndarray:
@@ -413,49 +337,18 @@ class KatoReduction:
         return self.vectors[2]
 
 
-def _is_hadamard(coin: Coin) -> bool:
-    h = make_hadamard()
-    return bool(np.allclose(coin.matrix, h.matrix, atol=1e-14))
-
-
 def kato_reduction(coin: Coin | None = None, s: int = -1, t: int = 0) -> KatoReduction:
     """Projection, derivative, and reduced eigensystem at k = 0.
 
-    For the Hadamard coin at M = 2 all objects are built in closed form
-    (square roots of 2 and 3); other coins fall back to a numerical total
-    projection onto the eigenvalue group of W(0) nearest 1.
+    One numerical path for every coin and width: the orthogonal projection
+    onto the eigenvalue group of W(0) at 1 (``UNIT_GROUP_TOL``), and the
+    eigenpairs of t1 represented on an orthonormal basis of its range.
     """
     if coin is None:
         coin = make_hadamard()
-    m = t - s + 1
-    t1 = t1_matrix(coin, m)
-    if _is_hadamard(coin) and m == 2:
-        s2, s3 = np.sqrt(2.0), np.sqrt(3.0)
-        phi1 = np.array([0, 0, 0, 0, 1 / s2, 0, 0, 1 / s2], dtype=complex)
-        phi2 = np.array(
-            [
-                1 / (2 * s3), 0, 1 / s3, -1 / (2 * s3),
-                1 / (2 * s3), 1 / s3, 0, -1 / (2 * s3),
-            ],
-            dtype=complex,
-        )
-        phi3 = np.array([1 / s2, 0, 0, 1 / s2, 0, 0, 0, 0], dtype=complex)
-        onb = np.vstack([phi1, phi2, phi3])
-        pi = sum(np.outer(p, p.conj()) for p in onb)
-        v1 = 0.5 * np.array([1, 0, 0, 1, -1, 0, 0, -1], dtype=complex)
-        n2 = 1.0 / (s2 * (3.0 - s3))
-        v2 = n2 * np.array(
-            [2 - s3, 0, 1 - s3, 1, 2 - s3, 1 - s3, 0, 1], dtype=complex
-        )
-        n3 = 1.0 / (s2 * (3.0 + s3))
-        v3 = n3 * np.array(
-            [2 + s3, 0, 1 + s3, 1, 2 + s3, 1 + s3, 0, 1], dtype=complex
-        )
-        vectors = np.vstack([v1, v2, v3])
-        eigenvalues = np.array([0.0, 1j / s3, -1j / s3])
-    else:
-        onb, pi = _numerical_unit_group_projection(coin, s, t)
-        eigenvalues, vectors = _reduced_eigensystem(pi, t1, onb)
+    t1 = t1_matrix(coin, t - s + 1)
+    onb, pi = _numerical_unit_group_projection(coin, s, t)
+    eigenvalues, vectors = _reduced_eigensystem(t1, onb)
     r = pi @ t1 @ pi
     return KatoReduction(
         coin=coin, s=s, t=t, onb=onb, pi=pi, t1=t1, r=r,
@@ -478,25 +371,17 @@ def _numerical_unit_group_projection(
     return q.T.copy(), pi
 
 
-def _reduced_eigensystem(
-    pi: np.ndarray, t1: np.ndarray, onb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of pi t1 pi restricted to range(pi), via the given basis."""
+def _reduced_eigensystem(t1: np.ndarray, onb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of pi t1 pi restricted to range(pi), via its orthonormal basis."""
     small = onb.conj() @ t1 @ onb.T  # representation on the orthonormal basis
     vals, vecs = np.linalg.eig(small)
-    # Order as (closest to 0, positive imag, negative imag) when the usual
-    # three modes exist; otherwise by imaginary part.
-    if len(vals) == 3:
-        order = [int(np.argmin(np.abs(vals)))]
-        rest = [i for i in range(3) if i != order[0]]
-        rest.sort(key=lambda i: -vals[i].imag)
-        order += rest
-    else:
-        order = list(np.argsort(vals.imag))
+    zero = int(np.argmin(np.abs(vals)))
+    order = [zero] + sorted((i for i in range(len(vals)) if i != zero), key=lambda i: -vals[i].imag)
     vals = vals[order]
-    vecs = vecs[:, order]
-    full = (onb.T @ vecs).T
+    full = (onb.T @ vecs[:, order]).T
     full /= np.linalg.norm(full, axis=1)[:, None]
+    lead = full[np.arange(len(full)), np.argmax(np.abs(full) > PHASE_ENTRY_TOL, axis=1)]
+    full *= (np.abs(lead) / lead)[:, None]
     return vals, full
 
 
@@ -604,30 +489,6 @@ def apply_power(w: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
         if n:
             w = w @ w
     return x
-
-
-def char_function(
-    coin: Coin,
-    s: int,
-    t: int,
-    n: int,
-    ks: Sequence[float],
-    g: Sequence[complex],
-) -> np.ndarray:
-    """Characteristic function <q0, W(k)^n phi0(k)> over a momentum grid.
-
-    q0 places |LL> + |RR> at the v = 0 block; phi0 is the product cell
-    (Hg) (x) conj(Hg) at the same block (k-independent for a point start).
-    Agrees with the Fourier sum of the simulated measure.
-    """
-    hg = coin.matrix @ np.asarray(g, dtype=complex)
-    m = t - s + 1
-    i0 = -s  # block index of v = 0
-    w = w_stack(coin, s, t, ks)
-    vec = np.zeros((len(w), 4 * m, 1), dtype=complex)
-    vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
-    vec = apply_power(w, n, vec)
-    return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]
 
 
 def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:

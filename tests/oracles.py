@@ -1,4 +1,4 @@
-"""Reference walks shared by the tests: the dense step and the exact Hadamard walk.
+"""Test oracles: the dense step, the exact Hadamard walk and the width-2 closed forms.
 
 ``dense_apply`` is one step of the cut evolution with the four 4x4 tensor
 blocks applied as dense matrices over the whole light cone, with no
@@ -12,18 +12,26 @@ That gives an exact oracle for the Hadamard walk.  With h = sqrt(2) H =
 cell (h gamma) (x) (h gamma) / (2 |gamma|^2).  So ``amps * 2^(n + e)``,
 with 2^e = 2 |gamma|^2, is an integer array at every step n, and stepping
 it in Python ints involves no rounding at all.
+
+The Hadamard M = 2 closed forms judge the numerical spectral code: the
+two cubics that carry the nonzero spectrum of W(k), their radical
+forms, the characteristic function by direct powering, and the paper's
+literal basis of the eigenspace of W(0) at 1 with the eigenvectors of
+the reduced generator on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from typing import Iterator
+import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from stripewalk import BandState, stripe_for_width
-from stripewalk.coin import LL, RR
+from stripewalk.coin import LL, RR, Coin
+from stripewalk.spectral import apply_power, w_stack
 
 #: sqrt(2) times the Hadamard coin, and its column splits sqrt(2) P, sqrt(2) Q.
 _H2 = np.array([[1, 1], [1, -1]], dtype=object)
@@ -97,3 +105,166 @@ def exact_onset(m: int, n_max: int, gamma: tuple[int, int] = (1, 1)) -> tuple[in
             return n, value
         lowest = value if lowest is None else min(lowest, value)
     return n_max + 1, lowest
+
+
+_S2, _S3 = math.sqrt(2.0), math.sqrt(3.0)
+
+#: The paper's orthonormal basis (phi1, phi2, phi3) of the eigenspace of
+#: the Hadamard W(0) at 1, width 2, rows in the layout of ``build_w``.
+KATO_BASIS = np.array(
+    [
+        [0, 0, 0, 0, 1 / _S2, 0, 0, 1 / _S2],
+        [1 / (2 * _S3), 0, 1 / _S3, -1 / (2 * _S3), 1 / (2 * _S3), 1 / _S3, 0, -1 / (2 * _S3)],
+        [1 / _S2, 0, 0, 1 / _S2, 0, 0, 0, 0],
+    ],
+    dtype=complex,
+)
+
+#: The paper's unit eigenvectors (v1, v2, v3) of the reduced generator,
+#: for the eigenvalues 0, +i/sqrt3 and -i/sqrt3.
+KATO_VECTORS = np.array(
+    [
+        0.5 * np.array([1, 0, 0, 1, -1, 0, 0, -1]),
+        np.array([2 - _S3, 0, 1 - _S3, 1, 2 - _S3, 1 - _S3, 0, 1]) / (_S2 * (3 - _S3)),
+        np.array([2 + _S3, 0, 1 + _S3, 1, 2 + _S3, 1 + _S3, 0, 1]) / (_S2 * (3 + _S3)),
+    ],
+    dtype=complex,
+)
+
+#: The projection sum_j phi_j phi_j^* and the reduced generator, as printed.
+KATO_PI = (1.0 / 12.0) * np.array(
+    [
+        [7, 0, 2, 5, 1, 2, 0, -1],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [2, 0, 4, -2, 2, 4, 0, -2],
+        [5, 0, -2, 7, -1, -2, 0, 1],
+        [1, 0, 2, -1, 7, 2, 0, 5],
+        [2, 0, 4, -2, 2, 4, 0, -2],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [-1, 0, -2, 1, 5, -2, 0, 7],
+    ],
+    dtype=complex,
+)
+KATO_R = (-1j / 6.0) * np.array(
+    [
+        [1, 0, 1, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 1, 1, 0, 0, 1],
+        [0, 0, 1, -1, 0, 1, 0, -1],
+        [1, 0, 1, 0, 1, 1, 0, 0],
+        [1, 0, 0, 1, 1, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, -1, 0, 1, 0, -1],
+    ],
+    dtype=complex,
+)
+
+
+def eig_multiplicities(values: np.ndarray, tol: float = 1e-8) -> list[tuple[complex, int]]:
+    """Cluster eigenvalues within ``tol``; returns (center, multiplicity) pairs."""
+    remaining = list(np.asarray(values, dtype=complex))
+    clusters: list[tuple[complex, int]] = []
+    while remaining:
+        seed = remaining.pop(0)
+        members = [seed]
+        rest = []
+        for z in remaining:
+            if abs(z - seed) <= tol:
+                members.append(z)
+            else:
+                rest.append(z)
+        remaining = rest
+        clusters.append((complex(np.mean(members)), len(members)))
+    return clusters
+
+
+def _newton(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the polynomial c from x, skipping a vanishing slope."""
+    dc = np.polyder(c)
+    for _ in range(2):
+        fp = np.polyval(dc, x)
+        ok = np.abs(fp) > 1e-30
+        x = np.where(ok, x - np.polyval(c, x) / np.where(ok, fp, 1.0), x)
+    return x
+
+
+def cubic_roots(coeffs: Sequence[complex]) -> np.ndarray:
+    """Roots of a cubic: companion-matrix eigenvalues, Newton-polished.
+
+    Newton on f converges only linearly at a double root, which the
+    companion matrix leaves about sqrt(eps) off.  A double root is a simple
+    root of f', so each pair of roots is also polished on f' from its
+    midpoint, and that root replaces the pair when its |f| is no larger.
+    Apart from a double root, f has no zero where f' vanishes, so a
+    distinct pair never passes.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (4,) or c[0] == 0:
+        raise ValueError("expected four coefficients with nonzero leading term")
+    roots = _newton(c, np.roots(c))
+    for pair in ([0, 1], [0, 2], [1, 2]):
+        double = _newton(np.polyder(c), roots[pair].mean())
+        if abs(np.polyval(c, double)) <= np.max(np.abs(np.polyval(c, roots[pair]))):
+            roots[pair] = double
+    return roots
+
+
+def cubic_spectrum_m2(k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the two Hadamard M = 2 cubics at momentum k.
+
+    The nonzero spectrum of W(k) is the union of the root sets of
+
+        2 L^3 + (1 - 2 cos k) L^2 - 1 = 0,
+        2 L^3 - (1 + 2 cos k) L^2 + 1 = 0,
+
+    together with the double eigenvalue 0.
+    """
+    c = np.cos(k)
+    first = cubic_roots([2.0, 1.0 - 2.0 * c, 0.0, -1.0])
+    second = cubic_roots([2.0, -(1.0 + 2.0 * c), 0.0, 1.0])
+    return first, second
+
+
+def cardano_lambda1_j0(k: float) -> float:
+    """Radical form of the dominant root of the first cubic (real branch).
+
+    Cross-check only: root finding goes through ``cubic_spectrum_m2``
+    because the cube roots are multivalued away from the real branch.
+    """
+    r = float(np.cos(k))
+    eta = 53.0 + 6.0 * r - 12.0 * r * r + 8.0 * r**3 + 6.0 * np.sqrt(6.0) * np.sqrt(
+        13.0 + 3.0 * r - 6.0 * r * r + 4.0 * r**3
+    )
+    cr = np.cbrt(eta)
+    s = 2.0 * r - 1.0
+    return float((s + s * s / cr + cr) / 6.0)
+
+
+def cardano_lambda2_j0(k: float) -> float:
+    """Radical form of the real root of the second cubic (real branch)."""
+    r = float(np.cos(k))
+    zeta = -53.0 + 6.0 * r + 12.0 * r * r + 8.0 * r**3 + 6.0 * np.sqrt(6.0) * np.sqrt(
+        13.0 - 3.0 * r - 6.0 * r * r - 4.0 * r**3
+    )
+    cr = np.cbrt(zeta)
+    s = 2.0 * r + 1.0
+    return float((s + s * s / cr + cr) / 6.0)
+
+
+def char_function(
+    coin: Coin, s: int, t: int, n: int, ks: Sequence[float], g: Sequence[complex]
+) -> np.ndarray:
+    """Characteristic function <q0, W(k)^n phi0(k)> over a momentum grid.
+
+    q0 places |LL> + |RR> at the v = 0 block; phi0 is the product cell
+    (Hg) (x) conj(Hg) at the same block (k-independent for a point start).
+    Agrees with the Fourier sum of the simulated measure.
+    """
+    hg = coin.matrix @ np.asarray(g, dtype=complex)
+    m = t - s + 1
+    i0 = -s  # block index of v = 0
+    w = w_stack(coin, s, t, ks)
+    vec = np.zeros((len(w), 4 * m, 1), dtype=complex)
+    vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
+    vec = apply_power(w, n, vec)
+    return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]

@@ -57,8 +57,6 @@ from stripewalk.limits import (
 )
 from stripewalk.spectral import (
     build_w,
-    char_function,
-    cubic_spectrum_m2,
     eig,
     k_of_delta,
     kato_reduction,
@@ -69,7 +67,7 @@ from stripewalk.spectral import (
     perturbed_projection_check,
 )
 
-from oracles import exact_onset
+from oracles import KATO_PI, char_function, cubic_spectrum_m2, exact_onset
 
 HAD = make_hadamard()
 LEFT = np.array([1.0, 0.0])
@@ -186,20 +184,6 @@ W0_EXPECTED = 0.5 * np.array(
     dtype=complex,
 )
 
-PI_EXPECTED = (1.0 / 12.0) * np.array(
-    [
-        [7, 0, 2, 5, 1, 2, 0, -1],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [2, 0, 4, -2, 2, 4, 0, -2],
-        [5, 0, -2, 7, -1, -2, 0, 1],
-        [1, 0, 2, -1, 7, 2, 0, 5],
-        [2, 0, 4, -2, 2, 4, 0, -2],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [-1, 0, -2, 1, 5, -2, 0, 7],
-    ],
-    dtype=complex,
-)
-
 
 def test_c04_operator_algebra():
     # The half-integer matrix entries are products of two square roots, so
@@ -218,7 +202,7 @@ def test_c04_operator_algebra():
     mp = minimal_poly_residual(HAD, -1, 0)
     witness = minimality_witness(HAD, -1, 0)
     red = kato_reduction(HAD, -1, 0)
-    pi_err = float(np.max(np.abs(red.pi - PI_EXPECTED)))
+    pi_err = float(np.max(np.abs(red.pi - KATO_PI)))
     skew = float(np.max(np.abs(red.r + red.r.conj().T)))
     small = red.onb.conj() @ red.r @ red.onb.T
     rvals = np.linalg.eigvals(small)

@@ -321,12 +321,15 @@ def test_reruns_do_not_depend_on_blas_threads(tmp_path):
     # Fresh processes with one and two BLAS threads write byte-identical
     # files: the step kernel's products and the norm trace.  The M = 10
     # band start steps both sublattices, so late steps multiply over more
-    # than 16k cells at once, where a threaded BLAS splits the work.
+    # than 16k cells at once, where a threaded BLAS splits the work.  The
+    # kato report's eigenvectors come from LAPACK with their phase fixed
+    # by one rule, so it must rerun byte for byte as well.
     band = " ".join(f"{(7 * k) % 11 - 5},0" for k in range(40))
     runs = [
         ("simulate", f"m = 10\ninit = band\nband = {band}\nsteps = 1000\n"
          "snapshots = 500 1000\nemit_band_field = true\n", "band_n1000.csv"),
         ("characteristics", "steps = 300\nmlist = 2 3\nncrit_nmax = 48\n", "characteristics.csv"),
+        ("kato", "", "kato.json"),
     ]
     src = Path(cli.__file__).resolve().parents[1]
     run_main = "import sys; from stripewalk.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -22,8 +22,10 @@ from stripewalk.limits import (
     oqrw_limit,
     scaled_cdf_distance,
 )
+from stripewalk.spectral import snapshot_measure
 
 from conftest import unit_spinor_strategy
+from oracles import cubic_spectrum_m2
 
 S3 = math.sqrt(3.0)
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -164,6 +166,19 @@ def test_mode_masses_match_coefficients(hadamard, m2_measure_600):
     assert abs(sum(masses) - 1.0) < 0.02
 
 
+def test_complex_window_sums_match_coefficients(hadamard):
+    # A complex cross term makes the side weights complex; the complex
+    # window sums of the late measure carry the same imaginary parts.
+    g = np.array([0.6, 0.8j])
+    mu = snapshot_measure(init_product(hadamard, g, -1, 0, 0), 4000)
+    xs = mu.positions()
+    sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, 4.0)]
+    cell = hadamard.matrix @ g
+    coefficients = limit_coefficients(cell / np.linalg.norm(cell))
+    assert abs(coefficients[0].imag) > 0.1
+    assert np.max(np.abs(np.array(sums) - coefficients)) < 1e-6
+
+
 def test_center_mode_cdf_distance(hadamard, m2_measure_600):
     _, center, _ = limit_profiles(hadamard.matrix @ PLUS)
     assert scaled_cdf_distance(m2_measure_600, center, 4.0) < 0.05
@@ -201,8 +216,6 @@ def test_mode_cumulants_from_exact_roots():
     # Independent oracle for the mode constants: second log-modulus
     # differences and the phase slope of the exact cubic roots give the
     # Gaussian widths and the ballistic speed without any simulation.
-    from stripewalk.spectral import cubic_spectrum_m2
-
     h = 0.05
 
     def cumulants(pick):
@@ -217,7 +230,9 @@ def test_mode_cumulants_from_exact_roots():
         return var, speed
 
     center_var, center_speed = cumulants(lambda f, s: f[np.argmin(np.abs(f - 1))])
-    side_var, side_speed = cumulants(lambda f, s: s[np.argmax(s.imag)])
+    # The side root is the upper one of the pair at 1; at k = 0 the pair is
+    # the exact double root 1, level in imaginary part with the root -1/2.
+    side_var, side_speed = cumulants(lambda f, s: max(s[np.abs(s - 1) < 0.5], key=lambda z: z.imag))
     assert abs(center_var - CENTER_VARIANCE) < 5e-3
     assert abs(center_speed) < 1e-10
     assert abs(side_var - SIDE_VARIANCE_CUMULANT) < 1e-3

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +10,13 @@ from hypothesis import strategies as st
 from conftest import unitary_coin_strategy
 from stripewalk import evolve, init_band_vector, init_product, make_coin, measure, stripe_for_width
 from stripewalk import spectral
+from stripewalk.limits import SPEED, limit_coefficients
 from stripewalk.spectral import (
     apply_power,
     build_w,
-    cardano_lambda1_j0,
-    cardano_lambda2_j0,
-    char_function,
     char_poly_residual,
-    cubic_roots,
-    cubic_spectrum_m2,
     delta_of_k,
     eig,
-    eig_multiplicities,
     k_of_delta,
     kato_reduction,
     lambda1_expansion,
@@ -35,6 +32,20 @@ from stripewalk.spectral import (
     t1_matrix,
     v_block,
     w_stack,
+)
+
+from conftest import unit_spinor_strategy
+from oracles import (
+    KATO_BASIS,
+    KATO_PI,
+    KATO_R,
+    KATO_VECTORS,
+    cardano_lambda1_j0,
+    cardano_lambda2_j0,
+    char_function,
+    cubic_roots,
+    cubic_spectrum_m2,
+    eig_multiplicities,
 )
 
 S2, S3, S7 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(7.0)
@@ -59,35 +70,6 @@ W0_EXPECTED = 0.5 * np.array(
 W0_EIGENVALUES = np.array(
     [0, 0, 1, 1, 1, -0.5, (-1 + 1j * S7) / 4, (-1 - 1j * S7) / 4]
 )
-
-PI_EXPECTED = (1.0 / 12.0) * np.array(
-    [
-        [7, 0, 2, 5, 1, 2, 0, -1],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [2, 0, 4, -2, 2, 4, 0, -2],
-        [5, 0, -2, 7, -1, -2, 0, 1],
-        [1, 0, 2, -1, 7, 2, 0, 5],
-        [2, 0, 4, -2, 2, 4, 0, -2],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [-1, 0, -2, 1, 5, -2, 0, 7],
-    ],
-    dtype=complex,
-)
-
-R_EXPECTED = (-1j / 6.0) * np.array(
-    [
-        [1, 0, 1, 0, 1, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [1, 0, 0, 1, 1, 0, 0, 1],
-        [0, 0, 1, -1, 0, 1, 0, -1],
-        [1, 0, 1, 0, 1, 1, 0, 0],
-        [1, 0, 0, 1, 1, 0, 0, 1],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, -1, 0, 1, 0, -1],
-    ],
-    dtype=complex,
-)
-
 
 def _multiset_distance(got, expected):
     """Greedy nearest-matching distance between equal-size multisets."""
@@ -160,9 +142,7 @@ def test_shift_by_pi_negates_w_for_any_coin(phased_coin, m):
 def test_shift_by_pi_maps_the_m2_cubics_onto_each_other():
     # k -> k + pi, lambda -> -lambda turns 2L^3 + (1 - 2 cos k) L^2 - 1
     # into 2L^3 - (1 + 2 cos k) L^2 + 1: the first cubic onto the second.
-    # Not at k = 0, where the first cubic at pi has the double root -1 that
-    # root finding resolves only to about 1e-9.
-    for k in (0.4, math.pi / 2, 2.3, math.pi, 5.1):
+    for k in (0.0, 0.4, math.pi / 2, 2.3, math.pi, 5.1):
         first_shifted, _ = cubic_spectrum_m2(k + math.pi)
         _, second = cubic_spectrum_m2(k)
         assert _multiset_distance(first_shifted, -second) < 1e-12
@@ -306,8 +286,11 @@ def test_cubic_solver_residuals():
 def test_cubic_factorizations_at_zero():
     first, second = cubic_spectrum_m2(0.0)
     assert _multiset_distance(first, [1, (-1 + 1j * S7) / 4, (-1 - 1j * S7) / 4]) < 1e-10
-    # Double root at 1 limits attainable accuracy to ~sqrt(eps).
-    assert _multiset_distance(second, [1, 1, -0.5]) < 1e-7
+    # The double roots, 1 at k = 0 and -1 at k = pi, are polished on the
+    # derivative; plain Newton leaves them about sqrt(eps) off.
+    assert _multiset_distance(second, [1, 1, -0.5]) < 1e-12
+    first, _ = cubic_spectrum_m2(math.pi)
+    assert _multiset_distance(first, [-1, -1, 0.5]) < 1e-12
 
 
 def test_cubic_union_matches_spectrum(hadamard):
@@ -361,7 +344,7 @@ def test_cardano_branch_cross_check():
 
 def test_kato_projection_matches_explicit(hadamard):
     red = kato_reduction(hadamard, -1, 0)
-    assert np.max(np.abs(red.pi - PI_EXPECTED)) < 1e-14
+    assert np.max(np.abs(red.pi - KATO_PI)) < 1e-14
     assert np.max(np.abs(red.pi @ red.pi - red.pi)) < 1e-14
     assert np.max(np.abs(red.pi - red.pi.conj().T)) < 1e-14
     assert abs(np.trace(red.pi).real - 3.0) < 1e-12
@@ -369,7 +352,7 @@ def test_kato_projection_matches_explicit(hadamard):
 
 def test_kato_reduced_generator(hadamard):
     red = kato_reduction(hadamard, -1, 0)
-    assert np.max(np.abs(red.r - R_EXPECTED)) < 1e-14
+    assert np.max(np.abs(red.r - KATO_R)) < 1e-14
     assert np.max(np.abs(red.r + red.r.conj().T)) < 1e-14
 
 
@@ -408,20 +391,70 @@ def test_kato_commutes_with_w(hadamard):
     assert np.max(np.abs(red.t1 - t1_matrix(hadamard, 2))) == 0.0
 
 
-def test_initial_state_decomposition(hadamard):
-    # The uniform half cell decomposes against the orthonormal basis with
-    # inner products (0, 1/(2 sqrt3), 1/sqrt2) and the displayed remainder.
-    red = kato_reduction(hadamard, -1, 0)
+def test_initial_state_decomposition():
+    # The uniform half cell decomposes against the paper's orthonormal basis
+    # with inner products (0, 1/(2 sqrt3), 1/sqrt2) and the displayed remainder.
     phi0 = np.array([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0], dtype=complex)
-    dots = [np.vdot(p, phi0) for p in red.onb]
+    dots = [np.vdot(p, phi0) for p in KATO_BASIS]
     assert abs(dots[0] - 0.0) < 1e-15
     assert abs(dots[1] - 1 / (2 * S3)) < 1e-15
     assert abs(dots[2] - 1 / S2) < 1e-15
-    remainder = phi0 - dots[1] * red.onb[1] - dots[2] * red.onb[2]
+    remainder = phi0 - dots[1] * KATO_BASIS[1] - dots[2] * KATO_BASIS[2]
     expected = np.array(
         [-1 / 12, 1 / 2, 1 / 3, 1 / 12, -1 / 12, -1 / 6, 0, 1 / 12]
     )
     assert np.max(np.abs(remainder - expected)) < 1e-14
+
+
+def test_kato_reduction_matches_the_paper_oracle(hadamard):
+    # The numerical path reproduces the paper's literal objects: its basis
+    # spans the printed projection, and the eigenvectors agree entry by
+    # entry once each has its first nonzero entry real and positive.
+    # red.pi and red.r meet KATO_PI and KATO_R in the two projection tests.
+    assert np.max(np.abs(KATO_BASIS.T @ KATO_BASIS.conj() - KATO_PI)) < 1e-15
+    assert np.max(np.abs(KATO_PI @ t1_matrix(hadamard, 2) @ KATO_PI - KATO_R)) < 1e-15
+    red = kato_reduction(hadamard, -1, 0)
+    for got, want in zip(red.vectors, KATO_VECTORS):
+        assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_kato_speeds_are_the_side_mode_speeds(hadamard):
+    red = kato_reduction(hadamard, -1, 0)
+    assert np.max(np.abs(-1j * red.eigenvalues - np.array([0.0, SPEED, -SPEED]))) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_spinor_strategy())
+def test_kato_mode_masses_are_the_limit_coefficients(hadamard, g):
+    # The mass of mode j from the cell g (x) conj(g) at v = 0 is
+    # q^T v_j v_j^* phi, with q = LL + RR at v = 0: (c0, c+, c-) in the
+    # order (v1, v2, v3).
+    red = kato_reduction(hadamard, -1, 0)
+    phi = np.zeros(8, dtype=complex)
+    phi[4:] = np.kron(g, g.conj())
+    masses = [(v[4] + v[7]) * np.vdot(v, phi) for v in red.vectors]
+    c_minus, c_zero, c_plus = limit_coefficients(g)
+    assert np.max(np.abs(np.array(masses) - [c_zero, c_plus, c_minus])) < 1e-14
+
+
+def test_every_public_spectral_name_serves_the_library():
+    # Each name of spectral.__all__ is used by library code other than its
+    # own definition; closed forms that only tests use live in oracles.py.
+    used = set()
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        used |= _names_used(ast.parse(path.read_text()))
+    assert sorted(set(spectral.__all__) - used) == []
+
+
+def _names_used(node, enclosing=frozenset()):
+    """Names loaded and attributes read under ``node``, each outside the definitions of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    used = {name} - enclosing - {None}
+    for child in ast.iter_child_nodes(node):
+        used |= _names_used(child, enclosing)
+    return used
 
 
 def test_minimal_polynomial(hadamard):
