@@ -18,7 +18,6 @@ from .walker import (
     init_product,
     measure,
     oqrw_reference,
-    qw1d_reference,
     qw1d_trajectory,
     step,
     stripe_for_width,
@@ -41,7 +40,6 @@ __all__ = [
     "init_product",
     "measure",
     "oqrw_reference",
-    "qw1d_reference",
     "qw1d_trajectory",
     "step",
     "stripe_for_width",

@@ -2,10 +2,11 @@
 
 All observables are read off per-step traces of the diagonal measure:
 
-* ``n_crit``: the last time before any lattice site first carries a
-  negative real measure value (the onset of boundary interference);
-* ``peak_position``: the normalized argmax of Re mu over x/n in
-  [delta, 1], excluding the diffusive central bump;
+* ``n_crit_of_trace``: the last time before any lattice site first
+  carries a negative real measure value (the onset of boundary
+  interference), read off a recorded min Re mu trace;
+* ``peak_xbar`` of a ``RunSeries``: the normalized argmax of Re mu over
+  x/n in [delta, 1], excluding the diffusive central bump;
 * ``height_ratio``: the time-averaged ratio mu_n(0) / mu_n(peak); the
   average over all n is half the even-n ratio because parity forces
   mu_n(0) = 0 at odd n;
@@ -29,24 +30,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coin import Coin
-from .walker import (
-    ComplexMeasure,
-    diagonal,
-    init_product,
-    qw1d_trajectory,
-    stripe_for_width,
-    trajectory,
-)
+from .walker import diagonal, init_product, stripe_for_width, trajectory
 
 __all__ = [
     "RunSeries",
     "ExponentFit",
     "SUPPORT_THRESHOLDS",
     "run_series",
-    "oracle_series",
-    "n_crit",
     "n_crit_of_trace",
-    "peak_position",
     "height_ratio",
     "tail_exponent",
     "decay_exponent",
@@ -70,7 +61,7 @@ class RunSeries:
     ``edges`` maps each recorded support threshold to the a_n trace.
     ``peak_xbar`` is nan when the maximum over the window [delta, 1] is
     NaN.  ``engine`` is ``BandState.engine()`` of the last state
-    (empty for the one-dimensional oracle).
+    (empty for a series that ``run_series`` did not make).
     """
 
     m: int
@@ -170,19 +161,6 @@ def run_series(
     return series
 
 
-def oracle_series(
-    coin: Coin,
-    phi0: Sequence[complex],
-    n: int,
-    delta: float = DEFAULT_DELTA,
-) -> RunSeries:
-    """Per-step observables of the untruncated one-dimensional walk."""
-    series = RunSeries.allocate(2 * n + 1, n, delta)
-    for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1):
-        _stats_from_values(series, j, probs)
-    return series
-
-
 def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> int:
     """Last time before a min Re mu trace (entry i is n = i+1) first dips below -tol.
 
@@ -197,28 +175,6 @@ def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> 
         if value < -tol:
             return j - 1
     return n_max
-
-
-def n_crit(
-    coin: Coin,
-    m: int,
-    n_max: int,
-    tol: float = 1e-12,
-    g: Sequence[complex] = (1.0, 0.0),
-) -> int:
-    """Last time before Re mu first dips below -tol anywhere; n_max if never."""
-    s, t = stripe_for_width(m)
-    state = init_product(coin, g, s, t, n_max)
-    min_re = (float(diagonal(st).real.min()) for st in trajectory(state, n_max))
-    return n_crit_of_trace(min_re, m, n_max, tol)
-
-
-def peak_position(mu: ComplexMeasure, delta: float = DEFAULT_DELTA) -> float:
-    """Normalized off-center peak position of one measure snapshot."""
-    xbar, _ = _peak_in_window(mu.values.real, mu.n, delta)
-    if math.isnan(xbar):
-        raise ValueError(f"no finite peak in the window [{delta}, 1] at n={mu.n}")
-    return xbar
 
 
 def height_ratio(

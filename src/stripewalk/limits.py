@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coin import Coin
 from .walker import ComplexMeasure, unit_spinor
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "limit_coefficients",
     "limit_profiles",
     "konno_density",
-    "konno_cdf",
-    "oqrw_limit",
     "gaussian_cdf",
     "mode_windows",
     "mode_masses",
@@ -103,24 +100,6 @@ def konno_density(x: float) -> float:
     if abs(x) >= 1.0 / math.sqrt(2.0):
         return 0.0
     return 1.0 / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - 2.0 * x * x))
-
-
-def konno_cdf(x: float) -> float:
-    """Cumulative form of ``konno_density`` (exact antiderivative)."""
-    r = 1.0 / math.sqrt(2.0)
-    if x <= -r:
-        return 0.0
-    if x >= r:
-        return 1.0
-    return 0.5 + math.atan(x / math.sqrt(1.0 - 2.0 * x * x)) / math.pi
-
-
-def oqrw_limit(coin: Coin) -> float:
-    """Diffusive variance sigma^2 = |a|^2 / (1 - |a|^2) of the M = 1 walk."""
-    r = abs(coin.a) ** 2
-    if r >= 1.0 - 1e-14:
-        raise ValueError("degenerate coin: |a| = 1 has no diffusive limit")
-    return r / (1.0 - r)
 
 
 def gaussian_cdf(y: float, variance: float) -> float:

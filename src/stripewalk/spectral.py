@@ -513,7 +513,8 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
         raise ValueError(f"snapshot time must be non-negative, got {n}")
     m = state.m
     perm = reflection(m)
-    phi = state.amps[:, :, state.center].T.reshape(4 * m).astype(complex)
+    field = state.dense()
+    phi = field[:, :, state.center].T.reshape(4 * m).astype(complex)
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
     q = 4 * -state.s + np.array([LL, RR])
     q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()
@@ -534,7 +535,7 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
         off = values[(state.sublattices[0] + 1) % 2 :: 2]
         _check_residue("off-sublattice |mu|", np.abs(off), tol, n)
         off[:] = 0
-    if state.amps.dtype.kind == "f":
+    if field.dtype.kind == "f":
         _check_residue("|Im mu| of a real start", np.abs(values.imag), tol, n)
         values = values.real.astype(complex)
     return ComplexMeasure(n=n, values=values)

@@ -15,15 +15,14 @@ u-shifts carry exactly the e^{-+ik} factors of V(k).
 
 The complex measure is mu_n(x) = <LL|psi_n(u=x, v=0)> + <RR|psi_n(u=x, v=0)>
 (v = 0 is the diagonal x = y).  Two independent oracles bracket the model:
-the plain unitary walk (``qw1d_trajectory`` / ``qw1d_reference``, equal to
-the band measure while the cone has not touched the stripe boundary) and
-``oqrw_reference`` (the dissipative two-component recursion, equal to the
-M = 1 measure).
+the plain unitary walk (``qw1d_trajectory``, equal to the band measure
+while the cone has not touched the stripe boundary) and ``oqrw_reference``
+(the dissipative two-component recursion, equal to the M = 1 measure).
 
 ``trajectory(state, steps)`` is the one stepping loop: it yields the state
 after each step to consumers that reduce as they go, and ``evolve`` is its
-last item.  ``qw1d_trajectory`` and its last item ``qw1d_reference`` do the
-same for the unitary reference walk.
+last item.  ``qw1d_trajectory`` does the same for the unitary reference
+walk.
 
 The step kernel computes only cells that can be nonzero and visible:
 
@@ -37,14 +36,30 @@ The step kernel computes only cells that can be nonzero and visible:
   whatever the BLAS thread count.  Every accessor (``measure``,
   ``band_field``, ``BandState.cell``/``row``) returns complex values
   either way; ``diagonal`` keeps the field's dtype for consumers that
-  reduce every step.
+  reduce every step, and ``BandState.dense`` for consumers of the whole
+  field.
 * sublattices: a step moves every cell from u+v even to u+v odd or back,
-  so the two parity classes of u+v evolve independently.  The kernel runs
-  only on the classes the initial data occupies: one for product and
-  mixed starts (row v = 0 only), possibly both for band starts.
+  so the two parity classes of u+v evolve independently, and at time n a
+  class holds only the cells with u + v = n + sigma (mod 2), sigma being
+  its parity at n = 0.  The field stores each class the initial data
+  occupies (one for product and mixed starts, possibly both for band
+  starts) as its own packed field, and stores nothing else.
+* packed layout: in a packed field each stripe row keeps only its live
+  columns, so cell u of row r = v - s sits at packed column
+  j = (u + center) // 2.  Rows are stored even-first (r = 0, 2, 4, ...,
+  then 1, 3, 5, ...), so each row parity is one contiguous block, and the
+  two blocks are live on opposite column parities.  That parity flips
+  every step, so the block written on even columns reads LL at j and RR at
+  j - 1, the other reads LL at j + 1 and RR at j, and both read LR and RL
+  from the neighbor rows, which lie in the other block, at the same j:
+  every gather is a step-1 slice.  Which block reads which offsets depends
+  only on the parity of n, so the slices are set up once per state
+  lineage (``BandState.plans``).  A two-class band start steps its two
+  packed fields through the same kernel; exactly one of them is live at
+  each cell, so the dense field is their interleave (``BandState.dense``).
 * live window: each state carries the column range that may be nonzero.
   It grows by at most one column per side per step; after each step, edge
-  columns whose entries are all finite and below ``np.finfo(dtype).tiny``
+  columns whose live cells are all finite and below ``np.finfo(dtype).tiny``
   are set to zero and leave the window.  A column holding NaN or inf is
   never dropped.  The dropped values are below tiny, and the cut walk does
   not increase the l2 norm, so every cell, and every measure value, stays
@@ -57,7 +72,7 @@ Stepping is double-buffered: the kernel reads one array and writes the
 other, and every output cell depends only on the read buffer, so positions
 could be partitioned across workers with nothing but a per-step barrier.
 ``trajectory`` swaps two buffers of its own: a yielded state's buffer is
-overwritten two items later, so copy ``amps`` (or take ``measure``) to keep
+overwritten two items later, so take ``dense()`` (or ``measure``) to keep
 it.  The caller's initial state is never written.
 """
 
@@ -65,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +100,6 @@ __all__ = [
     "measure",
     "band_field",
     "qw1d_trajectory",
-    "qw1d_reference",
     "oqrw_reference",
 ]
 
@@ -130,17 +144,65 @@ class ComplexMeasure:
         return float(np.max(np.abs(self.values.imag)))
 
 
+class _Block(NamedTuple):
+    """One row-parity block of one packed field, at one parity of n."""
+
+    field: int  # index into ``BandState.sublattices``
+    rows: slice  # its packed rows
+    vrows: slice  # the same rows as stripe rows v - s (step 2)
+    q: int  # parity of the column u + center live in these rows
+    up: slice  # packed rows read through PQ (LR at v + 1) by the leading rows; the rest read zero
+    down: int  # 1 when the first row reads zero through QP (RL at v - 1), else 0
+    dn: slice  # packed rows read through QP by the rows after the first ``down``
+
+
+def _plans(s: int, m: int, center: int, sublattices: Sequence[int]) -> tuple:
+    """Per parity of n: the blocks, and per column parity the (field, rows) live there.
+
+    Even stripe rows occupy packed rows [0, ne), odd ones [ne, m).  Even
+    row 2i reads row 2i+1 (packed ne + i) through PQ and row 2i-1
+    (packed ne + i - 1) through QP; odd row 2i+1 reads rows 2i+2 (packed
+    i + 1) and 2i (packed i).  Rows beyond the stripe edge read zero (the
+    cut): row 0 through QP, and the last row through PQ.
+    """
+    ne = (m + 1) // 2
+    layout = (
+        (slice(0, ne), slice(0, m, 2), slice(ne, ne + m // 2), 1, slice(ne, 2 * ne - 1)),
+        (slice(ne, m), slice(1, m, 2), slice(1, ne), 0, slice(0, m - ne)),
+    )
+    plans = []
+    for parity in (0, 1):
+        groups: list[_Block] = []
+        columns: tuple[list, list] = ([], [])
+        for f, sub in enumerate(sublattices):
+            for b, (rows, vrows, up, down, dn) in enumerate(layout):
+                if rows.start < rows.stop:
+                    q = (parity + sub - s + center + b) % 2
+                    groups.append(_Block(f, rows, vrows, q, up, down, dn))
+                    columns[q].append((f, rows))
+        plans.append((tuple(groups), (tuple(columns[0]), tuple(columns[1]))))
+    return tuple(plans)
+
+
 @dataclass
 class BandState:
-    """The walker's 4-vector field over the stripe.
+    """The walker's 4-vector field over the stripe, stored at its live cells.
 
-    ``amps`` has shape (4, M, 2*n_max + 3); axis 0 is the component
-    (LL, LR, RL, RR), axis 1 the row index v - s (v ascending from s to t),
-    axis 2 the position index u + n_max + 1 (one guard column per side so
-    the step kernel never reads out of bounds).  Its dtype is float64 or
-    complex128 (see the module docstring); entries outside the column
-    range ``live`` = [lo, hi) are exactly zero, and |u| <= n inside it.
-    ``sublattices`` lists the parities of u+v occupied at n = 0.
+    ``packed`` has shape (F, 4, M, n_max + 2): one packed field per entry
+    of ``sublattices`` (the parities of u+v occupied at n = 0), axis 1 the
+    component (LL, LR, RL, RR), axis 2 the stripe row r = v - s in
+    even-first order (0, 2, 4, ..., then 1, 3, 5, ...), axis 3 the packed
+    column j.  At time n the field of sublattice sigma holds cell (u, v)
+    with u + v = n + sigma (mod 2) at j = (u + center) // 2; its other
+    cells are zero and not stored.  The dtype is float64 or complex128 (see
+    the module docstring).  ``live`` = [lo, hi) is the range of the column
+    u + center that may be nonzero, and |u| <= n inside it; packed cells
+    outside it are exactly zero, as is packed column n_max + 1 of the rows
+    live on odd columns, which lies past the field (a guard column).
+
+    ``dense()`` gives the field in the layout (4, M, 2 n_max + 3) with the
+    column u + center; ``plans`` holds the kernel's slices for both
+    parities of n and passes unchanged from a state to the next.
     """
 
     coin: Coin
@@ -148,16 +210,19 @@ class BandState:
     t: int
     n: int
     n_max: int
-    amps: np.ndarray
+    packed: np.ndarray
     blocks: CoinBlocks = field(repr=False, default=None)  # type: ignore[assignment]
     sublattices: tuple[int, ...] = (0, 1)
     live: tuple[int, int] = None  # type: ignore[assignment]
+    plans: tuple = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.blocks is None:
             self.blocks = blocks(self.coin)
         if self.live is None:
             self.live = (self.center - self.n, self.center + self.n + 1)
+        if self.plans is None:
+            self.plans = _plans(self.s, self.m, self.center, self.sublattices)
 
     @property
     def m(self) -> int:
@@ -167,11 +232,23 @@ class BandState:
     def center(self) -> int:
         return self.n_max + 1
 
+    def dense(self) -> np.ndarray:
+        """A fresh (4, M, 2 n_max + 3) copy of the field in its dtype.
+
+        Axis 1 is the row v - s, axis 2 the column u + center; the cells
+        off the live sublattices are zero.
+        """
+        width = 2 * self.n_max + 3
+        out = np.zeros((4, self.m, width), dtype=self.packed.dtype)
+        for f, rows, vrows, q, *_ in self.plans[self.n % 2][0]:
+            out[:, vrows, q::2] = self.packed[f, :, rows, : (width - q + 1) // 2]
+        return out
+
     def row(self, v: int) -> np.ndarray:
-        """Complex copy of the (4, U) field at transverse row v."""
+        """Complex copy of the (4, 2 n_max + 3) field at transverse row v."""
         if not self.s <= v <= self.t:
             raise ValueError(f"row v={v} outside stripe [{self.s}, {self.t}]")
-        return self.amps[:, v - self.s, :].astype(complex)
+        return self.dense()[:, v - self.s, :].astype(complex)
 
     def cell(self, u: int, v: int) -> np.ndarray:
         """The complex 4-vector at (u, v)."""
@@ -184,7 +261,7 @@ class BandState:
         whose BLAS dot product rounds differently with the thread count.
         """
         lo, hi = self.live
-        return math.sqrt(np.square(np.abs(self.amps[:, :, lo:hi])).sum())
+        return math.sqrt(np.square(np.abs(self.packed[..., lo // 2 : (hi + 1) // 2])).sum())
 
     def engine(self) -> dict:
         """The stepping choices behind this state, for provenance records.
@@ -194,7 +271,7 @@ class BandState:
         """
         lo, hi = self.live
         return {
-            "dtype": self.amps.dtype.name,
+            "dtype": self.packed.dtype.name,
             "sublattices": list(self.sublattices),
             "live_u": [lo - self.center, hi - 1 - self.center] if lo < hi else None,
         }
@@ -256,93 +333,112 @@ def init_band_vector(
     dtype = complex if any(np.any(x.imag) for x in inputs) else float
     occupied = np.any(data != 0, axis=1)  # a NaN row counts as occupied
     sublattices = tuple(sorted({v % 2 for v in range(s, t + 1) if occupied[v - s]}))
-    amps = np.zeros((4, m, 2 * n_max + 3), dtype=dtype)
-    amps[:, :, n_max + 1] = data.T if dtype is complex else data.T.real
     c = n_max + 1
-    live = (c, c + 1) if sublattices else (c, c)
-    return BandState(
-        coin=coin, s=s, t=t, n=0, n_max=n_max, amps=amps, blocks=b,
-        sublattices=sublattices, live=live,
+    state = BandState(
+        coin=coin, s=s, t=t, n=0, n_max=n_max,
+        packed=np.zeros((len(sublattices), 4, m, n_max + 2), dtype=dtype), blocks=b,
+        sublattices=sublattices, live=(c, c + 1) if sublattices else (c, c),
     )
+    # At n = 0 sublattice sigma is live at u = 0 exactly in its rows v = sigma (mod 2).
+    for f, rows, vrows, q, *_ in state.plans[0][0]:
+        if q == c % 2:
+            state.packed[f, :, rows, c // 2] = data[vrows].T if dtype is complex else data[vrows].T.real
+    return state
 
 
 def _step_kernel_rank1(
     src: np.ndarray,
     dst: np.ndarray,
     weights: np.ndarray,
-    groups: Sequence[tuple[slice, slice]],
+    groups: Sequence[_Block],
+    lo: int,
+    hi: int,
 ) -> None:
-    """Write one step of the cut evolution into dst[:, rows, cols] per group.
+    """Write one step of the cut evolution into the columns [lo, hi) of dst.
 
     Uses the rank-1 factorization of the four tensor blocks: each block
     contributes (weight vector) times one scalar component of a shifted
-    neighbor.  The four neighbors (LL from u+1, RR from u-1, LR from v+1,
-    RL from v-1) are gathered into one contiguous (4, rows, cols) array,
-    and one (4, 4) by (4, rows * cols) product mixes them.  ``rows`` and
-    ``cols`` are slices with steps 1 or 2.  Reads src one column beyond
-    ``cols`` on each side, so callers keep one guard column.  ``weights``
-    is ``CoinBlocks.weights`` (columns w_pp, w_qq, w_pq, w_qp) as a
-    contiguous array in the field's dtype.
+    neighbor.  Per block of ``groups`` (the plan of the new time), the four
+    neighbors (LL from u+1, RR from u-1, LR from v+1, RL from v-1) are
+    gathered from packed step-1 slices into one contiguous
+    (4, rows, cols) array, and one (4, 4) by (4, rows * cols) product
+    mixes them.  [lo, hi) is in the column u + center; a block live on
+    column parity q writes packed columns (lo - q + 1) // 2 up to
+    (hi - q + 1) // 2 and reads one packed column beyond them on one
+    side.  ``weights`` is ``CoinBlocks.weights`` (columns w_pp, w_qq,
+    w_pq, w_qp) as a contiguous array in the field's dtype.
     """
-    m = src.shape[1]
-    for rows, cols in groups:
-        r0, rs = rows.start, rows.step
-        c0, c1, cs = cols.start, cols.stop, cols.step
-        shape = (len(range(r0, m, rs)), len(range(c0, c1, cs)))
+    for f, rows, _, q, up, down, dn in groups:
+        j0, j1 = (lo - q + 1) >> 1, (hi - q + 1) >> 1
+        a = src[f]
+        shape = (rows.stop - rows.start, j1 - j0)
         gathered = np.empty((4, *shape), dtype=src.dtype)
-        gathered[0] = src[LL, rows, c0 + 1 : c1 + 1 : cs]
-        gathered[1] = src[RR, rows, c0 - 1 : c1 - 1 : cs]
-        # Transverse coupling: row r reads r+1 through PQ and r-1 through QP;
-        # rows beyond the stripe edge read zero (the cut).
-        up = len(range(r0 + 1, m, rs))
-        gathered[2, :up] = src[LR, r0 + 1 : m : rs, cols]
-        gathered[2, up:] = 0
-        down = 1 if r0 == 0 else 0
-        gathered[3, :down] = 0
-        gathered[3, down:] = src[RL, r0 - 1 + down * rs : m - 1 : rs, cols]
-        dst[:, rows, cols] = (weights @ gathered.reshape(4, -1)).reshape(4, *shape)
+        gathered[0] = a[LL, rows, j0 + q : j1 + q]
+        gathered[1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
+        # The rows past ``up`` and before ``down`` lie beyond the stripe
+        # edge and read zero (the cut).
+        k = up.stop - up.start
+        if k:
+            gathered[2, :k] = a[LR, up, j0:j1]
+        if k < shape[0]:
+            gathered[2, k:] = 0
+        if down:
+            gathered[3, 0] = 0
+        if down < shape[0]:
+            gathered[3, down:] = a[RL, dn, j0:j1]
+        dst[f, :, rows, j0:j1] = (weights @ gathered.reshape(4, -1)).reshape(4, *shape)
 
 
-def _droppable(column: np.ndarray, tiny: float) -> bool:
-    """True when every entry is finite and below tiny; NaN and inf compare False."""
-    return bool(np.abs(column).max() < tiny)
+def _droppable(column: Sequence[np.ndarray], tiny: float) -> bool:
+    """True when every live cell of a column is finite and below tiny; NaN and inf compare False.
+
+    ``column`` holds one (4, rows) array per packed field live there.
+    """
+    for cells in column:  # a few values per row: a Python scan that stops at the first large one
+        for values in cells.tolist():
+            for value in values:
+                if not abs(value) < tiny:
+                    return False
+    return True
 
 
-def _live_groups(state: BandState, n: int, lo: int, hi: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) slices of the cells of columns [lo, hi) that are live at time n."""
-    m = state.m
-    if len(state.sublattices) == 2:
-        return [(slice(0, m, 1), slice(lo, hi, 1))]
-    # Row r (v = s + r) is live on the columns with u + v = n + sublattice
-    # (mod 2); the column index is u + center, so the offset is absolute.
-    parity = state.sublattices[0] + n - state.s + state.center
-    return [
-        (slice(r0, m, 2), slice(lo + (parity - r0 - lo) % 2, hi, 2)) for r0 in range(min(m, 2))
-    ]
+def _drop(dst: np.ndarray, columns: tuple, col: int, tiny: float) -> bool:
+    """Zero the live cells of column ``col`` of dst when they are ``_droppable``; whether it did.
+
+    ``columns`` is the plan's (field, rows) per column parity.
+    """
+    column = [dst[f, :, rows, col >> 1] for f, rows in columns[col & 1]]
+    if not _droppable(column, tiny):
+        return False
+    for cells in column:
+        cells[...] = 0
+    return True
 
 
 def step(state: BandState, out: BandState | None = None) -> BandState:
     """One cut-evolution step; returns a state with n incremented.
 
-    The result is written into a fresh buffer, or into ``out.amps`` when a
-    spent state ``out`` is given: it must be the state one step before
+    The result is written into a fresh buffer, or into ``out.packed`` when
+    a spent state ``out`` is given: it must be the state one step before
     ``state`` (``trajectory`` passes it), on a separate buffer of the same
-    dtype and shape, so that its live cells lie on the sublattice the
-    kernel writes.  Only the columns live in ``out`` that the new window
-    does not cover are cleared.
+    dtype and shape, so that its live cells lie where the kernel writes.
+    Only the columns live in ``out`` that the new window does not cover
+    are cleared.
     """
     if state.n >= state.n_max:
         raise RuntimeError(
             f"horizon exhausted: n = {state.n} has reached n_max = {state.n_max}"
         )
-    src = state.amps
+    src = state.packed
     lo, hi = state.live
     if lo < hi:
         lo, hi = lo - 1, hi + 1
+    n = state.n + 1
+    groups, columns = state.plans[n % 2]
     if out is None:
         dst = np.zeros_like(src)
     else:
-        dst = out.amps
+        dst = out.packed
         if (
             out.n != state.n - 1
             or out.sublattices != state.sublattices
@@ -354,19 +450,18 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
                 "out must be the state one step before, on its own buffer of the same dtype and shape"
             )
         olo, ohi = out.live
-        dst[:, :, olo : min(ohi, lo)] = 0
-        dst[:, :, max(olo, hi) : ohi] = 0
-    n = state.n + 1
+        for c0, c1 in ((olo, min(ohi, lo)), (max(olo, hi), ohi)):
+            if c0 < c1:
+                for f, rows, _, q, *_ in groups:
+                    dst[f, :, rows, (c0 - q + 1) >> 1 : (c1 - q + 1) >> 1] = 0
     if lo < hi:
         b = state.blocks
         weights = b.real_weights if src.dtype.kind == "f" else b.weights  # in the field's dtype
-        _step_kernel_rank1(src, dst, weights, _live_groups(state, n, lo, hi))
+        _step_kernel_rank1(src, dst, weights, groups, lo, hi)
     tiny = np.finfo(dst.dtype).tiny
-    while lo < hi and _droppable(dst[:, :, lo], tiny):
-        dst[:, :, lo] = 0
+    while lo < hi and _drop(dst, columns, lo, tiny):
         lo += 1
-    while lo < hi and _droppable(dst[:, :, hi - 1], tiny):
-        dst[:, :, hi - 1] = 0
+    while lo < hi and _drop(dst, columns, hi - 1, tiny):
         hi -= 1
     return BandState(
         coin=state.coin,
@@ -374,10 +469,11 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
         t=state.t,
         n=n,
         n_max=state.n_max,
-        amps=dst,
+        packed=dst,
         blocks=state.blocks,
         sublattices=state.sublattices,
         live=(lo, hi),
+        plans=state.plans,
     )
 
 
@@ -385,7 +481,7 @@ def trajectory(state: BandState, steps: int) -> Iterator[BandState]:
     """Yield the state after each of the next ``steps`` steps.
 
     Two buffers are allocated and swapped: the buffer of a yielded state
-    is overwritten two items later, so copy ``amps`` to keep it.  The
+    is overwritten two items later, so take ``dense()`` to keep it.  The
     initial state's buffer is never written.
     """
     if steps < 0:
@@ -405,15 +501,28 @@ def evolve(state: BandState, steps: int) -> BandState:
     return state
 
 
+def _cone(state: BandState, q: int) -> tuple[int, int, int]:
+    """(i0, j0, count): the cells of column parity q with |u| <= n sit at
+    index x + n = i0, i0 + 2, ... and packed columns j0 .. j0 + count - 1."""
+    first = state.center - state.n  # column of u = -n
+    i0 = (q - first) % 2
+    return i0, (first + i0) // 2, state.n + 1 - i0
+
+
 def diagonal(state: BandState) -> np.ndarray:
     """mu_n over x in [-n, n] (index x + n) in the field's dtype.
 
     The LL + RR components of the v = 0 row; real for a float64 field,
     where ``measure`` would add a zero imaginary part.
     """
-    c, n = state.center, state.n
-    row0 = state.amps[:, -state.s, c - n : c + n + 1]
-    return row0[LL] + row0[RR]
+    out = np.zeros(2 * state.n + 1, dtype=state.packed.dtype)
+    r = -state.s
+    for f, rows, vrows, q, *_ in state.plans[state.n % 2][0]:
+        if vrows.start == r % 2:
+            i0, j0, count = _cone(state, q)
+            cells = state.packed[f, :, rows.start + r // 2, j0 : j0 + count]
+            np.add(cells[LL], cells[RR], out=out[i0::2])
+    return out
 
 
 def measure(state: BandState) -> ComplexMeasure:
@@ -428,12 +537,16 @@ def band_field(state: BandState) -> np.ndarray:
     cells with |u| > n are omitted (they are exactly zero), so there are
     M (2n + 1) records.
     """
-    c, n, s, t = state.center, state.n, state.s, state.t
+    n, s, t = state.n, state.s, state.t
+    values = np.zeros((state.m, 2 * n + 1), dtype=complex)
+    for f, rows, vrows, q, *_ in state.plans[n % 2][0]:
+        i0, j0, count = _cone(state, q)
+        cells = state.packed[f, :, rows, j0 : j0 + count]
+        np.add(cells[LL], cells[RR], out=values[vrows, i0::2])
     u = np.arange(-n, n + 1)
     v = np.arange(s, t + 1)[:, None]
     x, y = (u + v).ravel(), (u - v).ravel()
-    cells = state.amps[:, :, c - n : c + n + 1]
-    values = np.add(cells[LL], cells[RR], dtype=complex).ravel()
+    values = values.ravel()
     order = np.lexsort((y, x))
     out = np.empty(x.size, dtype=[("x", np.int64), ("y", np.int64), ("value", np.complex128)])
     out["x"], out["y"], out["value"] = x[order], y[order], values[order]
@@ -458,18 +571,6 @@ def qw1d_trajectory(coin: Coin, phi0: Sequence[complex], n: int) -> Iterator[np.
         psi[:, -1] = 0
         lo, hi = n + 1 - j, n + 2 + j
         yield np.abs(psi[0, lo:hi]) ** 2 + np.abs(psi[1, lo:hi]) ** 2
-
-
-def qw1d_reference(coin: Coin, phi0: Sequence[complex], n: int) -> np.ndarray:
-    """Distribution of the plain unitary walk after n steps, over x in [-n, n].
-
-    The last item of ``qw1d_trajectory``; at n = 0 the point mass at x = 0.
-    """
-    phi0 = unit_spinor(phi0)
-    probs = np.abs(phi0[:1]) ** 2 + np.abs(phi0[1:]) ** 2
-    for probs in qw1d_trajectory(coin, phi0, n):
-        pass
-    return probs
 
 
 def oqrw_reference(coin: Coin, g: Sequence[complex], n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Test oracles: the dense step, the exact Hadamard walk and the width-2 closed forms.
+"""Test oracles: the dense step, the exact Hadamard walk, the packed layout,
+the reference-walk observables and the width-2 closed forms.
 
 ``dense_apply`` is one step of the cut evolution with the four 4x4 tensor
 blocks applied as dense matrices over the whole light cone, with no
@@ -9,9 +10,17 @@ That gives an exact oracle for the Hadamard walk.  With h = sqrt(2) H =
 [[1, 1], [1, -1]], twice each Hadamard tensor block has entries in
 {-1, 0, 1}, and a spinor g = gamma / |gamma| with an integer gamma and
 |gamma|^2 a power of two, such as (1, 0) or (1, 1)/sqrt2, gives the start
-cell (h gamma) (x) (h gamma) / (2 |gamma|^2).  So ``amps * 2^(n + e)``,
-with 2^e = 2 |gamma|^2, is an integer array at every step n, and stepping
-it in Python ints involves no rounding at all.
+cell (h gamma) (x) (h gamma) / (2 |gamma|^2).  So the field times
+2^(n + e), with 2^e = 2 |gamma|^2, is an integer array at every step n,
+and stepping it in Python ints involves no rounding at all.  The same
+holds for a band start with integer entries, with e = 0.
+
+``pack`` states the walker's packed layout independently of the walker,
+so tests that write a field go through it.  ``qw1d_reference``,
+``oracle_series``, ``peak_position`` and ``n_crit`` are the observables
+of the reference walks and of a standalone run, and ``konno_cdf`` and
+``oqrw_limit`` the closed-form limits of the two reference walks, which
+only the tests compare against.
 
 The Hadamard M = 2 closed forms judge the numerical spectral code: the
 two cubics that carry the nonzero spectrum of W(k), their radical
@@ -22,16 +31,23 @@ the reduced generator on it.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from stripewalk import BandState, stripe_for_width
+from stripewalk import BandState, ComplexMeasure, init_product, qw1d_trajectory, stripe_for_width, trajectory
+from stripewalk.characteristics import (
+    DEFAULT_DELTA,
+    RunSeries,
+    _peak_in_window,
+    _stats_from_values,
+    n_crit_of_trace,
+)
 from stripewalk.coin import LL, RR, Coin
 from stripewalk.spectral import apply_power, w_stack
+from stripewalk.walker import diagonal, unit_spinor
 
 #: sqrt(2) times the Hadamard coin, and its column splits sqrt(2) P, sqrt(2) Q.
 _H2 = np.array([[1, 1], [1, -1]], dtype=object)
@@ -60,11 +76,33 @@ def dense_apply(blocks, src: np.ndarray, r: int) -> np.ndarray:
     return dst
 
 
-def dense_step(state: BandState) -> BandState:
-    """Oracle step of a float state: ``dense_apply`` in complex128."""
+def dense_trajectory(state: BandState, steps: int) -> Iterator[np.ndarray]:
+    """Oracle fields after each of ``steps`` steps: ``dense_apply`` in complex128.
+
+    Starts from ``state.dense()``; item i is laid out like it, at time
+    state.n + i + 1.
+    """
     b = state.blocks
-    amps = dense_apply((b.pp, b.qq, b.pq, b.qp), state.amps.astype(complex), state.n + 1)
-    return dataclasses.replace(state, n=state.n + 1, amps=amps)
+    field = state.dense().astype(complex)
+    for n in range(state.n + 1, state.n + steps + 1):
+        field = dense_apply((b.pp, b.qq, b.pq, b.qp), field, n)
+        yield field
+
+
+def exact_band_trajectory(data: np.ndarray, steps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, A_n) for n = 1..steps: the Hadamard walk from integer band data, exactly.
+
+    ``data`` holds one integer 4-vector per stripe row (v ascending), placed
+    at u = 0 as ``init_band_vector`` places it.  The float walk from that
+    start has amps_n = A_n / 2^n exactly; A_n is an object array laid out
+    like ``BandState.dense()`` with n_max = steps.
+    """
+    m = len(data)
+    amps = np.zeros((4, m, 2 * steps + 3), dtype=object)
+    amps[:, :, steps + 1] = np.asarray(data, dtype=object).T
+    for n in range(1, steps + 1):
+        amps = dense_apply(HADAMARD_BLOCKS_X2, amps, n)
+        yield n, amps
 
 
 def exact_trajectory(
@@ -74,7 +112,7 @@ def exact_trajectory(
 
     The product start of spinor gamma / |gamma| (standard stripe, as
     ``init_product``) has amps_n = A_n / 2^(n + e) exactly; A_n is an object
-    array laid out like ``BandState.amps`` with n_max = steps.
+    array laid out like ``BandState.dense()`` with n_max = steps.
     """
     norm2 = gamma[0] ** 2 + gamma[1] ** 2
     e = norm2.bit_length()  # 2^e = 2 |gamma|^2
@@ -82,11 +120,42 @@ def exact_trajectory(
         raise ValueError(f"|gamma|^2 = {norm2} is not a power of two")
     s, t = stripe_for_width(m)
     hg = _H2 @ np.array(gamma, dtype=object)
-    amps = np.zeros((4, m, 2 * steps + 3), dtype=object)
-    amps[:, -s, steps + 1] = np.kron(hg, hg)
-    for n in range(1, steps + 1):
-        amps = dense_apply(HADAMARD_BLOCKS_X2, amps, n)
+    data = np.zeros((m, 4), dtype=object)
+    data[-s] = np.kron(hg, hg)
+    for n, amps in exact_band_trajectory(data, steps):
         yield n, amps, e
+
+
+def live_mask(state: BandState) -> np.ndarray:
+    """(M, 2 n_max + 3) booleans: the cells (v - s, u + center) on the state's
+    sublattices at its time, u + v = n + sigma (mod 2)."""
+    r = np.arange(state.m)[:, None]
+    u = np.arange(2 * state.n_max + 3)[None, :] - state.center
+    return np.isin((u + state.s + r - state.n) % 2, state.sublattices)
+
+
+def pack(state: BandState, dense: np.ndarray) -> BandState:
+    """Overwrite ``state.packed`` in place with a dense (4, M, 2 n_max + 3) field; returns the state.
+
+    The packed layout, stated here apart from the walker: cell (u, v) of
+    sublattice sigma = (u + v - n) mod 2 is ``packed[f, :, R, j]`` with f
+    the index of sigma in ``state.sublattices``, R = r // 2 for an even
+    stripe row r = v - s and ceil(M / 2) + r // 2 for an odd one, and
+    j = (u + center) // 2.  A nonzero value off the live sublattices is a
+    ValueError, since the packed field has no place for it.  The live
+    window is left as it is.
+    """
+    dense = np.asarray(dense)
+    mask = live_mask(state)
+    if np.any(dense[:, ~mask] != 0):
+        raise ValueError("dense field is nonzero off the live cells")
+    r, col = np.nonzero(mask)
+    sigma = (col - state.center + state.s + r - state.n) % 2
+    field = np.searchsorted(state.sublattices, sigma)
+    row = np.where(r % 2 == 0, r // 2, (state.m + 1) // 2 + r // 2)
+    state.packed[...] = 0
+    state.packed[field, :, row, col // 2] = dense[:, r, col].T
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +174,76 @@ def exact_onset(m: int, n_max: int, gamma: tuple[int, int] = (1, 1)) -> tuple[in
             return n, value
         lowest = value if lowest is None else min(lowest, value)
     return n_max + 1, lowest
+
+
+def qw1d_reference(coin: Coin, phi0: Sequence[complex], n: int) -> np.ndarray:
+    """Distribution of the plain unitary walk after n steps, over x in [-n, n].
+
+    The last item of ``qw1d_trajectory``; at n = 0 the point mass at x = 0.
+    """
+    phi0 = unit_spinor(phi0)
+    probs = np.abs(phi0[:1]) ** 2 + np.abs(phi0[1:]) ** 2
+    for probs in qw1d_trajectory(coin, phi0, n):
+        pass
+    return probs
+
+
+def oracle_series(
+    coin: Coin,
+    phi0: Sequence[complex],
+    n: int,
+    delta: float = DEFAULT_DELTA,
+) -> RunSeries:
+    """Per-step observables of the untruncated one-dimensional walk."""
+    series = RunSeries.allocate(2 * n + 1, n, delta)
+    for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1):
+        _stats_from_values(series, j, probs)
+    return series
+
+
+def n_crit(
+    coin: Coin,
+    m: int,
+    n_max: int,
+    tol: float = 1e-12,
+    g: Sequence[complex] = (1.0, 0.0),
+) -> int:
+    """Last time before Re mu first dips below -tol anywhere; n_max if never.
+
+    A standalone run of its own; the ``characteristics`` command reads the
+    same onset off the ``min_re`` trace of the run it already made.
+    """
+    s, t = stripe_for_width(m)
+    state = init_product(coin, g, s, t, n_max)
+    min_re = (float(diagonal(st).real.min()) for st in trajectory(state, n_max))
+    return n_crit_of_trace(min_re, m, n_max, tol)
+
+
+def peak_position(mu: ComplexMeasure, delta: float = DEFAULT_DELTA) -> float:
+    """Normalized off-center peak position of one measure snapshot."""
+    xbar, _ = _peak_in_window(mu.values.real, mu.n, delta)
+    if math.isnan(xbar):
+        raise ValueError(f"no finite peak in the window [{delta}, 1] at n={mu.n}")
+    return xbar
+
+
+def konno_cdf(x: float) -> float:
+    """Cumulative form of ``limits.konno_density`` (exact antiderivative)."""
+    r = 1.0 / math.sqrt(2.0)
+    if x <= -r:
+        return 0.0
+    if x >= r:
+        return 1.0
+    return 0.5 + math.atan(x / math.sqrt(1.0 - 2.0 * x * x)) / math.pi
+
+
+def oqrw_limit(coin: Coin) -> float:
+    """Diffusive variance sigma^2 = |a|^2 / (1 - |a|^2) of the M = 1 walk."""
+    r = abs(coin.a) ** 2
+    if r >= 1.0 - 1e-14:
+        raise ValueError("degenerate coin: |a| = 1 has no diffusive limit")
+    return r / (1.0 - r)
+
 
 
 _S2, _S3 = math.sqrt(2.0), math.sqrt(3.0)

@@ -33,15 +33,11 @@ from stripewalk import (
     make_hadamard,
     measure,
     oqrw_reference,
-    qw1d_reference,
     step,
     stripe_for_width,
 )
 from stripewalk.characteristics import (
     decay_exponent,
-    n_crit,
-    oracle_series,
-    peak_position,
     run_series,
     tail_exponent,
 )
@@ -67,7 +63,16 @@ from stripewalk.spectral import (
     perturbed_projection_check,
 )
 
-from oracles import KATO_PI, char_function, cubic_spectrum_m2, exact_onset
+from oracles import (
+    KATO_PI,
+    char_function,
+    cubic_spectrum_m2,
+    exact_onset,
+    n_crit,
+    oracle_series,
+    peak_position,
+    qw1d_reference,
+)
 
 HAD = make_hadamard()
 LEFT = np.array([1.0, 0.0])

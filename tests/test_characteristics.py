@@ -20,13 +20,12 @@ from stripewalk.characteristics import (
     decay_exponent,
     height_ratio,
     loglog_fit,
-    n_crit,
-    oracle_series,
-    peak_position,
     run_series,
     stable_subwindow,
     tail_exponent,
 )
+
+from oracles import n_crit, oracle_series, pack, peak_position
 
 LEFT = np.array([1.0, 0.0])
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -300,7 +299,9 @@ def test_run_series_nan_cell_never_reads_finite(hadamard, monkeypatch):
     def poisoned(state, steps):
         for later in stepping(state, steps):
             if later.n == bad:
-                later.amps[0, -later.s, later.center + bad] = math.nan  # LL at x = n, v = 0
+                field = later.dense()
+                field[0, -later.s, later.center + bad] = math.nan  # LL at x = n, v = 0
+                pack(later, field)
             yield later
 
     monkeypatch.setattr(characteristics, "trajectory", poisoned)

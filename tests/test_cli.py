@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from stripewalk import cli, evolve, init_product, make_hadamard, measure, spectral, stripe_for_width
-from stripewalk.characteristics import n_crit
 from stripewalk.coin import LL, RR
 from stripewalk.cli import (
     RunConfig,
@@ -22,6 +21,8 @@ from stripewalk.cli import (
     config_to_text,
     main,
 )
+
+from oracles import konno_cdf, n_crit, pack
 
 
 def _read_csv(path):
@@ -91,10 +92,11 @@ def test_simulate_band_field_emission(tmp_path):
     # One row per cell with |u| <= n, sorted by (x, y), holding LL + RR.
     n, (s, t) = 12, (-1, 1)
     state = evolve(init_product(make_hadamard(), (0.6, 0.8j), s, t, n), n)
+    field = state.dense()
     expected = []
     for v in range(s, t + 1):
         for u in range(-n, n + 1):
-            cell = state.amps[:, v - s, state.center + u]
+            cell = field[:, v - s, state.center + u]
             value = complex(cell[LL]) + complex(cell[RR])
             expected.append((u + v, u - v, value))
     expected.sort(key=lambda r: (r[0], r[1]))
@@ -380,7 +382,7 @@ def test_mixed_initial_state_konno(tmp_path):
     _, _, rows = _read_csv(tmp_path / "o" / "measure_n100.csv")
     xs = np.array([int(r[1]) for r in rows])
     vals = np.array([float(r[2]) for r in rows])
-    from stripewalk.limits import kolmogorov_distance, konno_cdf
+    from stripewalk.limits import kolmogorov_distance
 
     assert kolmogorov_distance(xs / 100, vals, konno_cdf) < 0.08
 
@@ -489,6 +491,7 @@ def test_engine_records_carry_versions(tmp_path):
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
         ("kato", "m = 3\n", "kato checks the width-2 statements; got width 3"),
         ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\nm = 3\n", "width-2"),
+        ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0.8,0\ncoin_c = 0.8,0\ncoin_d = -0.6,0\nm = 2\n", "Hadamard"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
         ("simulate", "steps = 10\ng = 1 0\n", "g: expected a complex number written re,im"),
         ("simulate", "steps = 10\ncoin_a = 1\n", "coin_a: expected a complex number written re,im"),
@@ -560,7 +563,9 @@ def test_simulate_nan_measure_fails_checks(tmp_path, monkeypatch):
     def poisoned(state, steps):
         for st in trajectory(state, steps):
             if st.n == 5:
-                st.amps[LL, -st.s, st.center + 1] = np.nan  # u = 1, v = 0: u + v odd, live at n = 5
+                field = st.dense()
+                field[LL, -st.s, st.center + 1] = np.nan  # u = 1, v = 0: u + v odd, live at n = 5
+                pack(st, field)
             yield st
 
     monkeypatch.setattr(cli, "trajectory", poisoned)

@@ -1,6 +1,6 @@
 """The float engine against the exact dyadic-integer Hadamard walk.
 
-``oracles.exact_trajectory`` steps amps * 2^(n + e) in Python ints, so the
+``oracles.exact_trajectory`` steps the field times 2^(n + e) in Python ints, so the
 sign of every measure value is exact and every float cell has an exact
 reference.  The frozen first-negativity table is checked against it in
 the c08 supplement of the acceptance suite.
@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from stripewalk import blocks, init_product, make_hadamard, stripe_for_width, trajectory
+from stripewalk import blocks, init_band_vector, init_product, make_hadamard, stripe_for_width, trajectory
 
-from oracles import HADAMARD_BLOCKS_X2, exact_onset, exact_trajectory
+from oracles import HADAMARD_BLOCKS_X2, exact_band_trajectory, exact_onset, exact_trajectory
 
 HAD = make_hadamard()
 PLUS_INT = (1, 1)  # g = (1, 1)/sqrt2, the start of the frozen onset table
@@ -48,12 +48,41 @@ def test_float_engine_within_1e14_of_exact(m):
     n_max = 200
     s, t = stripe_for_width(m)
     start = init_product(HAD, np.array(PLUS_INT) / math.sqrt(2.0), s, t, n_max)
-    assert start.amps.dtype == np.float64
+    assert start.engine()["dtype"] == "float64"
     worst = 0.0
     for state, (n, exact, e) in zip(trajectory(start, n_max), exact_trajectory(m, PLUS_INT, n_max)):
         cone = slice(state.center - n, state.center + n + 1)
         reference = np.ldexp(exact[:, :, cone].astype(float), -(n + e))
-        worst = max(worst, float(np.max(np.abs(state.amps[:, :, cone] - reference))))
+        worst = max(worst, float(np.max(np.abs(state.dense()[:, :, cone] - reference))))
         assert worst <= 1e-14, (m, n)
     assert state.n == n == n_max
     print(f"[PASS] exact: M={m} float64 max cell error {worst:.2e} for n <= {n_max} (<= 1e-14)")
+
+
+#: Integer band starts: every row (both sublattices), and only the first or
+#: only the last stripe row, which read zero beyond the cut through QP and
+#: PQ respectively.
+BAND_ROWS = {"all rows": None, "first row": [0], "last row": [-1]}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("rows", list(BAND_ROWS))
+def test_band_starts_within_1e14_of_exact(m, rows):
+    # Odd and even widths, so the even block of the packed layout has one
+    # row more than the odd block or as many.
+    n_max = 60
+    s, t = stripe_for_width(m)
+    data = np.random.default_rng(m).integers(-1, 2, size=(m, 4))
+    if BAND_ROWS[rows] is not None:
+        keep = np.zeros(m, dtype=bool)
+        keep[BAND_ROWS[rows]] = True
+        data[~keep] = 0
+    start = init_band_vector(HAD, data.astype(float), s, t, n_max)
+    if rows == "all rows":
+        assert start.sublattices == (0, 1)
+    worst = 0.0
+    for state, (n, exact) in zip(trajectory(start, n_max), exact_band_trajectory(data, n_max)):
+        reference = np.ldexp(exact.astype(float), -n)
+        worst = max(worst, float(np.max(np.abs(state.dense() - reference))))
+        assert worst <= 1e-14, (m, rows, n)
+    assert state.n == n == n_max

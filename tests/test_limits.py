@@ -13,19 +13,17 @@ from stripewalk.limits import (
     LimitProfile,
     gaussian_cdf,
     kolmogorov_distance,
-    konno_cdf,
     konno_density,
     limit_coefficients,
     limit_profiles,
     mode_masses,
     mode_windows,
-    oqrw_limit,
     scaled_cdf_distance,
 )
 from stripewalk.spectral import snapshot_measure
 
 from conftest import unit_spinor_strategy
-from oracles import cubic_spectrum_m2
+from oracles import cubic_spectrum_m2, konno_cdf, oqrw_limit
 
 S3 = math.sqrt(3.0)
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -241,7 +239,7 @@ def test_mode_cumulants_from_exact_roots():
 
 
 def test_konno_cdf_vs_symmetric_walk(hadamard):
-    from stripewalk import qw1d_reference
+    from oracles import qw1d_reference
 
     n = 400
     probs = qw1d_reference(hadamard, np.array([1.0, 1.0j]) / math.sqrt(2), n)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -437,13 +438,21 @@ def test_kato_mode_masses_are_the_limit_coefficients(hadamard, g):
     assert np.max(np.abs(np.array(masses) - [c_zero, c_plus, c_minus])) < 1e-14
 
 
-def test_every_public_spectral_name_serves_the_library():
-    # Each name of spectral.__all__ is used by library code other than its
-    # own definition; closed forms that only tests use live in oracles.py.
+def test_every_public_name_serves_the_library():
+    # Each name in the __all__ of every module is used by the package or
+    # its scripts other than in its own definition; helpers and closed
+    # forms that only tests use live in oracles.py.
+    package = Path(spectral.__file__).parent
     used = set()
-    for path in Path(spectral.__file__).parent.glob("*.py"):
+    for path in [*package.glob("*.py"), *(package.parents[1] / "scripts").glob("*.py")]:
         used |= _names_used(ast.parse(path.read_text()))
-    assert sorted(set(spectral.__all__) - used) == []
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"stripewalk.{path.stem}" if path.stem != "__init__" else "stripewalk")
+        if hasattr(module, "__all__"):
+            unused[path.stem] = sorted(set(module.__all__) - used)
+    assert "spectral" in unused and "walker" in unused
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _names_used(node, enclosing=frozenset()):
@@ -592,7 +601,7 @@ def test_snapshot_measure_matches_real_space_engine(request, coin_name, m):
                 # Cells with x + n off the state's sublattice are exactly 0.
                 off = got.values[(state.sublattices[0] + 1) % 2 :: 2]
                 assert not np.any(off), (name, n)
-            if state.amps.dtype.kind == "f":
+            if state.engine()["dtype"] == "float64":
                 assert got.max_abs_imag() == 0.0, (name, n)
             elif m % 2 == 1 and name != "band":
                 assert got.max_abs_imag() <= 1e-12, (name, n)
@@ -623,7 +632,7 @@ def test_snapshot_measure_rejects_a_wrong_chi_off_k0(hadamard, monkeypatch, subl
     else:
         band = np.random.default_rng(2).normal(size=(2, 4))
         state = init_band_vector(hadamard, band / np.linalg.norm(band), -1, 0, 200)
-    assert len(state.sublattices) == sublattices and state.amps.dtype.kind == "f"
+    assert len(state.sublattices) == sublattices and state.engine()["dtype"] == "float64"
     assert np.max(np.abs(snapshot_measure(state, 200).values - measure(evolve(state, 200)).values)) <= 1e-12
     monkeypatch.setattr(spectral, "apply_power", corrupted)
     with pytest.raises(RuntimeError, match=needle):

@@ -14,7 +14,6 @@ from stripewalk import (
     make_hadamard,
     measure,
     oqrw_reference,
-    qw1d_reference,
     qw1d_trajectory,
     step,
     stripe_for_width,
@@ -22,10 +21,18 @@ from stripewalk import (
 )
 from stripewalk import walker
 from stripewalk.coin import LL
-from stripewalk.limits import gaussian_cdf, kolmogorov_distance, konno_cdf
+from stripewalk.limits import gaussian_cdf, kolmogorov_distance
 
 from conftest import unit_spinor_strategy, unitary_coin_strategy
-from oracles import dense_step as _dense_step
+from oracles import (
+    dense_trajectory,
+    exact_band_trajectory,
+    konno_cdf,
+    live_mask,
+    oracle_series,
+    pack,
+    qw1d_reference,
+)
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 LEFT = np.array([1.0, 0.0])
@@ -89,7 +96,7 @@ def test_horizon_exhaustion(hadamard):
 def test_evolve_zero_is_identity(hadamard):
     state = init_product(hadamard, LEFT, -1, 0, 5)
     same = evolve(state, 0)
-    assert np.array_equal(same.amps, state.amps)
+    assert np.array_equal(same.dense(), state.dense())
     assert same.n == 0
 
 
@@ -97,31 +104,38 @@ def test_evolve_composition_bitwise(hadamard):
     state = init_product(hadamard, PLUS, -2, 1, 8)
     a = evolve(evolve(state, 3), 2)
     b = evolve(state, 5)
-    assert np.array_equal(a.amps, b.amps)
+    assert np.array_equal(a.dense(), b.dense())
 
 
 def test_dense_and_rank1_paths_agree(hadamard, complex_coin):
     for coin in (hadamard, complex_coin):
         state = init_product(coin, PLUS, -2, 1, 12)
-        dense = state
-        for _ in range(12):
-            dense = _dense_step(dense)
-        assert np.max(np.abs(evolve(state, 12).amps - dense.amps)) < 1e-14
+        *_, dense = dense_trajectory(state, 12)
+        assert np.max(np.abs(evolve(state, 12).dense() - dense)) < 1e-14
 
 
-def _band_starts(coin, m):
-    """Product (real and complex spinor), mixed and two-sublattice band starts."""
+def _band_starts(coin, m, n_max=40):
+    """Product (real and complex spinor), mixed, two-sublattice band and edge-row starts.
+
+    The edge-row start fills only the first and the last stripe row, which
+    read zero beyond the cut (through QP and PQ); it occupies two
+    sublattices at even widths and one at odd widths.
+    """
     s, t = stripe_for_width(m)
     rng = np.random.default_rng(m)
     mixed = np.zeros((m, 4))
     mixed[-s] = [0.5, 0.0, 0.0, 0.5]
     band = rng.normal(size=(m, 4))
+    complex_band = band + 1j * rng.normal(size=(m, 4))
+    edges = np.zeros((m, 4))
+    edges[[0, -1]] = rng.normal(size=(2, 4))
     return {
-        "product": init_product(coin, PLUS, s, t, 40),
-        "product complex spinor": init_product(coin, np.array([1.0, 1.0j]) / math.sqrt(2), s, t, 40),
-        "mixed": init_band_vector(coin, mixed, s, t, 40),
-        "band": init_band_vector(coin, band, s, t, 40),
-        "band complex": init_band_vector(coin, band + 1j * rng.normal(size=(m, 4)), s, t, 40),
+        "product": init_product(coin, PLUS, s, t, n_max),
+        "product complex spinor": init_product(coin, np.array([1.0, 1.0j]) / math.sqrt(2), s, t, n_max),
+        "mixed": init_band_vector(coin, mixed, s, t, n_max),
+        "band": init_band_vector(coin, band, s, t, n_max),
+        "band complex": init_band_vector(coin, complex_band, s, t, n_max),
+        "edge rows": init_band_vector(coin, edges, s, t, n_max),
     }
 
 
@@ -129,11 +143,52 @@ def _band_starts(coin, m):
 def test_step_matches_dense_oracle(hadamard, complex_coin, m):
     for coin in (hadamard, complex_coin):
         for name, state in _band_starts(coin, m).items():
-            dense = state
-            for got in trajectory(state, 40):
-                dense = _dense_step(dense)
-                assert got.n == dense.n
-                assert np.max(np.abs(got.amps - dense.amps)) <= 1e-14, (name, got.n)
+            steps = 0
+            for got, dense in zip(trajectory(state, 40), dense_trajectory(state, 40)):
+                steps += 1
+                assert got.n == steps
+                assert np.max(np.abs(got.dense() - dense)) <= 1e-14, (name, got.n)
+            assert steps == 40
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_packed_field_is_the_stated_layout(hadamard, complex_coin, m):
+    # The packed array equals the dense oracle's field packed by
+    # oracles.pack, which states the layout apart from the walker: even
+    # rows first, j = (u + center) // 2, one field per sublattice.  At odd
+    # widths the even block has one row more than the odd block.
+    for coin in (hadamard, complex_coin):
+        for name, state in _band_starts(coin, m).items():
+            for got, dense in zip(trajectory(state, 12), dense_trajectory(state, 12)):
+                want = pack(dataclasses.replace(got, packed=np.empty(got.packed.shape, dtype=complex)), dense)
+                assert np.max(np.abs(got.packed - want.packed)) <= 1e-14, (name, got.n)
+                assert np.array_equal(pack(dataclasses.replace(got, packed=np.empty_like(got.packed)), got.dense()).packed, got.packed)
+
+
+#: BandState.engine() of the Hadamard starts of ``_band_starts`` (n_max = 1200)
+#: at n = 0, 1, 40 and 1200: (dtype, sublattices, live_u per n).  The
+#: provenance records of ``simulate`` and ``characteristics`` carry it, and
+#: reference outputs compare it key by key.
+FROZEN_ENGINES = {
+    (2, "product"): ("float64", [0], [[0, 0], [-1, -1], [-40, 38], [-1173, 1171]]),
+    (2, "product complex spinor"): ("complex128", [0], [[0, 0], [-1, 1], [-40, 40], [-1173, 1173]]),
+    (2, "mixed"): ("float64", [0], [[0, 0], [-1, 1], [-40, 40], [-1173, 1173]]),
+    (2, "band"): ("float64", [0, 1], [[0, 0], [-1, 1], [-40, 40], [-1174, 1174]]),
+    (3, "product"): ("float64", [0], [[0, 0], [-1, -1], [-40, 38], [-1175, 1173]]),
+    (3, "product complex spinor"): ("complex128", [0], [[0, 0], [-1, 1], [-40, 40], [-1175, 1175]]),
+    (3, "mixed"): ("float64", [0], [[0, 0], [-1, 1], [-40, 40], [-1175, 1175]]),
+    (3, "band"): ("float64", [0, 1], [[0, 0], [-1, 1], [-40, 40], [-1175, 1175]]),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_engine_records_are_frozen(hadamard, m):
+    for name, state in _band_starts(hadamard, m, n_max=1200).items():
+        if (m, name) not in FROZEN_ENGINES:
+            continue
+        dtype, sublattices, live_u = FROZEN_ENGINES[m, name]
+        got = [state.engine()] + [st.engine() for st in trajectory(state, 1200) if st.n in (1, 40, 1200)]
+        assert got == [{"dtype": dtype, "sublattices": sublattices, "live_u": u} for u in live_u], name
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -142,23 +197,25 @@ def test_float_and_complex_paths_agree(hadamard, m):
     # product adds exact zeros to the imaginary parts, and its real parts
     # may round differently from the real product only in the last digits.
     for name, state in _band_starts(hadamard, m).items():
-        if state.amps.dtype != np.float64:
+        if state.engine()["dtype"] != "float64":
             continue
-        as_complex = dataclasses.replace(state, amps=state.amps.astype(complex))
+        blank = dataclasses.replace(state, packed=np.zeros(state.packed.shape, dtype=complex))
+        as_complex = pack(blank, state.dense())
         for real, cplx in zip(trajectory(state, 40), trajectory(as_complex, 40)):
-            assert cplx.amps.dtype == np.complex128
-            assert not np.any(cplx.amps.imag), (name, real.n)
-            assert np.max(np.abs(cplx.amps.real - real.amps)) <= 1e-15, (name, real.n)
+            field = cplx.dense()
+            assert field.dtype == np.complex128
+            assert not np.any(field.imag), (name, real.n)
+            assert np.max(np.abs(field.real - real.dense())) <= 1e-15, (name, real.n)
 
 
 def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
     starts = _band_starts(hadamard, 3)
-    assert starts["product"].amps.dtype == np.float64
-    assert starts["mixed"].amps.dtype == np.float64
-    assert starts["band"].amps.dtype == np.float64
-    assert starts["product complex spinor"].amps.dtype == np.complex128
-    assert starts["band complex"].amps.dtype == np.complex128
-    assert all(st.amps.dtype == np.complex128 for st in _band_starts(complex_coin, 3).values())
+    assert starts["product"].dense().dtype == np.float64
+    assert starts["mixed"].dense().dtype == np.float64
+    assert starts["band"].dense().dtype == np.float64
+    assert starts["product complex spinor"].dense().dtype == np.complex128
+    assert starts["band complex"].dense().dtype == np.complex128
+    assert all(st.dense().dtype == np.complex128 for st in _band_starts(complex_coin, 3).values())
     assert starts["product"].sublattices == (0,)
     assert starts["mixed"].sublattices == (0,)
     assert starts["band"].sublattices == (0, 1)
@@ -172,7 +229,7 @@ def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
     assert state.cell(1, 0).dtype == np.complex128
     assert band_field(state)["value"].dtype == np.complex128
     # Exact zeros are dropped too: with Hg = (1, 0) the right edge stays empty.
-    nonzero_u = np.flatnonzero(np.any(state.amps != 0, axis=(0, 1))) - state.center
+    nonzero_u = np.flatnonzero(np.any(state.dense() != 0, axis=(0, 1))) - state.center
     assert state.engine() == {
         "dtype": "float64",
         "sublattices": [0],
@@ -182,8 +239,8 @@ def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
 
 def test_trajectory_swaps_two_buffers(hadamard):
     state = init_product(hadamard, PLUS, -1, 0, 30)
-    buffers = {id(st.amps) for st in trajectory(state, 30)}
-    assert len(buffers) == 2 and id(state.amps) not in buffers
+    buffers = {id(st.packed) for st in trajectory(state, 30)}
+    assert len(buffers) == 2 and id(state.packed) not in buffers
 
 
 def test_step_into_spent_buffer_clears_stale_columns(hadamard):
@@ -193,14 +250,15 @@ def test_step_into_spent_buffer_clears_stale_columns(hadamard):
     spent = evolve(x, 9)
     src = evolve(x, 10)
     c = src.center
-    amps = np.zeros_like(src.amps)
-    amps[:, :, c - 3 : c + 4] = src.amps[:, :, c - 3 : c + 4]
-    narrow = dataclasses.replace(src, amps=amps, live=(c - 3, c + 4))
+    field = np.zeros_like(src.dense())
+    field[:, :, c - 3 : c + 4] = src.dense()[:, :, c - 3 : c + 4]
+    narrow = pack(dataclasses.replace(src, packed=np.empty_like(src.packed), live=(c - 3, c + 4)), field)
     fresh = step(narrow)
     reused = step(narrow, out=spent)
-    assert reused.amps is spent.amps
+    assert reused.packed is spent.packed
     assert reused.live == fresh.live == (c - 4, c + 5)
-    assert np.array_equal(reused.amps, fresh.amps)
+    assert np.array_equal(reused.packed, fresh.packed)
+    assert np.array_equal(reused.dense(), fresh.dense())
 
 
 def test_step_rejects_a_wrong_spent_state(hadamard, complex_coin):
@@ -227,11 +285,14 @@ def test_non_finite_edge_column_survives_trajectory(hadamard):
     for bad in (math.nan, math.inf):
         state = evolve(init_product(hadamard, PLUS, -1, 0, 80), 20)
         lo, hi = state.live
-        state.amps[:, :, lo] = 1e-310
-        state.amps[LL, :, lo] = bad
+        field = state.dense()
+        live = live_mask(state)[:, lo]  # the rows live in column lo
+        field[:, live, lo] = 1e-310
+        field[LL, live, lo] = bad
+        pack(state, field)
         with np.errstate(invalid="ignore"):
             final = evolve(state, 40)
-        assert not np.all(np.isfinite(final.amps))
+        assert not np.all(np.isfinite(final.dense()))
         assert not np.all(np.isfinite(measure(final).values))
         assert final.live[0] <= lo - 40
 
@@ -246,12 +307,14 @@ def test_window_drop_bound_against_dense_oracle(hadamard, monkeypatch):
     state = init_product(hadamard, PLUS, -1, 0, n)
     for got in trajectory(state, n):
         lo, hi = got.live  # everything outside the live window reads zero
-        assert not np.any(got.amps[:, :, :lo]) and not np.any(got.amps[:, :, hi:])
+        field = got.dense()
+        assert not np.any(field[:, :, :lo]) and not np.any(field[:, :, hi:])
     assert got.center - n < lo and hi < got.center + n + 1
     monkeypatch.setattr(walker, "_droppable", lambda column, tiny: False)
     kept = evolve(state, n)
     assert kept.live == (kept.center - n, kept.center + n + 1)
-    subnormal = (kept.amps != 0) & (np.abs(kept.amps) < np.finfo(float).tiny)
+    field = kept.dense()
+    subnormal = (field != 0) & (np.abs(field) < np.finfo(float).tiny)
     assert np.count_nonzero(subnormal) > 100
     diff = np.max(np.abs(measure(got).values - measure(kept).values))
     assert diff <= 1e-300
@@ -259,10 +322,10 @@ def test_window_drop_bound_against_dense_oracle(hadamard, monkeypatch):
 
 def test_trajectory_yields_each_step(hadamard):
     state = init_product(hadamard, PLUS, -2, 1, 9)
-    items = [(s.n, s.amps.copy()) for s in trajectory(state, 9)]
+    items = [(s.n, s.dense()) for s in trajectory(state, 9)]
     assert [n for n, _ in items] == list(range(1, 10))
-    assert np.array_equal(items[-1][1], evolve(state, 9).amps)
-    assert np.array_equal(items[3][1], evolve(state, 4).amps)
+    assert np.array_equal(items[-1][1], evolve(state, 9).dense())
+    assert np.array_equal(items[3][1], evolve(state, 4).dense())
     assert list(trajectory(state, 0)) == []
     with pytest.raises(ValueError, match="non-negative"):
         next(trajectory(state, -1))
@@ -280,7 +343,6 @@ def test_qw1d_trajectory_items_match_reference(hadamard, complex_coin):
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, 1.0)])
 def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
-    from stripewalk.characteristics import oracle_series
     from stripewalk.limits import limit_coefficients
 
     calls = (
@@ -320,9 +382,9 @@ def test_support_confined_to_light_cone(hadamard):
     state = init_product(hadamard, PLUS, -2, 2, 20)
     for _ in range(12):
         state = step(state)
-        c, n = state.center, state.n
-        assert np.max(np.abs(state.amps[:, :, : c - n])) == 0.0
-        assert np.max(np.abs(state.amps[:, :, c + n + 1 :])) == 0.0
+        c, n, field = state.center, state.n, state.dense()
+        assert np.max(np.abs(field[:, :, : c - n])) == 0.0
+        assert np.max(np.abs(field[:, :, c + n + 1 :])) == 0.0
 
 
 def test_parity_zeros(hadamard):
@@ -362,7 +424,7 @@ def test_evolution_linear_in_band_vector(seed, alpha, beta):
     ea = evolve(init_band_vector(coin, a, s, t, 6), 6)
     eb = evolve(init_band_vector(coin, b, s, t, 6), 6)
     eab = evolve(init_band_vector(coin, alpha * a + beta * b, s, t, 6), 6)
-    assert np.max(np.abs(eab.amps - (alpha * ea.amps + beta * eb.amps))) < 1e-12
+    assert np.max(np.abs(eab.dense() - (alpha * ea.dense() + beta * eb.dense()))) < 1e-12
 
 
 def test_band_field_matches_measure_on_diagonal(hadamard):
