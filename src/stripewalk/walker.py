@@ -53,10 +53,11 @@ The step kernel computes only cells that can be nonzero and visible:
   j - 1, the other reads LL at j + 1 and RR at j, and both read LR and RL
   from the neighbor rows, which lie in the other block, at the same j:
   every gather is a step-1 slice.  Which block reads which offsets depends
-  only on the parity of n, so the slices are set up once per state
-  lineage (``BandState.plans``).  A two-class band start steps its two
-  packed fields through the same kernel; exactly one of them is live at
-  each cell, so the dense field is their interleave (``BandState.dense``).
+  only on the parity of n, so the slices are set up once, with the initial
+  state, and ``step`` passes them on (``BandState.plans``).  A two-class
+  band start steps its two packed fields through the same kernel; exactly
+  one of them is live at each cell, so the dense field is their
+  interleave (``BandState.dense``).
 * live window: each state carries the column range that may be nonzero.
   It grows by at most one column per side per step; after each step, edge
   columns whose live cells are all finite and below ``np.finfo(dtype).tiny``
@@ -361,9 +362,9 @@ def _step_kernel_rank1(
     neighbor.  Per block of ``groups`` (the plan of the new time), the four
     neighbors (LL from u+1, RR from u-1, LR from v+1, RL from v-1) are
     gathered from packed step-1 slices into one contiguous
-    (4, rows, cols) array, and one (4, 4) by (4, rows * cols) product
-    mixes them.  [lo, hi) is in the column u + center; a block live on
-    column parity q writes packed columns (lo - q + 1) // 2 up to
+    (rows, 4, cols) array, and a (4, 4) by (4, cols) product per row
+    mixes them into dst.  [lo, hi) is in the column u + center; a block
+    live on column parity q writes packed columns (lo - q + 1) // 2 up to
     (hi - q + 1) // 2 and reads one packed column beyond them on one
     side.  ``weights`` is ``CoinBlocks.weights`` (columns w_pp, w_qq,
     w_pq, w_qp) as a contiguous array in the field's dtype.
@@ -371,22 +372,23 @@ def _step_kernel_rank1(
     for f, rows, _, q, up, down, dn in groups:
         j0, j1 = (lo - q + 1) >> 1, (hi - q + 1) >> 1
         a = src[f]
-        shape = (rows.stop - rows.start, j1 - j0)
-        gathered = np.empty((4, *shape), dtype=src.dtype)
-        gathered[0] = a[LL, rows, j0 + q : j1 + q]
-        gathered[1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
+        nrows = rows.stop - rows.start
+        gathered = np.empty((nrows, 4, j1 - j0), dtype=src.dtype)
+        gathered[:, 0] = a[LL, rows, j0 + q : j1 + q]
+        gathered[:, 1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
         # The rows past ``up`` and before ``down`` lie beyond the stripe
         # edge and read zero (the cut).
         k = up.stop - up.start
         if k:
-            gathered[2, :k] = a[LR, up, j0:j1]
-        if k < shape[0]:
-            gathered[2, k:] = 0
+            gathered[:k, 2] = a[LR, up, j0:j1]
+        if k < nrows:
+            gathered[k:, 2] = 0
         if down:
-            gathered[3, 0] = 0
-        if down < shape[0]:
-            gathered[3, down:] = a[RL, dn, j0:j1]
-        dst[f, :, rows, j0:j1] = (weights @ gathered.reshape(4, -1)).reshape(4, *shape)
+            gathered[0, 3] = 0
+        if down < nrows:
+            gathered[down:, 3] = a[RL, dn, j0:j1]
+        # One (4, 4) product per row, written straight into the field.
+        np.matmul(weights, gathered, out=dst[f, :, rows, j0:j1].transpose(1, 0, 2))
 
 
 def _droppable(column: Sequence[np.ndarray], tiny: float) -> bool:
