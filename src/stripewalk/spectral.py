@@ -515,6 +515,8 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     perm = reflection(m)
     field = state.dense()
     phi = field[:, :, state.center].T.reshape(4 * m).astype(complex)
+    real = field.dtype.kind == "f"
+    del field  # only the column u = 0 is needed; the copy is not kept through the powering
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
     q = 4 * -state.s + np.array([LL, RR])
     q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()
@@ -535,7 +537,7 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
         off = values[(state.sublattices[0] + 1) % 2 :: 2]
         _check_residue("off-sublattice |mu|", np.abs(off), tol, n)
         off[:] = 0
-    if field.dtype.kind == "f":
+    if real:
         _check_residue("|Im mu| of a real start", np.abs(values.imag), tol, n)
         values = values.real.astype(complex)
     return ComplexMeasure(n=n, values=values)
