@@ -376,8 +376,9 @@ def _step_kernel_rank1(
         gathered = np.empty((nrows, 4, j1 - j0), dtype=src.dtype)
         gathered[:, 0] = a[LL, rows, j0 + q : j1 + q]
         gathered[:, 1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
-        # The rows past ``up`` and before ``down`` lie beyond the stripe
-        # edge and read zero (the cut).
+        # Rows whose neighbor lies beyond the stripe edge read zero (the
+        # cut): those after the first k through PQ, the first ``down``
+        # through QP.
         k = up.stop - up.start
         if k:
             gathered[:k, 2] = a[LR, up, j0:j1]

@@ -26,7 +26,6 @@ from stripewalk.limits import gaussian_cdf, kolmogorov_distance
 from conftest import unit_spinor_strategy, unitary_coin_strategy
 from oracles import (
     dense_trajectory,
-    exact_band_trajectory,
     konno_cdf,
     live_mask,
     oracle_series,
