@@ -142,12 +142,10 @@ def _band_starts(coin, m, n_max=40):
 def test_step_matches_dense_oracle(hadamard, complex_coin, m):
     for coin in (hadamard, complex_coin):
         for name, state in _band_starts(coin, m).items():
-            steps = 0
-            for got, dense in zip(trajectory(state, 40), dense_trajectory(state, 40)):
-                steps += 1
-                assert got.n == steps
+            for n, (got, dense) in enumerate(zip(trajectory(state, 40), dense_trajectory(state, 40)), start=1):
+                assert got.n == n
                 assert np.max(np.abs(got.dense() - dense)) <= 1e-14, (name, got.n)
-            assert steps == 40
+            assert got.n == 40
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
