@@ -177,9 +177,7 @@ def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> 
     return n_max
 
 
-def height_ratio(
-    series: RunSeries, n_lo: int, n_hi: int, even_only: bool = False
-) -> float:
+def height_ratio(series: RunSeries, n_lo: int, n_hi: int) -> float:
     """Mean of Re mu_n(0) / Re mu_n(peak) over the time window.
 
     Odd-n terms contribute zero to the numerator by parity, so the all-n
@@ -188,8 +186,6 @@ def height_ratio(
     if not n_lo < n_hi <= series.n:
         raise ValueError(f"window [{n_lo}, {n_hi}] outside series of length {series.n}")
     sel = series.slice_window(n_lo, n_hi)
-    if even_only:
-        sel &= series.ns % 2 == 0
     peaks = series.peak_val[sel]
     if np.any(~np.isfinite(peaks)) or np.any(np.abs(peaks) < 1e-300):
         raise ValueError("vanishing side peak inside the averaging window")

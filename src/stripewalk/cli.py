@@ -43,10 +43,8 @@ from .walker import (
 )
 from .spectral import (
     kato_reduction,
-    minimal_poly_residual,
-    char_poly_residual,
-    minimality_witness,
     perturbed_projection_check,
+    poly_residuals,
     snapshot_measure,
     spectrum_grid,
 )
@@ -433,15 +431,12 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     if cfg.coin != "hadamard":
         raise ValueError("kato checks the Hadamard statements; set coin = hadamard")
     red = kato_reduction(coin, s, t)
-    eye = np.eye(red.pi.shape[0])
     checks = {
         "pi_idempotent": float(np.max(np.abs(red.pi @ red.pi - red.pi))),
         "pi_hermitian": float(np.max(np.abs(red.pi - red.pi.conj().T))),
         "pi_rank": float(np.trace(red.pi).real),
         "r_skew_hermitian": float(np.max(np.abs(red.r + red.r.conj().T))),
-        "minimal_poly_residual": minimal_poly_residual(coin, s, t),
-        "char_poly_residual": char_poly_residual(coin, s, t),
-        "minimality_witness": minimality_witness(coin, s, t),
+        **poly_residuals(red.w0),
         "eigvec_residuals": [
             float(np.linalg.norm(red.r @ v - lam * v))
             for lam, v in zip(red.eigenvalues, red.vectors)
@@ -449,7 +444,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     }
     projections = []
     for d in (1e-1, 1e-2, 1e-3):
-        rep = perturbed_projection_check(d, coin, s, t)
+        rep = perturbed_projection_check(red, d)
         projections.append(
             {
                 "delta": rep["delta"],

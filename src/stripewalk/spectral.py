@@ -43,11 +43,8 @@ from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_hadamard
 from .walker import BandState, ComplexMeasure
 
 __all__ = [
-    "WOperator",
-    "EigResult",
     "KatoReduction",
     "w_stack",
-    "build_w",
     "reflection",
     "shift_signs",
     "v_block",
@@ -60,11 +57,8 @@ __all__ = [
     "delta_of_k",
     "k_of_delta",
     "kato_reduction",
-    "minimal_poly_residual",
-    "char_poly_residual",
-    "minimality_witness",
+    "poly_residuals",
     "perturbed_projection_check",
-    "spectral_projections",
     "apply_power",
     "snapshot_measure",
 ]
@@ -88,21 +82,6 @@ PHASE_ENTRY_TOL = 1e-8
 #: that ``snapshot_measure`` may round to exactly 0, times max(1, |phi|).
 #: Measured residues stay below 1e-14 (M <= 10, n <= 5e4).
 SNAPSHOT_RESIDUE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class WOperator:
-    """The 4M x 4M momentum-space matrix at one value of k."""
-
-    coin: Coin
-    s: int
-    t: int
-    k: float
-    matrix: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.t - self.s + 1
 
 
 def v_block(b: CoinBlocks, k: float) -> np.ndarray:
@@ -139,11 +118,6 @@ def _w_stack(b: CoinBlocks, m: int, ks: Sequence[float]) -> np.ndarray:
     return w.reshape(len(ks), 4 * m, 4 * m)
 
 
-def build_w(coin: Coin, s: int, t: int, k: float) -> WOperator:
-    """Assemble W(k) for stripe rows v in {s..t}: the one-k case of ``w_stack``."""
-    return WOperator(coin=coin, s=s, t=t, k=float(k), matrix=w_stack(coin, s, t, [k])[0])
-
-
 def reflection(m: int) -> np.ndarray:
     """Index form of the permutation Pi with W(2 pi - k) = Pi conj(W(k)) Pi^T.
 
@@ -166,15 +140,6 @@ def shift_signs(m: int) -> np.ndarray:
     drops out of D W D.
     """
     return np.repeat((-1.0) ** np.arange(m), 4)
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """Eigendecomposition of one W(k): values, right vectors, max residual."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # columns are right eigenvectors, unit norm
-    residual: float
 
 
 def _check_size(n: int) -> None:
@@ -208,18 +173,19 @@ def _check_pairs(
     return residual
 
 
-def eig(w: WOperator) -> EigResult:
-    """Dense eigendecomposition of W(k) with a residual check.
+def eig(w: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit right eigenvectors (columns) of one matrix W(k), checked.
 
     Raises if the matrix exceeds ``EIG_SIZE_LIMIT``, if LAPACK fails to
     converge, or if any residual ||W x - lambda x|| exceeds
-    ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1).
+    ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1); ``k`` names the momentum
+    in the message.
     """
-    _check_size(w.matrix.shape[0])
-    mats = w.matrix[None]
+    _check_size(w.shape[0])
+    mats = w[None]
     values, vectors = _solve(mats)
-    residual = _check_pairs(mats, values, vectors, [w.k], np.linalg.norm(mats, 2, axis=(-2, -1)))
-    return EigResult(values=values[0], vectors=vectors[0], residual=float(residual[0]))
+    _check_pairs(mats, values, vectors, [k], np.linalg.norm(mats, 2, axis=(-2, -1)))
+    return values[0], vectors[0]
 
 
 def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +271,20 @@ def lambda2_expansion(k: float) -> tuple[complex, complex]:
 class KatoReduction:
     """Reduction of the perturbed eigenproblem at the eigenvalue 1 of W(0).
 
-    ``pi`` is the orthogonal eigenprojection, ``t1`` the momentum derivative
-    of W at 0, ``r`` the reduced generator pi t1 pi.  ``eigenvalues`` and
-    ``vectors`` hold the eigenpairs of r on range(pi), the one nearest 0
-    first and the rest by decreasing imaginary part: for the Hadamard coin
-    at M = 2, (0, v1), (i/sqrt3, v2), (-i/sqrt3, v3).  Each vector has unit
-    norm, and its first entry of modulus above ``PHASE_ENTRY_TOL`` is real
-    and positive.  ``onb`` is an orthonormal basis of range(pi), from QR.
+    ``w0`` is W(0), ``pi`` its orthogonal eigenprojection at 1, ``t1`` the
+    momentum derivative of W at 0, ``r`` the reduced generator pi t1 pi.
+    ``eigenvalues`` and ``vectors`` hold the eigenpairs of r on range(pi),
+    the one nearest 0 first and the rest by decreasing imaginary part: for
+    the Hadamard coin at M = 2, (0, v1), (i/sqrt3, v2), (-i/sqrt3, v3).
+    Each vector has unit norm, and its first entry of modulus above
+    ``PHASE_ENTRY_TOL`` is real and positive.  ``onb`` is an orthonormal
+    basis of range(pi), from QR.
     """
 
     coin: Coin
     s: int
     t: int
+    w0: np.ndarray
     onb: np.ndarray  # shape (rank, 4M)
     pi: np.ndarray
     t1: np.ndarray
@@ -346,29 +314,20 @@ def kato_reduction(coin: Coin | None = None, s: int = -1, t: int = 0) -> KatoRed
     """
     if coin is None:
         coin = make_hadamard()
-    t1 = t1_matrix(coin, t - s + 1)
-    onb, pi = _numerical_unit_group_projection(coin, s, t)
-    eigenvalues, vectors = _reduced_eigensystem(t1, onb)
-    r = pi @ t1 @ pi
-    return KatoReduction(
-        coin=coin, s=s, t=t, onb=onb, pi=pi, t1=t1, r=r,
-        eigenvalues=eigenvalues, vectors=vectors,
-    )
-
-
-def _numerical_unit_group_projection(
-    coin: Coin, s: int, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis and orthogonal projection for the eigenvalue group at 1."""
-    w = build_w(coin, s, t, 0.0)
-    res = eig(w)
-    sel = np.abs(res.values - 1.0) <= UNIT_GROUP_TOL
+    w0 = w_stack(coin, s, t, [0.0])[0]
+    values, vectors = eig(w0, 0.0)
+    sel = np.abs(values - 1.0) <= UNIT_GROUP_TOL
     if not np.any(sel):
         raise ValueError("W(0) has no eigenvalue group at 1 for this coin")
-    basis = res.vectors[:, sel]
-    q, _ = np.linalg.qr(basis)
+    q, _ = np.linalg.qr(vectors[:, sel])
     pi = q @ q.conj().T
-    return q.T.copy(), pi
+    onb = q.T.copy()
+    t1 = t1_matrix(coin, t - s + 1)
+    eigenvalues, vectors = _reduced_eigensystem(t1, onb)
+    return KatoReduction(
+        coin=coin, s=s, t=t, w0=w0, onb=onb, pi=pi, t1=t1, r=pi @ t1 @ pi,
+        eigenvalues=eigenvalues, vectors=vectors,
+    )
 
 
 def _reduced_eigensystem(t1: np.ndarray, onb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,91 +344,55 @@ def _reduced_eigensystem(t1: np.ndarray, onb: np.ndarray) -> tuple[np.ndarray, n
     return vals, full
 
 
-def _poly_at_matrix(w: np.ndarray, include_half_factor: bool = True) -> np.ndarray:
-    eye = np.eye(w.shape[0])
-    out = w @ (w - eye) @ (2.0 * w @ w + w + eye)
-    if include_half_factor:
-        out = out @ (2.0 * w + eye)
-    return out
+def poly_residuals(w0: np.ndarray) -> dict[str, float]:
+    """Frobenius norms of the width-2 Hadamard polynomials at W(0).
 
-
-def minimal_poly_residual(coin: Coin, s: int, t: int) -> float:
-    """Frobenius norm of W(0)(W(0)-I)(2W(0)^2+W(0)+I)(2W(0)+I)."""
-    w = build_w(coin, s, t, 0.0).matrix
-    return float(np.linalg.norm(_poly_at_matrix(w), "fro"))
-
-
-def char_poly_residual(coin: Coin, s: int, t: int) -> float:
-    """Frobenius norm of the characteristic polynomial at W(0)."""
-    w = build_w(coin, s, t, 0.0).matrix
-    eye = np.eye(w.shape[0])
-    out = (
-        w @ w
-        @ np.linalg.matrix_power(w - eye, 3)
-        @ (2.0 * w @ w + w + eye)
-        @ (2.0 * w + eye)
-    )
-    return float(np.linalg.norm(out, "fro"))
-
-
-def minimality_witness(coin: Coin, s: int, t: int) -> float:
-    """Residual with the (2 lambda + 1) factor dropped; large when minimal."""
-    w = build_w(coin, s, t, 0.0).matrix
-    return float(np.linalg.norm(_poly_at_matrix(w, include_half_factor=False), "fro"))
-
-
-def spectral_projections(w: WOperator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Eigenvalues and rank-1 spectral projections of a diagonalizable W.
-
-    Left eigenvectors come from the inverse of the right-eigenvector matrix,
-    which bakes in the biorthogonal normalization <l_j, r_j> = 1.
+    ``minimal_poly_residual`` is that of the minimal polynomial
+    W(W - I)(2W^2 + W + I)(2W + I), ``minimality_witness`` that of the same
+    product without (2W + I) (large when the polynomial is minimal), and
+    ``char_poly_residual`` that of the characteristic polynomial
+    W^2 (W - I)^3 (2W^2 + W + I)(2W + I).
     """
-    res = eig(w)
-    vr = res.vectors
-    vl_rows = np.linalg.inv(vr)
-    projections = [np.outer(vr[:, j], vl_rows[j, :]) for j in range(vr.shape[1])]
-    return res.values, projections
+    eye = np.eye(w0.shape[0])
+    witness = w0 @ (w0 - eye) @ (2.0 * w0 @ w0 + w0 + eye)
+    char = w0 @ w0 @ np.linalg.matrix_power(w0 - eye, 3) @ (2.0 * w0 @ w0 + w0 + eye) @ (2.0 * w0 + eye)
+    return {
+        "minimal_poly_residual": float(np.linalg.norm(witness @ (2.0 * w0 + eye), "fro")),
+        "char_poly_residual": float(np.linalg.norm(char, "fro")),
+        "minimality_witness": float(np.linalg.norm(witness, "fro")),
+    }
 
 
-def perturbed_projection_check(
-    delta: float, coin: Coin | None = None, s: int = -1, t: int = 0
-) -> dict:
+def perturbed_projection_check(red: KatoReduction, delta: float) -> dict:
     """Distance of the three perturbed eigenprojections from v_j v_j*.
 
     For each prediction (1 - delta^2/4, 1 +- (i/sqrt3) delta - (2/9) delta^2)
     the nearest eigenvalue of W(k(delta)) is matched and the 2-norm
-    ||P_j(delta) - v_j v_j*|| reported.  Raises when two eigenvalues are
-    within the matching ambiguity tolerance of one prediction.
+    ||P_j(delta) - v_j v_j*|| reported, v_j the vectors of ``red``.  P_j is
+    the outer product of the right eigenvector with row j of the inverse
+    eigenvector matrix, which bakes in the biorthogonal normalization
+    <l_j, r_j> = 1.  Raises when two eigenvalues are within the matching
+    ambiguity tolerance of one prediction.  delta = 0 is out of range: the
+    triple eigenvalue 1 of W(0) makes every match there ambiguous.
     """
-    if not 0.0 <= delta <= 0.3:
-        raise ValueError("delta must lie in [0, 0.3]")
-    red = kato_reduction(coin, s, t)
-    targets = [np.outer(v, v.conj()) for v in red.vectors]
-    if delta == 0.0:
-        # Unperturbed case: the reduced problem's own projections, exactly.
-        return {
-            "delta": 0.0,
-            "eigenvalues": [1.0, 1.0, 1.0],
-            "residuals": [0.0, 0.0, 0.0],
-        }
+    if not 0.0 < delta <= 0.3:
+        raise ValueError("delta must lie in (0, 0.3]")
     k = k_of_delta(delta)
-    w = build_w(red.coin, s, t, k)
-    values, projections = spectral_projections(w)
-    lam1 = lambda1_expansion(k)
-    lam2p, lam2m = lambda2_expansion(k)
+    values, vectors = eig(w_stack(red.coin, red.s, red.t, [k])[0], k)
+    left = np.linalg.inv(vectors)
     matched = []
     residuals = []
-    for pred, target in zip((lam1, lam2p, lam2m), targets):
+    for pred, v in zip((lambda1_expansion(k), *lambda2_expansion(k)), red.vectors):
         dist = np.abs(values - pred)
         order = np.argsort(dist)
-        if len(order) > 1 and dist[order[1]] - dist[order[0]] < MATCH_AMBIGUITY_TOL:
+        if dist[order[1]] - dist[order[0]] < MATCH_AMBIGUITY_TOL:
             raise RuntimeError(
                 f"eigenvalue matching ambiguous at delta={delta}: "
                 f"{values[order[0]]} vs {values[order[1]]} for prediction {pred}"
             )
         j = int(order[0])
         matched.append(complex(values[j]))
-        residuals.append(float(np.linalg.norm(projections[j] - target, 2)))
+        residuals.append(float(np.linalg.norm(np.outer(vectors[:, j], left[j]) - np.outer(v, v.conj()), 2)))
     return {"delta": float(delta), "eigenvalues": matched, "residuals": residuals}
 
 

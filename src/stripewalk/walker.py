@@ -33,11 +33,10 @@ The step kernel computes only cells that can be nonzero and visible:
   path stays within 1e-14 per cell of the exact integer Hadamard walk for
   n <= 200, a real state stepped as complex128 agrees with it within
   1e-15 per cell, and a rerun of the same code gives the same bytes
-  whatever the BLAS thread count.  Every accessor (``measure``,
-  ``band_field``, ``BandState.cell``/``row``) returns complex values
-  either way; ``diagonal`` keeps the field's dtype for consumers that
-  reduce every step, and ``BandState.dense`` for consumers of the whole
-  field.
+  whatever the BLAS thread count.  ``measure`` and ``band_field``
+  return complex values either way; ``diagonal`` keeps the field's dtype
+  for consumers that reduce every step, and ``BandState.dense`` for
+  consumers of the whole field.
 * sublattices: a step moves every cell from u+v even to u+v odd or back,
   so the two parity classes of u+v evolve independently, and at time n a
   class holds only the cells with u + v = n + sigma (mod 2), sigma being
@@ -244,16 +243,6 @@ class BandState:
         for f, rows, vrows, q, *_ in self.plans[self.n % 2][0]:
             out[:, vrows, q::2] = self.packed[f, :, rows, : (width - q + 1) // 2]
         return out
-
-    def row(self, v: int) -> np.ndarray:
-        """Complex copy of the (4, 2 n_max + 3) field at transverse row v."""
-        if not self.s <= v <= self.t:
-            raise ValueError(f"row v={v} outside stripe [{self.s}, {self.t}]")
-        return self.dense()[:, v - self.s, :].astype(complex)
-
-    def cell(self, u: int, v: int) -> np.ndarray:
-        """The complex 4-vector at (u, v)."""
-        return self.row(v)[:, u + self.center]
 
     def norm(self) -> float:
         """l2 norm of the whole field.

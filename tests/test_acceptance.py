@@ -52,15 +52,14 @@ from stripewalk.limits import (
     scaled_cdf_distance,
 )
 from stripewalk.spectral import (
-    build_w,
     eig,
     k_of_delta,
     kato_reduction,
     lambda1_expansion,
     lambda2_expansion,
-    minimal_poly_residual,
-    minimality_witness,
     perturbed_projection_check,
+    poly_residuals,
+    w_stack,
 )
 
 from oracles import (
@@ -196,16 +195,16 @@ def test_c04_operator_algebra():
     # (-1 +- i sqrt7)/4: the roots of the minimal polynomial factor
     # 2 L^2 + L + 1 checked below.
     t0 = time.perf_counter()
-    w = build_w(HAD, -1, 0, 0.0)
-    w_err = float(np.max(np.abs(w.matrix - W0_EXPECTED)))
+    w = w_stack(HAD, -1, 0, [0.0])[0]
+    w_err = float(np.max(np.abs(w - W0_EXPECTED)))
     expected_eigs = [0, 0, 1, 1, 1, -0.5, (-1 + 1j * S7) / 4, (-1 - 1j * S7) / 4]
-    got = list(eig(w).values)
+    got = list(eig(w, 0.0)[0])
     eig_err = 0.0
     for z in expected_eigs:
         i = int(np.argmin(np.abs(np.array(got) - z)))
         eig_err = max(eig_err, abs(got.pop(i) - z))
-    mp = minimal_poly_residual(HAD, -1, 0)
-    witness = minimality_witness(HAD, -1, 0)
+    poly = poly_residuals(w)
+    mp, witness = poly["minimal_poly_residual"], poly["minimality_witness"]
     red = kato_reduction(HAD, -1, 0)
     pi_err = float(np.max(np.abs(red.pi - KATO_PI)))
     skew = float(np.max(np.abs(red.r + red.r.conj().T)))
@@ -256,9 +255,10 @@ def test_c05_perturbation_expansions():
             p2 = lambda2_expansion(k2)[idx]
             ratios.append(np.min(np.abs(s1 - p1)) / np.min(np.abs(s2 - p2)))
     min_ratio = min(ratios)
+    red = kato_reduction(HAD, -1, 0)
     residuals = {}
     for d in (1e-1, 1e-2, 1e-3):
-        residuals[d] = perturbed_projection_check(d, HAD, -1, 0)["residuals"]
+        residuals[d] = perturbed_projection_check(red, d)["residuals"]
     elapsed = time.perf_counter() - t0
     proj_ok = max(residuals[1e-2]) < 5e-2 and all(
         residuals[1e-2][j] < residuals[1e-1][j] and residuals[1e-3][j] < residuals[1e-2][j]

@@ -105,7 +105,8 @@ def test_peak_position_scale_invariant(hadamard):
 def test_height_ratio_parity_factor(hadamard):
     series = run_series(hadamard, 2, 400, g=LEFT)
     all_n = height_ratio(series, 201, 400)
-    even = height_ratio(series, 201, 400, even_only=True)
+    sel = series.slice_window(201, 400) & (series.ns % 2 == 0)
+    even = np.mean(series.mu_center[sel] / series.peak_val[sel])
     # The window holds equally many even and odd times and odd times
     # contribute exactly zero, so the factor is exactly two.
     assert abs(even / all_n - 2.0) < 1e-12
@@ -299,8 +300,10 @@ def test_run_series_nan_cell_never_reads_finite(hadamard, monkeypatch):
     def poisoned(state, steps):
         for later in stepping(state, steps):
             if later.n == bad:
+                lo, hi = later.engine()["live_u"]
+                assert lo <= bad - 2 <= hi
                 field = later.dense()
-                field[0, -later.s, later.center + bad] = math.nan  # LL at x = n, v = 0
+                field[0, -later.s, later.center + bad - 2] = math.nan  # LL at x = n - 2, v = 0
                 pack(later, field)
             yield later
 

@@ -232,7 +232,7 @@ def test_spectrum_rows_match_per_k_eig(tmp_path, phased_coin, kgrid):
         assert all(r[0] == str(m) and float(r[1]) == k for r in group)
         got = [complex(float(r[2]), float(r[3])) for r in group]
         assert all(float(r[4]) == abs(z) for r, z in zip(group, got))
-        remaining = list(spectral.eig(spectral.build_w(phased_coin, s, t, k)).values)
+        remaining = list(spectral.eig(spectral.w_stack(phased_coin, s, t, [k])[0], k)[0])
         for z in got:
             j = int(np.argmin(np.abs(np.array(remaining) - z)))
             assert abs(remaining.pop(j) - z) < 1e-12
@@ -259,6 +259,21 @@ def test_kato_command(tmp_path):
     res = report["perturbed_projections"][1]
     assert res["delta"] == 1e-2
     assert max(res["residuals"]) < 5e-2
+
+
+def test_kato_solves_w0_once(tmp_path, monkeypatch):
+    # One reduction serves every check: W(0) and the reduced generator are
+    # solved once, W(k(delta)) once per delta; no check re-runs the reduction.
+    solve = np.linalg.eig
+    sizes = []
+
+    def counting(a):
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    assert main(["kato", "--out", str(tmp_path / "o")]) == 0
+    assert sorted(sizes) == [3, 8, 8, 8, 8]
 
 
 def test_limits_command(tmp_path):

@@ -14,21 +14,17 @@ from stripewalk import spectral
 from stripewalk.limits import SPEED, limit_coefficients
 from stripewalk.spectral import (
     apply_power,
-    build_w,
-    char_poly_residual,
     delta_of_k,
     eig,
     k_of_delta,
     kato_reduction,
     lambda1_expansion,
     lambda2_expansion,
-    minimal_poly_residual,
-    minimality_witness,
     perturbed_projection_check,
+    poly_residuals,
     reflection,
     shift_signs,
     snapshot_measure,
-    spectral_projections,
     spectrum_grid,
     t1_matrix,
     v_block,
@@ -83,32 +79,35 @@ def _multiset_distance(got, expected):
     return worst
 
 
+def _w(coin, s, t, k):
+    """W(k) alone: the one-k stack."""
+    return w_stack(coin, s, t, [k])[0]
+
+
 def test_w_matches_explicit_matrix(hadamard):
-    w = build_w(hadamard, -1, 0, 0.0)
-    assert np.max(np.abs(w.matrix - W0_EXPECTED)) < 1e-15
+    w = _w(hadamard, -1, 0, 0.0)
+    assert np.max(np.abs(w - W0_EXPECTED)) < 1e-15
     # Width-2 stripes share the matrix regardless of placement.
-    w2 = build_w(hadamard, 0, 1, 0.0)
-    assert np.array_equal(w.matrix, w2.matrix)
+    assert np.array_equal(w, _w(hadamard, 0, 1, 0.0))
 
 
 def test_w_width_one_is_v_block(hadamard):
     from stripewalk.coin import blocks
 
     for k in (0.0, 0.7, 2.5):
-        w = build_w(hadamard, 0, 0, k)
-        assert np.allclose(w.matrix, v_block(blocks(hadamard), k), atol=1e-15)
+        assert np.allclose(_w(hadamard, 0, 0, k), v_block(blocks(hadamard), k), atol=1e-15)
 
 
 def test_w_contraction_norm(hadamard):
     for k in np.linspace(0, 2 * math.pi, 9):
-        assert np.linalg.norm(build_w(hadamard, -1, 0, k).matrix, 2) <= 1 + 1e-12
-        assert np.linalg.norm(build_w(hadamard, -2, 1, k).matrix, 2) <= 1 + 1e-12
+        assert np.linalg.norm(_w(hadamard, -1, 0, k), 2) <= 1 + 1e-12
+        assert np.linalg.norm(_w(hadamard, -2, 1, k), 2) <= 1 + 1e-12
 
 
 def test_w_conjugation_symmetry(hadamard):
     for k in (0.3, 1.1, 2.0):
-        a = build_w(hadamard, -1, 0, k).matrix
-        b = build_w(hadamard, -1, 0, 2 * math.pi - k).matrix
+        a = _w(hadamard, -1, 0, k)
+        b = _w(hadamard, -1, 0, 2 * math.pi - k)
         assert np.max(np.abs(b - a.conj())) < 1e-14
 
 
@@ -154,7 +153,7 @@ def test_w_stack_rows_are_build_w(phased_coin):
     stack = w_stack(phased_coin, -1, 1, ks)
     assert stack.shape == (4, 12, 12)
     for k, w in zip(ks, stack):
-        assert np.array_equal(w, build_w(phased_coin, -1, 1, k).matrix)
+        assert np.array_equal(w, _w(phased_coin, -1, 1, k))
 
 
 def _corrupt_eig(monkeypatch, index, value):
@@ -233,7 +232,7 @@ def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
 def test_residual_check_catches_nan(phased_coin, monkeypatch):
     _corrupt_eig(monkeypatch, 0, np.nan)
     with pytest.raises(RuntimeError, match="eigenpair residual"):
-        eig(build_w(phased_coin, -1, 1, 0.4))
+        eig(_w(phased_coin, -1, 1, 0.4), 0.4)
 
 
 def test_spectrum_grid_size_limit_before_allocation(hadamard, monkeypatch):
@@ -246,25 +245,25 @@ def test_spectrum_grid_size_limit_before_allocation(hadamard, monkeypatch):
 
 
 def test_eigenvalues_at_zero_momentum(hadamard):
-    res = eig(build_w(hadamard, -1, 0, 0.0))
-    assert _multiset_distance(res.values, W0_EIGENVALUES) < 1e-10
+    values, _ = eig(_w(hadamard, -1, 0, 0.0), 0.0)
+    assert _multiset_distance(values, W0_EIGENVALUES) < 1e-10
 
 
 def test_eig_width_one(hadamard):
     for k in (0.0, 0.9, 2.2):
-        res = eig(build_w(hadamard, 0, 0, k))
-        assert _multiset_distance(res.values, [0, 0, 0, math.cos(k)]) < 1e-12
+        values, _ = eig(_w(hadamard, 0, 0, k), k)
+        assert _multiset_distance(values, [0, 0, 0, math.cos(k)]) < 1e-12
 
 
 def test_eig_size_limit(hadamard):
     with pytest.raises(ValueError, match="limit"):
-        eig(build_w(hadamard, -70, 70, 0.0))
+        eig(_w(hadamard, -70, 70, 0.0), 0.0)
 
 
 def test_eig_multiplicity_clusters(hadamard):
-    res = eig(build_w(hadamard, -1, 0, 0.0))
+    values, _ = eig(_w(hadamard, -1, 0, 0.0), 0.0)
     clusters = dict()
-    for center, mult in eig_multiplicities(res.values, tol=1e-8):
+    for center, mult in eig_multiplicities(values, tol=1e-8):
         clusters[complex(np.round(center, 6))] = mult
     assert clusters[1.0 + 0j] == 3
     assert clusters[0j] == 2
@@ -272,10 +271,10 @@ def test_eig_multiplicity_clusters(hadamard):
 
 
 def test_eig_reconstruction(hadamard):
-    w = build_w(hadamard, -1, 0, 0.7)
-    res = eig(w)
-    recon = res.vectors @ np.diag(res.values) @ np.linalg.inv(res.vectors)
-    assert np.max(np.abs(recon - w.matrix)) < 1e-8
+    w = _w(hadamard, -1, 0, 0.7)
+    values, vectors = eig(w, 0.7)
+    recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
+    assert np.max(np.abs(recon - w)) < 1e-8
 
 
 def test_cubic_solver_residuals():
@@ -298,8 +297,8 @@ def test_cubic_union_matches_spectrum(hadamard):
     for k in np.linspace(0, 2 * math.pi, 17):
         first, second = cubic_spectrum_m2(k)
         expected = np.concatenate([first, second, [0, 0]])
-        res = eig(build_w(hadamard, -1, 0, k))
-        assert _multiset_distance(res.values, expected) < 1e-8
+        values, _ = eig(_w(hadamard, -1, 0, k), k)
+        assert _multiset_distance(values, expected) < 1e-8
 
 
 def test_expansions_at_zero():
@@ -387,7 +386,8 @@ def test_kato_vector_normalizations(hadamard):
 
 def test_kato_commutes_with_w(hadamard):
     red = kato_reduction(hadamard, -1, 0)
-    w = build_w(hadamard, -1, 0, 0.0).matrix
+    w = red.w0
+    assert np.array_equal(w, _w(hadamard, -1, 0, 0.0))
     assert np.max(np.abs(red.pi @ w - w @ red.pi)) < 1e-14
     assert np.max(np.abs(red.t1 - t1_matrix(hadamard, 2))) == 0.0
 
@@ -467,25 +467,27 @@ def _names_used(node, enclosing=frozenset()):
 
 
 def test_minimal_polynomial(hadamard):
-    assert minimal_poly_residual(hadamard, -1, 0) < 1e-12
-    assert char_poly_residual(hadamard, -1, 0) < 1e-12
-    assert minimality_witness(hadamard, -1, 0) >= 0.1
+    res = poly_residuals(_w(hadamard, -1, 0, 0.0))
+    assert res["minimal_poly_residual"] < 1e-12
+    assert res["char_poly_residual"] < 1e-12
+    assert res["minimality_witness"] >= 0.1
 
 
 def test_derivative_consistency(hadamard):
     t1 = t1_matrix(hadamard, 2)
     for h in (1e-3, 1e-4):
         fd = (
-            build_w(hadamard, -1, 0, h).matrix
-            - build_w(hadamard, -1, 0, -h).matrix
+            _w(hadamard, -1, 0, h)
+            - _w(hadamard, -1, 0, -h)
         ) / (2 * h)
         assert np.max(np.abs(t1 - fd)) < 0.2 * h * h
 
 
 def test_perturbed_projections_decay(hadamard):
+    red = kato_reduction(hadamard, -1, 0)
     residuals = {}
     for d in (1e-1, 1e-2, 1e-3):
-        rep = perturbed_projection_check(d, hadamard, -1, 0)
+        rep = perturbed_projection_check(red, d)
         residuals[d] = rep["residuals"]
         assert len(rep["residuals"]) == 3
     assert max(residuals[1e-2]) < 5e-2
@@ -494,32 +496,18 @@ def test_perturbed_projections_decay(hadamard):
         assert residuals[1e-3][j] < residuals[1e-2][j]
 
 
-def test_perturbed_projection_zero_delta(hadamard):
-    rep = perturbed_projection_check(0.0, hadamard, -1, 0)
-    assert rep["residuals"] == [0.0, 0.0, 0.0]
-
-
 def test_perturbed_projection_range_validation(hadamard):
-    with pytest.raises(ValueError):
-        perturbed_projection_check(0.5, hadamard, -1, 0)
+    red = kato_reduction(hadamard, -1, 0)
+    for delta in (0.0, 0.5):
+        with pytest.raises(ValueError, match="delta must lie"):
+            perturbed_projection_check(red, delta)
 
 
 def test_perturbed_projection_ambiguity_reported(hadamard):
     # At tiny delta the three near-unit eigenvalues crowd within the
     # matching tolerance of each prediction.
     with pytest.raises(RuntimeError, match="ambiguous"):
-        perturbed_projection_check(1e-7, hadamard, -1, 0)
-
-
-def test_spectral_projections_resolution(hadamard):
-    w = build_w(hadamard, -1, 0, 0.7)
-    values, projections = spectral_projections(w)
-    total = sum(projections)
-    assert np.max(np.abs(total - np.eye(8))) < 1e-10
-    for i, p in enumerate(projections):
-        assert np.max(np.abs(p @ p - p)) < 1e-9
-        recon = sum(v * q for v, q in zip(values, projections))
-    assert np.max(np.abs(recon - w.matrix)) < 1e-9
+        perturbed_projection_check(kato_reduction(hadamard, -1, 0), 1e-7)
 
 
 def test_char_function_matches_engine(hadamard):
@@ -541,7 +529,7 @@ def test_char_function_matches_engine(hadamard):
 @given(unitary_coin_strategy(), st.floats(min_value=0.0, max_value=2 * math.pi))
 def test_w_contraction_any_coin(coin, k):
     # Compressions of a unitary stay contractions for every coin.
-    assert np.linalg.norm(build_w(coin, -1, 1, k).matrix, 2) <= 1 + 1e-12
+    assert np.linalg.norm(_w(coin, -1, 1, k), 2) <= 1 + 1e-12
 
 
 def test_general_coin_reduction_fallback():

@@ -48,13 +48,13 @@ def test_stripe_for_width():
 
 def test_init_product_left_spinor(hadamard):
     state = init_product(hadamard, LEFT, -1, 0, 4)
-    assert np.allclose(state.cell(0, 0), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    assert np.allclose(state.dense()[:, 1, state.center], [0.5, 0.5, 0.5, 0.5], atol=1e-15)
     assert abs(state.norm() - 1.0) < 1e-14
 
 
 def test_init_product_plus_spinor(hadamard):
     state = init_product(hadamard, PLUS, -1, 0, 4)
-    assert np.allclose(state.cell(0, 0), [1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(state.dense()[:, 1, state.center], [1, 0, 0, 0], atol=1e-15)
 
 
 def test_init_product_rejects_non_unit(hadamard):
@@ -222,8 +222,6 @@ def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
     state = evolve(starts["product"], 5)
     # The accessors stay complex whatever the engine's dtype.
     assert measure(state).values.dtype == np.complex128
-    assert state.row(0).dtype == np.complex128
-    assert state.cell(1, 0).dtype == np.complex128
     assert band_field(state)["value"].dtype == np.complex128
     # Exact zeros are dropped too: with Hg = (1, 0) the right edge stays empty.
     nonzero_u = np.flatnonzero(np.any(state.dense() != 0, axis=(0, 1))) - state.center
@@ -444,8 +442,8 @@ def test_band_field_vanishes_at_far_boundary(hadamard):
     # Light cone reaches rows +-100 at n = 100 with one lone path of
     # weight 2^-100; everything on the boundary rows is below 1e-12.
     state = evolve(init_product(hadamard, PLUS, -100, 100, 102), 100)
-    for v in (-100, 100):
-        assert np.max(np.abs(state.row(v))) < 1e-12
+    field = state.dense()
+    assert np.max(np.abs(field[:, [0, -1]])) < 1e-12  # rows v = -100 and 100
 
 
 def test_odd_width_measure_exactly_real(hadamard, complex_coin):
