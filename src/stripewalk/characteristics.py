@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Relative support thresholds recorded per run: the middle one is the
-#: default for fits, the outer two feed the sensitivity report.
+#: one fitted, the outer two feed the sensitivity report.
 SUPPORT_THRESHOLDS = (1e-10, 1e-12, 1e-14)
 _THRESHOLD_COLUMN = np.array(SUPPORT_THRESHOLDS)[:, None]
 
@@ -197,10 +197,7 @@ class ExponentFit:
     """Least-squares slope of log y against log n plus diagnostics."""
 
     slope: float
-    intercept: float
-    window: tuple[int, int]
     used_window: tuple[int, int]
-    n_points: int
     rms_residual: float
     oscillating: bool
     sensitivity: dict[str, float] = field(default_factory=dict)
@@ -245,16 +242,12 @@ def stable_subwindow(
     return mask, True
 
 
-def tail_exponent(
-    series: RunSeries,
-    window: tuple[int, int],
-    threshold: float = SUPPORT_THRESHOLDS[1],
-) -> ExponentFit:
+def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
     """Growth exponent gamma of the tail width d_n = a_n - n xbar_max.
 
-    Non-positive d_n values are excluded; fewer than 10 usable points is an
-    error.  The sensitivity entries report the slope at the other recorded
-    support thresholds.
+    a_n is read at the middle support threshold.  Non-positive d_n values
+    are excluded; fewer than 10 usable points is an error.  The sensitivity
+    entries report the slope at the other two recorded thresholds.
     """
     n_lo, n_hi = window
     sel = series.slice_window(n_lo, n_hi)
@@ -268,15 +261,13 @@ def tail_exponent(
                 f"only {len(ns)} positive tail widths in window {window}"
             )
         mask, oscillating = stable_subwindow(ns, ds)
-        slope, intercept, rms = loglog_fit(ns[mask], ds[mask])
+        slope, _, rms = loglog_fit(ns[mask], ds[mask])
         used = (int(ns[mask][0]), int(ns[mask][-1]))
-        return slope, intercept, rms, oscillating, used, len(ns[mask])
+        return slope, rms, oscillating, used
 
-    slope, intercept, rms, oscillating, used, npts = fit_for(threshold)
+    slope, rms, oscillating, used = fit_for(SUPPORT_THRESHOLDS[1])
     sensitivity = {}
-    for thr in SUPPORT_THRESHOLDS:
-        if thr == threshold:
-            continue
+    for thr in SUPPORT_THRESHOLDS[::2]:
         try:
             s_thr, *_ = fit_for(thr)
             sensitivity[f"{thr:g}"] = s_thr
@@ -284,10 +275,7 @@ def tail_exponent(
             sensitivity[f"{thr:g}"] = math.nan
     return ExponentFit(
         slope=slope,
-        intercept=intercept,
-        window=window,
         used_window=used,
-        n_points=npts,
         rms_residual=rms,
         oscillating=oscillating,
         sensitivity=sensitivity,
@@ -320,13 +308,10 @@ def decay_exponent(
     if np.all(ys < 0):
         ys = -ys
     mask, oscillating = stable_subwindow(ns, ys)
-    slope, intercept, rms = loglog_fit(ns[mask], ys[mask])
+    slope, _, rms = loglog_fit(ns[mask], ys[mask])
     return ExponentFit(
         slope=slope,
-        intercept=intercept,
-        window=window,
         used_window=(int(ns[mask][0]), int(ns[mask][-1])),
-        n_points=int(mask.sum()),
         rms_residual=rms,
         oscillating=oscillating,
     )

@@ -69,6 +69,13 @@ from .characteristics import (
 
 FLOAT_FMT = "%.17g"  # full round-trip precision for regression comparisons
 
+#: Bound on the measure-sum drift, relative to max(1, |initial total|).
+CONSERVATION_TOL = 1e-10
+#: Bound on the imaginary residue of an odd-width product or mixed start.
+IMAG_TOL = 1e-12
+#: The onset of negativity is the first min Re mu below -NCRIT_TOL.
+NCRIT_TOL = 1e-12
+
 
 # --------------------------------------------------------------------------
 # configuration
@@ -100,18 +107,8 @@ class RunConfig:
     steps: int = 100
     snapshots: tuple[int, ...] = ()
     emit_band_field: bool = False
-    emit_normalized: bool = True
-    delta: float = 0.3
-    support_threshold: float = 1e-12
-    ncrit_tol: float = 1e-12
-    ncrit_nmax: int = 0  # 0: choose 4 m + 40 per stripe width
-    w_coeff: float = 4.0
     kgrid: int = 64
     mlist: tuple[int, ...] = (1, 2, 3, 5, 10)
-    fit_lo: int = 0  # 0: upper half of the run
-    fit_hi: int = 0
-    conservation_tol: float = 1e-10
-    imag_tol: float = 1e-12
 
     def stripe(self) -> tuple[int, int]:
         if self.s <= self.t:
@@ -279,8 +276,8 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
         fh.write("\n")
 
 
-def _write_measure(out: Path, tag: str, mu: ComplexMeasure, digest: str, normalized: bool) -> None:
-    """measure_{tag}.csv and, if asked, normalized_{tag}.csv of one snapshot."""
+def _write_measure(out: Path, tag: str, mu: ComplexMeasure, digest: str) -> None:
+    """measure_{tag}.csv and normalized_{tag}.csv of one snapshot."""
     n, xs, values = mu.n, mu.positions(), mu.values
     _write_csv(
         out / f"measure_{tag}.csv",
@@ -288,13 +285,12 @@ def _write_measure(out: Path, tag: str, mu: ComplexMeasure, digest: str, normali
         zip(repeat(n), xs.tolist(), values.real.tolist(), values.imag.tolist()),
         digest,
     )
-    if normalized:
-        _write_csv(
-            out / f"normalized_{tag}.csv",
-            "xbar,n_times_mu",
-            zip((xs / n).tolist(), (n * values.real).tolist()),
-            digest,
-        )
+    _write_csv(
+        out / f"normalized_{tag}.csv",
+        "xbar,n_times_mu",
+        zip((xs / n).tolist(), (n * values.real).tolist()),
+        digest,
+    )
 
 
 def _complex_pairs(values) -> list:
@@ -334,7 +330,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     total0 = measure(state).total()
     # Drift is held relative to the initial total when that exceeds 1:
     # a band start's total scales with the square of its norm.
-    sum_tol = cfg.conservation_tol * max(1.0, abs(total0))
+    sum_tol = CONSERVATION_TOL * max(1.0, abs(total0))
     failures: list[str] = []
     sum_drift = 0.0
     max_imag = 0.0
@@ -344,7 +340,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         if n_snap not in snapshots:
             continue
         mu = measure(state)
-        _write_measure(out, f"n{n_snap}", mu, digest, cfg.emit_normalized)
+        _write_measure(out, f"n{n_snap}", mu, digest)
         if cfg.emit_band_field:
             field = band_field(state)
             values = field["value"]
@@ -370,7 +366,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # The conjugate-mirror symmetry forcing a real measure on symmetric
     # stripes holds for product and mixed starts; arbitrary band vectors
     # may legitimately carry imaginary parts, which are only recorded.
-    if cfg.width() % 2 == 1 and cfg.init != "band" and not max_imag <= cfg.imag_tol:
+    if cfg.width() % 2 == 1 and cfg.init != "band" and not max_imag <= IMAG_TOL:
         failures.append(f"odd-width imaginary residue {max_imag:.3e}")
     s, t = cfg.stripe()
     _write_json(
@@ -505,17 +501,17 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     total0 = measure(state).total()
     mu = snapshot_measure(state, n)
     drift = abs(mu.total() - total0)
-    sum_tol = cfg.conservation_tol * max(1.0, abs(total0))
-    masses = mode_masses(mu, cfg.w_coeff)
+    sum_tol = CONSERVATION_TOL * max(1.0, abs(total0))
+    masses = mode_masses(mu)
     profiles = limit_profiles(cell_spinor)
     distances = {}
     distances_cumulant = {}
     for p in profiles:
-        distances[p.mode] = scaled_cdf_distance(mu, p, cfg.w_coeff)
+        distances[p.mode] = scaled_cdf_distance(mu, p)
         var = p.variance if p.mode == "center" else SIDE_VARIANCE_CUMULANT
         q = LimitProfile(p.mode, p.weight, p.speed, var)
-        distances_cumulant[p.mode] = scaled_cdf_distance(mu, q, cfg.w_coeff)
-    windows = mode_windows(n, cfg.w_coeff)
+        distances_cumulant[p.mode] = scaled_cdf_distance(mu, q)
+    windows = mode_windows(n)
     expected = (c_minus.real, c_zero.real, c_plus.real)
     failures = []
     for name, got, want in zip(("left", "center", "right"), masses, expected):
@@ -537,7 +533,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             },
             "masses": {"left": masses[0], "center": masses[1], "right": masses[2]},
             "windows": {
-                "w_coeff": cfg.w_coeff,
+                "w_coeff": 4.0,  # the default w of the limits functions
                 "left": list(windows[0]),
                 "center": list(windows[1]),
                 "right": list(windows[2]),
@@ -567,18 +563,17 @@ def _characteristics_row(args) -> tuple[list, dict]:
     cfg = config_from_text(cfg_text)
     coin = cfg.coin_obj()
     n = cfg.steps
-    nmax = cfg.ncrit_nmax or 4 * m + 40
+    nmax = 4 * m + 40
     # One evolution serves both the fits and n_crit; it runs past n only
     # when the n_crit horizon does.
-    series = run_series(coin, m, max(n, nmax), g=cfg.spinor(), delta=cfg.delta)
-    lo = cfg.fit_lo or n // 2
-    hi = cfg.fit_hi or n
+    series = run_series(coin, m, max(n, nmax), g=cfg.spinor())
+    lo, hi = n // 2, n
     sel = series.slice_window(lo, hi)
     xmax = float(np.nanmean(series.peak_xbar[sel]))
     try:
-        nc = n_crit_of_trace(series.min_re, m, nmax, cfg.ncrit_tol)
+        nc = n_crit_of_trace(series.min_re, m, nmax, NCRIT_TOL)
         ratio = height_ratio(series, lo, hi)
-        gamma = tail_exponent(series, (lo, hi), cfg.support_threshold)
+        gamma = tail_exponent(series, (lo, hi))
         r_center = decay_exponent(series, "center", (lo, hi))
         r_side = decay_exponent(series, "side", (lo, hi))
     except ValueError as exc:
@@ -587,10 +582,10 @@ def _characteristics_row(args) -> tuple[list, dict]:
     sidecar = {
         "M": m,
         "n": n,
-        "n_crit": {"value": nc, "n_max": nmax, "tol": cfg.ncrit_tol},
+        "n_crit": {"value": nc, "n_max": nmax, "tol": NCRIT_TOL},
         "fit_window": [lo, hi],
-        "delta": cfg.delta,
-        "support_threshold": cfg.support_threshold,
+        "delta": series.delta,
+        "support_threshold": SUPPORT_THRESHOLDS[1],
         "support_thresholds_recorded": list(SUPPORT_THRESHOLDS),
         "gamma": {
             "slope": gamma.slope,
@@ -611,7 +606,12 @@ def _characteristics_row(args) -> tuple[list, dict]:
 
 def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     digest = config_hash(cfg)
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     jobs = [(config_to_text(cfg), m) for m in cfg.mlist]
+    # The pool starts all its processes at once, so it gets no more than
+    # there are jobs.
+    workers = min(workers, len(jobs))
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which no other run needs.
         from concurrent.futures import ProcessPoolExecutor
@@ -687,7 +687,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     for m in cfg.mlist:
         sub = replace(cfg, m=m, s=1, t=0)  # s > t resets to the width-m placement
         mu = measure(evolve(_initial_state(sub, n), n))
-        _write_measure(out, f"M{m}_n{n}", mu, digest, normalized=True)
+        _write_measure(out, f"M{m}_n{n}", mu, digest)
     _write_json(out / "provenance.json", {"command": "sweep", "config": config_to_text(cfg)}, digest)
     return 0
 
@@ -728,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for characteristics")
         p.add_argument(
             "--seedless",
             action="store_true",
@@ -736,6 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--steps", type=int, default=None, help="override steps")
         p.add_argument("--m", type=int, default=None, help="override stripe width")
+        if name == "characteristics":
+            p.add_argument(
+                "--workers", type=int, default=1, help="worker processes, at most one per width"
+            )
     return parser
 
 

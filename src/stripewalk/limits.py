@@ -129,7 +129,7 @@ def kolmogorov_distance(
 
 
 def mode_windows(
-    n: int, w: float
+    n: int, w: float = 4.0
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """Lattice windows (left, center, right) of half-width w sqrt(n).
 

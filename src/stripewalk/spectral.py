@@ -156,8 +156,8 @@ def _solve(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_pairs(
     mats: np.ndarray, values: np.ndarray, vectors: np.ndarray, ks, scale: np.ndarray
-) -> np.ndarray:
-    """Max residual ||W x - lambda x|| of each matrix in a stack, checked.
+) -> None:
+    """Check the max residual ||W x - lambda x|| of each matrix in a stack.
 
     Raises if a residual exceeds ``EIG_RESIDUAL_TOL`` times max(||W||_2, 1)
     of its own matrix, with ||W||_2 given as ``scale``, or is NaN; the
@@ -170,7 +170,6 @@ def _check_pairs(
             f"eigenpair residual {np.max(residual[bad]):.3e} exceeds "
             f"{EIG_RESIDUAL_TOL:.1e} * ||W|| at k = {sorted(np.asarray(ks)[bad].tolist())}"
         )
-    return residual
 
 
 def eig(w: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:

@@ -126,11 +126,6 @@ class ComplexMeasure:
     def positions(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1)
 
-    def at(self, x: int) -> complex:
-        if -self.n <= x <= self.n:
-            return complex(self.values[x + self.n])
-        return 0j
-
     def total(self) -> complex:
         return complex(self.values.sum())
 

@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from stripewalk.cli import (
     config_to_text,
     main,
 )
+from stripewalk.limits import mode_windows
 
 from oracles import konno_cdf, n_crit, pack
 
@@ -51,7 +55,7 @@ def test_config_round_trip_custom():
         steps=42,
         snapshots=(10, 42),
         mlist=(2, 4),
-        delta=0.25,
+        emit_band_field=True,
     )
     again = config_from_text(config_to_text(cfg))
     assert again == cfg
@@ -63,6 +67,15 @@ def test_config_rejects_unknown_key(tmp_path):
         config_from_text("nonsense = 1\n")
     with pytest.raises(ValueError, match="malformed"):
         config_from_text("steps\n")
+
+
+def test_readme_config_block_lists_every_field_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"All fields\s+and their defaults.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if not line.lstrip().startswith("#")]
+    keys = [line.partition("=")[0].strip() for line in lines]
+    assert keys == [f.name for f in fields(RunConfig)]
+    assert config_from_text(block) == RunConfig()
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
@@ -121,9 +134,10 @@ def test_write_csv_formats_ints_and_floats(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "# config_sha256=abc\na,b\n"
 
 
-def test_simulate_failure_exit_code(tmp_path, capsys):
+def test_simulate_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CONSERVATION_TOL", 0.0)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 20\nm = 2\nconservation_tol = 0.0\n")
+    cfg.write_text("steps = 20\nm = 2\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
@@ -288,11 +302,15 @@ def test_limits_command(tmp_path):
     assert report["masses"]["right"] == pytest.approx((3 - s3) / 12, abs=0.02)
     assert report["cdf_distances"]["center"] < 0.05
     assert report["side_variances"]["second_order_cumulant"] == pytest.approx(1 / 9)
+    windows = report["windows"]
+    assert [windows["left"], windows["center"], windows["right"]] == [
+        list(w) for w in mode_windows(600, windows["w_coeff"])
+    ]
 
 
 def test_characteristics_command(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 200\nmlist = 1 2 3\nncrit_nmax = 44\n")
+    cfg.write_text("steps = 200\nmlist = 1 2 3\n")
     rc = main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     _, header, rows = _read_csv(tmp_path / "o" / "characteristics.csv")
@@ -320,9 +338,47 @@ def test_simulate_provenance_records_engine(tmp_path):
     assert prov["engine"] == {"dtype": "float64", "sublattices": [0], "live_u": [-30, 30]}
 
 
+def test_characteristics_workers_are_checked_and_capped(tmp_path, capsys, monkeypatch):
+    # A process pool under fork starts all max_workers processes at once,
+    # so a recording fake stands in for it and runs the jobs in order.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = tmp_path / "cfg.txt"
+    args = ["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    cfg.write_text("steps = 100\nmlist = 2 3\n")
+    assert main([*args, "--workers", "64"]) == 0
+    assert sizes == [2]
+    cfg.write_text("steps = 100\nmlist = 2\n")
+    assert main([*args, "--workers", "64"]) == 0
+    assert sizes == [2]  # one width runs in this process
+    for bad in ("0", "-3"):
+        assert main([*args, "--workers", bad]) == 2
+        err = capsys.readouterr().err
+        assert err == f"stripewalk characteristics: error: --workers must be >= 1, got {bad}\n"
+    assert sizes == [2]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--workers", "2", "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_characteristics_parallel_matches_serial(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 150\nmlist = 2 3\nncrit_nmax = 48\n")
+    cfg.write_text("steps = 150\nmlist = 2 3\n")
     rc = main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "s")])
     assert rc == 0
     rc = main(
@@ -345,7 +401,7 @@ def test_reruns_do_not_depend_on_blas_threads(tmp_path):
     runs = [
         ("simulate", f"m = 10\ninit = band\nband = {band}\nsteps = 1000\n"
          "snapshots = 500 1000\nemit_band_field = true\n", "band_n1000.csv"),
-        ("characteristics", "steps = 300\nmlist = 2 3\nncrit_nmax = 48\n", "characteristics.csv"),
+        ("characteristics", "steps = 300\nmlist = 2 3\n", "characteristics.csv"),
         ("kato", "", "kato.json"),
     ]
     src = Path(cli.__file__).resolve().parents[1]
@@ -484,7 +540,7 @@ def test_limits_snapshot_checks_are_one_fail_line(tmp_path, capsys, monkeypatch,
 def test_engine_records_carry_versions(tmp_path):
     versions = {"python": platform.python_version(), "numpy": np.__version__}
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 250\nmlist = 2 3\nncrit_nmax = 48\n")
+    cfg.write_text("steps = 250\nmlist = 2 3\n")
     for command, name in (
         ("simulate", "provenance.json"),
         ("limits", "limits.json"),
@@ -515,8 +571,24 @@ def test_engine_records_carry_versions(tmp_path):
         ("spectrum", "m = 2\ninit = band\nband = " + " ".join(["0,inf"] + ["0.5,0"] * 7) + "\n", "finite"),
         ("simulate", "m = 3\ninit = band\nband = " + " ".join(["1.7e308,0"] * 12) + "\n", "l2 norm"),
         ("simulate", "m = 3\ninit = band\nband = " + " ".join(["6e153,0"] * 12) + "\n", "l2 norm"),
-        # Width 1 has no ballistic tail in the default fit window (600, 1200).
+        # Width 1 has no ballistic tail in the fit window (600, 1200).
         ("characteristics", "mlist = 1 2\nsteps = 1200\n", "M=1: only 0 positive tail widths"),
+        # Keys that were settable once and are now fixed values.
+        *(
+            ("simulate", f"steps = 10\n{line}\n", "unknown config key")
+            for line in (
+                "emit_normalized = true",
+                "delta = 0.3",
+                "support_threshold = 1e-12",
+                "ncrit_tol = 1e-12",
+                "ncrit_nmax = 0",
+                "w_coeff = 4.0",
+                "fit_lo = 0",
+                "fit_hi = 0",
+                "conservation_tol = 1e-10",
+                "imag_tol = 1e-12",
+            )
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -595,17 +667,18 @@ def test_simulate_nan_measure_fails_checks(tmp_path, monkeypatch):
     assert prov["failures"]
 
 
-@pytest.mark.parametrize("steps, ncrit_nmax", [(100, 0), (60, 80)])
-def test_characteristics_n_crit_matches_standalone(tmp_path, steps, ncrit_nmax):
+# At 40 steps the n_crit horizon 4M + 40 runs past n for every M.
+@pytest.mark.parametrize("steps", [100, 40])
+def test_characteristics_n_crit_matches_standalone(tmp_path, steps):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"steps = {steps}\nmlist = 1 2 3 5\nncrit_nmax = {ncrit_nmax}\n")
+    cfg.write_text(f"steps = {steps}\nmlist = 1 2 3 5\n")
     rc = main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     _, _, rows = _read_csv(tmp_path / "o" / "characteristics.csv")
     hadamard = make_hadamard()
     for r in rows:
         m = int(r[0])
-        nmax = ncrit_nmax or 4 * m + 40
+        nmax = 4 * m + 40
         assert int(r[1]) == n_crit(hadamard, m, nmax, tol=1e-12, g=(1.0, 0.0))
     sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
     assert all(entry["n"] == steps for entry in sidecar["per_m"])
@@ -635,7 +708,7 @@ def test_band_count_is_checked_per_width(tmp_path, capsys):
     cfg.write_text(f"steps = 20\nmlist = 2\ninit = band\nband = {pairs}\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 2
     assert "needs 8 complex entries" in capsys.readouterr().err
-    cfg.write_text(f"steps = 200\nmlist = 2\nncrit_nmax = 44\ninit = band\nband = {pairs}\n")
+    cfg.write_text(f"steps = 200\nmlist = 2\ninit = band\nband = {pairs}\n")
     assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "ch")]) == 0
 
 

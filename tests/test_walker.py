@@ -80,9 +80,9 @@ def test_one_step_measure_is_half_half(hadamard):
         s, t = stripe_for_width(m)
         state = step(init_product(hadamard, LEFT, s, t, 2))
         mu = measure(state)
-        assert abs(mu.at(-1) - 0.5) < 1e-15
-        assert abs(mu.at(1) - 0.5) < 1e-15
-        assert abs(mu.at(0)) == 0.0
+        assert abs(mu.values[-1 + mu.n] - 0.5) < 1e-15
+        assert abs(mu.values[1 + mu.n] - 0.5) < 1e-15
+        assert abs(mu.values[mu.n]) == 0.0
 
 
 def test_horizon_exhaustion(hadamard):
@@ -354,7 +354,7 @@ def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
 
 def test_measure_initial_point_mass(hadamard):
     mu = measure(init_product(hadamard, PLUS, -1, 0, 3))
-    assert mu.at(0) == 1.0
+    assert mu.values[mu.n] == 1.0
     assert abs(mu.total() - 1.0) < 1e-15
 
 
@@ -429,7 +429,7 @@ def test_band_field_matches_measure_on_diagonal(hadamard):
     mu = measure(state)
     assert diagonal["x"].tolist() == mu.positions().tolist()
     for x, value in zip(diagonal["x"].tolist(), diagonal["value"].tolist()):
-        assert value == mu.at(x)
+        assert value == mu.values[x + mu.n]
 
 
 def test_band_field_m1_diagonal_only(hadamard):
