@@ -90,10 +90,6 @@ class RunSeries:
             peak_val=nans(), edges={thr: nans() for thr in SUPPORT_THRESHOLDS},
         )
 
-    @property
-    def edge(self) -> np.ndarray:
-        return self.edges[SUPPORT_THRESHOLDS[1]]
-
     def slice_window(self, n_lo: int, n_hi: int) -> np.ndarray:
         """Boolean mask selecting times n_lo <= n <= n_hi."""
         return (self.ns >= n_lo) & (self.ns <= n_hi)

@@ -87,10 +87,10 @@ class RunConfig:
     """Flat run configuration with explicit defaults.
 
     ``coin`` is either the preset "hadamard" or "custom" with the four
-    entries given; ``m`` selects the standard stripe placement unless both
-    ``s`` and ``t`` are set.  ``init`` is "product" (spinor g, coin applied
-    once), "band" (explicit 4M vector, v ascending), or "mixed" (the
-    half-half LL/RR cell at v = 0).
+    entries given; ``m`` is the stripe width, placed as
+    ``stripe_for_width`` places it.  ``init`` is "product" (spinor g, coin
+    applied once), "band" (explicit 4M vector, v ascending), or "mixed"
+    (the half-half LL/RR cell at v = 0).
     """
 
     coin: str = "hadamard"
@@ -99,8 +99,6 @@ class RunConfig:
     coin_c: complex = 0j
     coin_d: complex = 0j
     m: int = 2
-    s: int = 1  # s > t means "unset": fall back to width-m placement
-    t: int = 0
     init: str = "product"
     g: tuple[complex, ...] = (1 + 0j, 0j)
     band: tuple[complex, ...] = ()
@@ -111,13 +109,7 @@ class RunConfig:
     mlist: tuple[int, ...] = (1, 2, 3, 5, 10)
 
     def stripe(self) -> tuple[int, int]:
-        if self.s <= self.t:
-            return self.s, self.t
         return stripe_for_width(self.m)
-
-    def width(self) -> int:
-        s, t = self.stripe()
-        return t - s + 1
 
     def coin_obj(self) -> Coin:
         if self.coin == "hadamard":
@@ -139,11 +131,10 @@ class RunConfig:
 
     def band_data(self) -> np.ndarray:
         """The band start as an (M, 4) array; its count must be 4M and its l2 norm finite."""
-        m = self.width()
         data = _bounded_band(self.band)
-        if data.size != 4 * m:
-            raise ValueError(f"band init needs {4 * m} complex entries, got {data.size}")
-        return data.reshape(m, 4)
+        if data.size != 4 * self.m:
+            raise ValueError(f"band init needs {4 * self.m} complex entries, got {data.size}")
+        return data.reshape(self.m, 4)
 
 
 def _bounded_band(band) -> np.ndarray:
@@ -167,8 +158,6 @@ def _format_value(v) -> str:
         return f"{v.real!r},{v.imag!r}"
     if isinstance(v, tuple):
         return " ".join(_format_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -194,12 +183,10 @@ def _parse_value(name: str, text: str, template):
         if text.lower() not in ("true", "false"):
             raise ValueError(f"{name}: expected true/false, got {text!r}")
         return text.lower() == "true"
-    if isinstance(template, complex) and not isinstance(template, bool):
+    if isinstance(template, complex):
         return _parse_complex(name, text)
     if isinstance(template, int):
         return int(text)
-    if isinstance(template, float):
-        return float(text)
     return text
 
 
@@ -366,7 +353,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # The conjugate-mirror symmetry forcing a real measure on symmetric
     # stripes holds for product and mixed starts; arbitrary band vectors
     # may legitimately carry imaginary parts, which are only recorded.
-    if cfg.width() % 2 == 1 and cfg.init != "band" and not max_imag <= IMAG_TOL:
+    if cfg.m % 2 == 1 and cfg.init != "band" and not max_imag <= IMAG_TOL:
         failures.append(f"odd-width imaginary residue {max_imag:.3e}")
     s, t = cfg.stripe()
     _write_json(
@@ -396,7 +383,6 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     s, t = cfg.stripe()
-    m = t - s + 1
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
     ks, values = spectrum_grid(coin, s, t, cfg.kgrid)
@@ -408,7 +394,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
                 modulus = abs(lam)
                 if not modulus <= 1.0 + 1e-10:
                     failures.append(f"|lambda| = {modulus} > 1 + 1e-10 at k={k}")
-                yield m, k, lam.real, lam.imag, modulus
+                yield cfg.m, k, lam.real, lam.imag, modulus
 
     _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows(), digest)
     for msg in failures:
@@ -420,9 +406,9 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     s, t = cfg.stripe()
-    if cfg.width() != 2:
+    if cfg.m != 2:
         # Rank 3, the minimal and the characteristic polynomial are width-2 facts.
-        raise ValueError(f"kato checks the width-2 statements; got width {cfg.width()}, set m = 2")
+        raise ValueError(f"kato checks the width-2 statements; got width {cfg.m}, set m = 2")
     # They are Hadamard facts too, as are the delta-expansions.
     if cfg.coin != "hadamard":
         raise ValueError("kato checks the Hadamard statements; set coin = hadamard")
@@ -497,7 +483,8 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     cell_spinor = coin.matrix @ g
     cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
     c_minus, c_zero, c_plus = limit_coefficients(cell_spinor)
-    state = init_product(coin, g, s, t, n)
+    # snapshot_measure never steps, so the start needs no horizon.
+    state = init_product(coin, g, s, t, 0)
     total0 = measure(state).total()
     mu = snapshot_measure(state, n)
     drift = abs(mu.total() - total0)
@@ -558,9 +545,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     return 1 if failures else 0
 
 
-def _characteristics_row(args) -> tuple[list, dict]:
-    cfg_text, m = args
-    cfg = config_from_text(cfg_text)
+def _characteristics_row(cfg: RunConfig, m: int) -> tuple[list, dict]:
     coin = cfg.coin_obj()
     n = cfg.steps
     nmax = 4 * m + 40
@@ -608,18 +593,17 @@ def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     digest = config_hash(cfg)
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    jobs = [(config_to_text(cfg), m) for m in cfg.mlist]
     # The pool starts all its processes at once, so it gets no more than
-    # there are jobs.
-    workers = min(workers, len(jobs))
+    # there are widths.
+    workers = min(workers, len(cfg.mlist))
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which no other run needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_characteristics_row, jobs))
+            results = list(pool.map(_characteristics_row, repeat(cfg), cfg.mlist))
     else:
-        results = [_characteristics_row(j) for j in jobs]
+        results = [_characteristics_row(cfg, m) for m in cfg.mlist]
     rows = [r for r, _ in results]
     _write_csv(
         out / "characteristics.csv",
@@ -685,8 +669,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     n = cfg.steps
     for m in cfg.mlist:
-        sub = replace(cfg, m=m, s=1, t=0)  # s > t resets to the width-m placement
-        mu = measure(evolve(_initial_state(sub, n), n))
+        mu = measure(evolve(_initial_state(replace(cfg, m=m), n), n))
         _write_measure(out, f"M{m}_n{n}", mu, digest)
     _write_json(out / "provenance.json", {"command": "sweep", "config": config_to_text(cfg)}, digest)
     return 0

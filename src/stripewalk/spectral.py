@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_hadamard
-from .walker import BandState, ComplexMeasure
+from .walker import BandState, ComplexMeasure, _validate_stripe
 
 __all__ = [
     "KatoReduction",
@@ -102,8 +102,7 @@ def t1_matrix(coin: Coin, m: int) -> np.ndarray:
 
 def w_stack(coin: Coin, s: int, t: int, ks: Sequence[float]) -> np.ndarray:
     """W(k) for every momentum of ``ks`` as one (K, 4M, 4M) array."""
-    if not s <= 0 <= t:
-        raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
+    _validate_stripe(s, t)
     return _w_stack(blocks(coin), t - s + 1, ks)
 
 
@@ -203,8 +202,7 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     isometries.  The grid is built in chunks of at most ``GRID_CHUNK_BYTES``
     of matrices.
     """
-    if not s <= 0 <= t:
-        raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
+    _validate_stripe(s, t)
     m = t - s + 1
     _check_size(4 * m)
     b = blocks(coin)
@@ -435,10 +433,8 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
         raise ValueError(f"snapshot time must be non-negative, got {n}")
     m = state.m
     perm = reflection(m)
-    field = state.dense()
-    phi = field[:, :, state.center].T.reshape(4 * m).astype(complex)
-    real = field.dtype.kind == "f"
-    del field  # only the column u = 0 is needed; the copy is not kept through the powering
+    phi = state.dense()[:, :, state.center].T.reshape(4 * m).astype(complex)
+    real = state.packed.dtype.kind == "f"
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
     q = 4 * -state.s + np.array([LL, RR])
     q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()

@@ -197,7 +197,9 @@ class BandState:
 
     ``dense()`` gives the field in the layout (4, M, 2 n_max + 3) with the
     column u + center; ``plans`` holds the kernel's slices for both
-    parities of n and passes unchanged from a state to the next.
+    parities of n and passes unchanged from a state to the next.  Every
+    field is required: ``init_band_vector`` builds a state from its data,
+    and ``step`` builds the next one from it.
     """
 
     coin: Coin
@@ -206,18 +208,10 @@ class BandState:
     n: int
     n_max: int
     packed: np.ndarray
-    blocks: CoinBlocks = field(repr=False, default=None)  # type: ignore[assignment]
-    sublattices: tuple[int, ...] = (0, 1)
-    live: tuple[int, int] = None  # type: ignore[assignment]
-    plans: tuple = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.blocks is None:
-            self.blocks = blocks(self.coin)
-        if self.live is None:
-            self.live = (self.center - self.n, self.center + self.n + 1)
-        if self.plans is None:
-            self.plans = _plans(self.s, self.m, self.center, self.sublattices)
+    blocks: CoinBlocks = field(repr=False)
+    sublattices: tuple[int, ...]
+    live: tuple[int, int]
+    plans: tuple = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -323,6 +317,7 @@ def init_band_vector(
         coin=coin, s=s, t=t, n=0, n_max=n_max,
         packed=np.zeros((len(sublattices), 4, m, n_max + 2), dtype=dtype), blocks=b,
         sublattices=sublattices, live=(c, c + 1) if sublattices else (c, c),
+        plans=_plans(s, m, c, sublattices),
     )
     # At n = 0 sublattice sigma is live at u = 0 exactly in its rows v = sigma (mod 2).
     for f, rows, vrows, q, *_ in state.plans[0][0]:

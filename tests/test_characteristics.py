@@ -199,7 +199,9 @@ def test_run_series_determinism(hadamard):
     assert np.array_equal(a.sum_re, b.sum_re)
     assert np.array_equal(a.peak_val, b.peak_val)
     assert np.array_equal(a.mu_center, b.mu_center)
-    assert np.array_equal(a.edge, b.edge)
+    assert a.edges.keys() == b.edges.keys()
+    for thr in a.edges:
+        assert np.array_equal(a.edges[thr], b.edges[thr])
 
 
 def test_run_series_conservation_trace(hadamard):

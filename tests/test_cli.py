@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripewalk import cli, evolve, init_product, make_hadamard, measure, spectral, stripe_for_width
+from stripewalk import (
+    cli,
+    evolve,
+    init_band_vector,
+    init_product,
+    make_hadamard,
+    measure,
+    spectral,
+    stripe_for_width,
+)
 from stripewalk.coin import LL, RR
 from stripewalk.cli import (
     RunConfig,
@@ -353,8 +362,8 @@ def test_characteristics_workers_are_checked_and_capped(tmp_path, capsys, monkey
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = tmp_path / "cfg.txt"
@@ -447,7 +456,7 @@ def test_sweep_command(tmp_path):
 def test_mixed_initial_state_konno(tmp_path):
     # The half-half LL/RR cell reproduces the symmetric ballistic limit.
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 100\ninit = mixed\ns = -100\nt = 100\n")
+    cfg.write_text("steps = 100\ninit = mixed\nm = 201\n")  # the stripe (-100, 100)
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     _, _, rows = _read_csv(tmp_path / "o" / "measure_n100.csv")
@@ -498,8 +507,13 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
     report = json.loads((tmp_path / "s" / "limits.json").read_text())
     assert report["engine"] == {"momenta": 1201}
     assert report["measure_sum_drift"] <= report["measure_sum_tol"]
-    # The same report made from the real-space engine's measure.
-    monkeypatch.setattr(cli, "snapshot_measure", lambda state, n: measure(evolve(state, n)))
+    # The same report made from the real-space engine's measure.  limits
+    # builds its start with no horizon, so it is rebuilt with horizon n.
+    def real_space(state, n):
+        data = state.dense()[:, :, state.center].T  # each row's 4-vector at u = 0
+        return measure(evolve(init_band_vector(state.coin, data, state.s, state.t, n), n))
+
+    monkeypatch.setattr(cli, "snapshot_measure", real_space)
     assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
     reference = json.loads((tmp_path / "r" / "limits.json").read_text())
     worst = max(_floats(report, reference), key=lambda item: item[1])
@@ -587,6 +601,8 @@ def test_engine_records_carry_versions(tmp_path):
                 "fit_hi = 0",
                 "conservation_tol = 1e-10",
                 "imag_tol = 1e-12",
+                "s = -1",
+                "t = 0",
             )
         ),
     ],
@@ -620,6 +636,63 @@ def test_library_check_failure_is_one_fail_line_exit_1(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1 and err.startswith("FAIL spectrum: eigenpair residual")
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "spectrum.csv").exists()
+
+
+def _scaled_spectrum(monkeypatch):
+    grid = cli.spectrum_grid
+
+    def scaled(*args):
+        ks, values = grid(*args)
+        return ks, 1.5 * values
+
+    monkeypatch.setattr(cli, "spectrum_grid", scaled)
+
+
+def _failed_polynomial(monkeypatch):
+    residuals = cli.poly_residuals
+    monkeypatch.setattr(
+        cli,
+        "poly_residuals",
+        lambda w: {**residuals(w), "minimal_poly_residual": 1.0, "minimality_witness": 0.0},
+    )
+
+
+def _shifted_oqrw(monkeypatch):
+    reference = cli.oqrw_reference
+    monkeypatch.setattr(cli, "oqrw_reference", lambda coin, g, n: reference(coin, g, n) + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "command, text, report, force",
+    [
+        ("simulate", "m = 3\nsteps = 20\n", "provenance.json", lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0)),
+        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.csv", _scaled_spectrum),
+        ("kato", "m = 2\n", "kato.json", _failed_polynomial),
+        ("oracle-check", "", "oracle_check.json", _shifted_oqrw),
+    ],
+)
+def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
+    tmp_path, capsys, monkeypatch, command, text, report, force
+):
+    # Each subcommand's own checks, forced to fail: every recorded failure
+    # prints one FAIL line, and the run exits 1 with no traceback.
+    force(monkeypatch)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if report.endswith(".json"):
+        failures = json.loads((tmp_path / "o" / report).read_text())["failures"]
+        assert lines == [f"FAIL {command}: {msg}" for msg in failures]
+    else:  # spectrum records its failures only as the |lambda| column
+        _, _, rows = _read_csv(tmp_path / "o" / report)
+        failures = [r for r in rows if float(r[4]) > 1.0 + 1e-10]
+        assert len(lines) == len(failures)
+        assert all(line.startswith("FAIL spectrum: |lambda| = ") for line in lines)
+    assert failures
 
 
 def test_snapshot_range_is_checked_on_load(tmp_path):

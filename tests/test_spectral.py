@@ -1,5 +1,7 @@
 import ast
+import functools
 import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -440,29 +442,52 @@ def test_kato_mode_masses_are_the_limit_coefficients(hadamard, g):
 
 def test_every_public_name_serves_the_library():
     # Each name in the __all__ of every module is used by the package or
-    # its scripts other than in its own definition; helpers and closed
-    # forms that only tests use live in oracles.py.
+    # its scripts other than in its own definition, and each public method
+    # or property of the package's classes is read as an attribute there
+    # or by the benchmark harness, whose files change only with the
+    # benchmark; helpers and closed forms that only tests use live in
+    # oracles.py.
     package = Path(spectral.__file__).parent
-    used = set()
-    for path in [*package.glob("*.py"), *(package.parents[1] / "scripts").glob("*.py")]:
+    library = [*package.glob("*.py"), *(package.parents[1] / "scripts").glob("*.py")]
+    used, read = set(), set()
+    for path in library:
         used |= _names_used(ast.parse(path.read_text()))
+    for path in [*library, *(package.parents[1] / "perfbench").rglob("*.py")]:
+        read |= _names_used(ast.parse(path.read_text()), attributes_only=True)
     unused = {}
     for path in sorted(package.glob("*.py")):
         module = importlib.import_module(f"stripewalk.{path.stem}" if path.stem != "__init__" else "stripewalk")
         if hasattr(module, "__all__"):
             unused[path.stem] = sorted(set(module.__all__) - used)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and not cls.__name__.startswith("_"):
+                for name, member in vars(cls).items():
+                    if _is_public_member(name, member) and name not in read:
+                        unused.setdefault(path.stem, []).append(f"{cls.__name__}.{name}")
     assert "spectral" in unused and "walker" in unused
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def _names_used(node, enclosing=frozenset()):
-    """Names loaded and attributes read under ``node``, each outside the definitions of that name."""
+def _is_public_member(name, member):
+    """A public method, property or class/static method defined in a class body."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    return not name.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds))
+
+
+def _names_used(node, enclosing=frozenset(), attributes_only=False):
+    """Names loaded (unless ``attributes_only``) and attributes read under
+    ``node``, each outside the definitions of that name."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         enclosing = enclosing | {node.name}
-    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name) and not attributes_only:
+        name = node.id
+    else:
+        name = None
     used = {name} - enclosing - {None}
     for child in ast.iter_child_nodes(node):
-        used |= _names_used(child, enclosing)
+        used |= _names_used(child, enclosing, attributes_only)
     return used
 
 
