@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stripewalk import evolve, init_product, make_hadamard, measure, stripe_for_width
+from stripewalk import evolve, init_product, make_hadamard, measure
 from stripewalk.limits import konno_density
 
 WIDTHS = (1, 2, 3, 5, 10, 51)
@@ -34,8 +34,7 @@ def main() -> int:
     coin = make_hadamard()
     g = np.array([1.0, 0.0])
     for m in args.widths:
-        s, t = stripe_for_width(m)
-        state = evolve(init_product(coin, g, s, t, n), n)
+        state = evolve(init_product(coin, g, m, n), n)
         mu = measure(state)
         xs = mu.positions()
         path = out / f"profile_M{m}_n{n}.csv"

@@ -29,11 +29,12 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     n = args.steps
     coin = make_hadamard()
-    red = kato_reduction(coin, -1, 0)
+    red = kato_reduction(coin, 2)
     c = n / math.sqrt(3.0)
     w = 4.0 * math.sqrt(n)
-    for name, vec in (("v1", red.v1), ("v2", red.v2), ("v3", red.v3)):
-        state = evolve(init_band_vector(coin, vec.reshape(2, 4), -1, 0, n + 2), n)
+    for j, vec in enumerate(red.vectors, 1):
+        name = f"v{j}"
+        state = evolve(init_band_vector(coin, vec.reshape(2, 4), 2, n + 2), n)
         mu = measure(state)
         xs = mu.positions()
         path = out / f"measure_{name}_n{n}.csv"

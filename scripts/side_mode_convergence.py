@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from stripewalk import init_product, make_hadamard, stripe_for_width
+from stripewalk import init_product, make_hadamard
 from stripewalk.limits import (
     SIDE_VARIANCE,
     SIDE_VARIANCE_CUMULANT,
@@ -42,13 +42,12 @@ def main() -> int:
     cell_spinor /= np.linalg.norm(cell_spinor)
     left, center, right = limit_profiles(cell_spinor)
     weights = [p.weight.real for p in (left, center, right)]
-    s, t = stripe_for_width(2)
     print(
         "n,ks_left_1/9,ks_right_1/9,ks_left_4/9,ks_right_4/9,"
         "mass_err_left,mass_err_center,mass_err_right"
     )
     for n in args.steps:
-        mu = snapshot_measure(init_product(coin, g, s, t, 0), n)
+        mu = snapshot_measure(init_product(coin, g, 2, 0), n)
         ks = [
             scaled_cdf_distance(mu, LimitProfile(p.mode, p.weight, p.speed, var), args.w)
             for var in (SIDE_VARIANCE_CUMULANT, SIDE_VARIANCE)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coin import Coin
-from .walker import diagonal, init_product, stripe_for_width, trajectory
+from .walker import diagonal, init_product, trajectory
 
 __all__ = [
     "RunSeries",
@@ -147,8 +147,7 @@ def run_series(
     delta: float = DEFAULT_DELTA,
 ) -> RunSeries:
     """Evolve the width-m product start for n steps recording all per-step observables."""
-    s, t = stripe_for_width(m)
-    state = init_product(coin, g, s, t, n)
+    state = init_product(coin, g, m, n)
     series = RunSeries.allocate(m, n, delta)
     final = state
     for final in trajectory(state, n):

@@ -108,9 +108,6 @@ class RunConfig:
     kgrid: int = 64
     mlist: tuple[int, ...] = (1, 2, 3, 5, 10)
 
-    def stripe(self) -> tuple[int, int]:
-        return stripe_for_width(self.m)
-
     def coin_obj(self) -> Coin:
         if self.coin == "hadamard":
             return make_hadamard()
@@ -169,6 +166,13 @@ def _parse_complex(name: str, text: str) -> complex:
         raise ValueError(f"{name}: expected a complex number written re,im, got {text!r}") from None
 
 
+def _parse_int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected an integer, got {text!r}") from None
+
+
 #: Element type of each tuple-valued config field.
 _TUPLE_FIELDS = {"g": complex, "band": complex, "snapshots": int, "mlist": int}
 
@@ -178,7 +182,7 @@ def _parse_value(name: str, text: str, template):
         parts = text.split()
         if _TUPLE_FIELDS[name] is complex:
             return tuple(_parse_complex(name, p) for p in parts)
-        return tuple(int(p) for p in parts)
+        return tuple(_parse_int(name, p) for p in parts)
     if isinstance(template, bool):
         if text.lower() not in ("true", "false"):
             raise ValueError(f"{name}: expected true/false, got {text!r}")
@@ -186,7 +190,7 @@ def _parse_value(name: str, text: str, template):
     if isinstance(template, complex):
         return _parse_complex(name, text)
     if isinstance(template, int):
-        return int(text)
+        return _parse_int(name, text)
     return text
 
 
@@ -293,15 +297,15 @@ def _versions() -> dict:
 
 def _initial_state(cfg: RunConfig, n_max: int):
     coin = cfg.coin_obj()
-    s, t = cfg.stripe()
     if cfg.init == "product":
-        return init_product(coin, cfg.spinor(), s, t, n_max)
+        return init_product(coin, cfg.spinor(), cfg.m, n_max)
     if cfg.init == "mixed":
-        data = np.zeros((t - s + 1, 4), dtype=complex)
+        s, _ = stripe_for_width(cfg.m)
+        data = np.zeros((cfg.m, 4), dtype=complex)
         data[-s] = [0.5, 0.0, 0.0, 0.5]
-        return init_band_vector(coin, data, s, t, n_max)
+        return init_band_vector(coin, data, cfg.m, n_max)
     if cfg.init == "band":
-        return init_band_vector(coin, cfg.band_data(), s, t, n_max)
+        return init_band_vector(coin, cfg.band_data(), cfg.m, n_max)
     raise ValueError(f"unknown init {cfg.init!r}")
 
 
@@ -355,13 +359,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # may legitimately carry imaginary parts, which are only recorded.
     if cfg.m % 2 == 1 and cfg.init != "band" and not max_imag <= IMAG_TOL:
         failures.append(f"odd-width imaginary residue {max_imag:.3e}")
-    s, t = cfg.stripe()
     _write_json(
         out / "provenance.json",
         {
             "config": config_to_text(cfg),
             "command": "simulate",
-            "stripe": [s, t],
+            "stripe": list(stripe_for_width(cfg.m)),
             "initial_measure_total": _complex_pairs(total0),
             "max_abs_imag": max_imag,
             "measure_sum_drift": sum_drift,
@@ -382,10 +385,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
-    s, t = cfg.stripe()
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
-    ks, values = spectrum_grid(coin, s, t, cfg.kgrid)
+    ks, values = spectrum_grid(coin, cfg.m, cfg.kgrid)
     failures = []
 
     def rows():
@@ -405,14 +407,13 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 def cmd_kato(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
-    s, t = cfg.stripe()
     if cfg.m != 2:
         # Rank 3, the minimal and the characteristic polynomial are width-2 facts.
         raise ValueError(f"kato checks the width-2 statements; got width {cfg.m}, set m = 2")
     # They are Hadamard facts too, as are the delta-expansions.
     if cfg.coin != "hadamard":
         raise ValueError("kato checks the Hadamard statements; set coin = hadamard")
-    red = kato_reduction(coin, s, t)
+    red = kato_reduction(coin, cfg.m)
     checks = {
         "pi_idempotent": float(np.max(np.abs(red.pi @ red.pi - red.pi))),
         "pi_hermitian": float(np.max(np.abs(red.pi - red.pi.conj().T))),
@@ -451,7 +452,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         out / "kato.json",
         {
             "command": "kato",
-            "stripe": [s, t],
+            "stripe": list(stripe_for_width(cfg.m)),
             "pi": _complex_pairs(red.pi),
             "t1": _complex_pairs(red.t1),
             "r": _complex_pairs(red.r),
@@ -472,7 +473,6 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
 def cmd_limits(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
-    s, t = cfg.stripe()
     n = cfg.steps
     if cfg.init != "product":
         raise ValueError(
@@ -484,7 +484,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
     c_minus, c_zero, c_plus = limit_coefficients(cell_spinor)
     # snapshot_measure never steps, so the start needs no horizon.
-    state = init_product(coin, g, s, t, 0)
+    state = init_product(coin, g, cfg.m, 0)
     total0 = measure(state).total()
     mu = snapshot_measure(state, n)
     drift = abs(mu.total() - total0)
@@ -631,7 +631,7 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     n = 50
     worst_qw = 0.0
     for g in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)):
-        band = trajectory(init_product(coin, g, -n, n, n), n)
+        band = trajectory(init_product(coin, g, 2 * n + 1, n), n)
         for state, ref in zip(band, qw1d_trajectory(coin, g, n)):
             worst_qw = float(np.maximum(worst_qw, np.max(np.abs(measure(state).values - ref))))
     report["unitary_limit_max_abs_diff"] = worst_qw
@@ -643,7 +643,7 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     worst_neg = 0.0
     worst_sum = 0.0
     for g in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)):
-        got = measure(evolve(init_product(coin, g, 0, 0, n), n)).values
+        got = measure(evolve(init_product(coin, g, 1, n), n)).values
         ref = oqrw_reference(coin, g, n)
         worst_cl = float(np.maximum(worst_cl, np.max(np.abs(got - ref))))
         worst_neg = float(np.minimum(worst_neg, got.real.min()))

@@ -1,13 +1,13 @@
 """Momentum-space operator of the stripe walk and its spectral analysis.
 
-For momentum k the walk restricted to stripe rows v in {s..t} is the
+For momentum k the walk restricted to the M stripe rows is the
 4M x 4M block-tridiagonal compression
 
     W(k) = [ V(k)  PQ              ]        V(k) = e^{-ik} PP + e^{ik} QQ,
            [ QP    V(k)  PQ        ]
            [       QP    V(k) ...  ]
 
-with one 4x4 block per row v, blocks ordered v ascending from s to t: the
+with one 4x4 block per row v, blocks ordered v ascending (block v + M // 2): the
 superdiagonal PQ couples row v to v+1, the subdiagonal QP to v-1.  W(k) is
 a non-normal contraction; its spectrum near the unit circle controls the
 long-time measure.
@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_hadamard
-from .walker import BandState, ComplexMeasure, _validate_stripe
+from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks
+from .walker import BandState, ComplexMeasure, stripe_for_width
 
 __all__ = [
     "KatoReduction",
@@ -76,7 +76,7 @@ MATCH_AMBIGUITY_TOL = 1e-6
 UNIT_GROUP_TOL = 1e-6
 #: A reduced eigenvector's phase is fixed by its first entry of modulus
 #: above this value.  The first entry of largest modulus would not do:
-#: the Hadamard v1 has entries +-1/2 that tie.
+#: the Hadamard zero mode at M = 2 has entries +-1/2 that tie.
 PHASE_ENTRY_TOL = 1e-8
 #: Largest off-sublattice |mu| and, for a float64 start, largest |Im mu|
 #: that ``snapshot_measure`` may round to exactly 0, times max(1, |phi|).
@@ -100,13 +100,8 @@ def t1_matrix(coin: Coin, m: int) -> np.ndarray:
     return np.kron(np.eye(m), t1_block(b))
 
 
-def w_stack(coin: Coin, s: int, t: int, ks: Sequence[float]) -> np.ndarray:
-    """W(k) for every momentum of ``ks`` as one (K, 4M, 4M) array."""
-    _validate_stripe(s, t)
-    return _w_stack(blocks(coin), t - s + 1, ks)
-
-
-def _w_stack(b: CoinBlocks, m: int, ks: Sequence[float]) -> np.ndarray:
+def w_stack(b: CoinBlocks, m: int, ks: Sequence[float]) -> np.ndarray:
+    """W(k) of the width-m stripe for every momentum of ``ks`` as one (K, 4M, 4M) array."""
     ks = np.asarray(ks, dtype=float)[:, None, None]
     w = np.zeros((len(ks), m, 4, m, 4), dtype=complex)
     i = np.arange(m)
@@ -135,8 +130,8 @@ def shift_signs(m: int) -> np.ndarray:
 
     V(k + pi) = -V(k), while D flips the sign of the off-diagonal blocks
     PQ and QP, which couple rows of opposite parity; so the identity holds
-    for every coin.  The signs run from +1 at v = s: the overall sign of D
-    drops out of D W D.
+    for every coin.  The signs run from +1 at the first row: the overall
+    sign of D drops out of D W D.
     """
     return np.repeat((-1.0) ** np.arange(m), 4)
 
@@ -186,8 +181,8 @@ def eig(w: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     return values[0], vectors[0]
 
 
-def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of W(k) at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
+def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of W(k) of the width-m stripe at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
 
     Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M) in LAPACK
     order.  The reflection k -> -k (``reflection``) and the shift
@@ -202,8 +197,7 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     isometries.  The grid is built in chunks of at most ``GRID_CHUNK_BYTES``
     of matrices.
     """
-    _validate_stripe(s, t)
-    m = t - s + 1
+    stripe_for_width(m)  # rejects m < 1
     _check_size(4 * m)
     b = blocks(coin)
     perm, signs = reflection(m), shift_signs(m)[:, None]
@@ -225,7 +219,7 @@ def spectrum_grid(coin: Coin, s: int, t: int, kgrid: int) -> tuple[np.ndarray, n
     for lo in range(0, orbits.shape[1], step):
         fill = fills[:, lo : lo + step]
         rows = orbits[:, lo : lo + step][fill]  # the solved k first
-        w = _w_stack(b, m, ks[rows])
+        w = w_stack(b, m, ks[rows])
         solved = w[: fill.shape[1]]
         vals, vecs = _solve(solved)
         scale = np.broadcast_to(np.linalg.norm(solved, 2, axis=(-2, -1)), fill.shape)[fill]
@@ -272,46 +266,32 @@ class KatoReduction:
     momentum derivative of W at 0, ``r`` the reduced generator pi t1 pi.
     ``eigenvalues`` and ``vectors`` hold the eigenpairs of r on range(pi),
     the one nearest 0 first and the rest by decreasing imaginary part: for
-    the Hadamard coin at M = 2, (0, v1), (i/sqrt3, v2), (-i/sqrt3, v3).
+    the Hadamard coin at M = 2, the eigenvalues 0, i/sqrt3 and -i/sqrt3.
     Each vector has unit norm, and its first entry of modulus above
     ``PHASE_ENTRY_TOL`` is real and positive.  ``onb`` is an orthonormal
     basis of range(pi), from QR.
     """
 
     coin: Coin
-    s: int
-    t: int
+    m: int
     w0: np.ndarray
     onb: np.ndarray  # shape (rank, 4M)
     pi: np.ndarray
     t1: np.ndarray
     r: np.ndarray
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # shape (rank, 4M), rows v1, v2, v3, ...
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self.vectors[0]
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self.vectors[1]
-
-    @property
-    def v3(self) -> np.ndarray:
-        return self.vectors[2]
+    vectors: np.ndarray  # shape (rank, 4M)
 
 
-def kato_reduction(coin: Coin | None = None, s: int = -1, t: int = 0) -> KatoReduction:
+def kato_reduction(coin: Coin, m: int) -> KatoReduction:
     """Projection, derivative, and reduced eigensystem at k = 0.
 
     One numerical path for every coin and width: the orthogonal projection
     onto the eigenvalue group of W(0) at 1 (``UNIT_GROUP_TOL``), and the
     eigenpairs of t1 represented on an orthonormal basis of its range.
     """
-    if coin is None:
-        coin = make_hadamard()
-    w0 = w_stack(coin, s, t, [0.0])[0]
+    stripe_for_width(m)  # rejects m < 1
+    w0 = w_stack(blocks(coin), m, [0.0])[0]
     values, vectors = eig(w0, 0.0)
     sel = np.abs(values - 1.0) <= UNIT_GROUP_TOL
     if not np.any(sel):
@@ -319,10 +299,10 @@ def kato_reduction(coin: Coin | None = None, s: int = -1, t: int = 0) -> KatoRed
     q, _ = np.linalg.qr(vectors[:, sel])
     pi = q @ q.conj().T
     onb = q.T.copy()
-    t1 = t1_matrix(coin, t - s + 1)
+    t1 = t1_matrix(coin, m)
     eigenvalues, vectors = _reduced_eigensystem(t1, onb)
     return KatoReduction(
-        coin=coin, s=s, t=t, w0=w0, onb=onb, pi=pi, t1=t1, r=pi @ t1 @ pi,
+        coin=coin, m=m, w0=w0, onb=onb, pi=pi, t1=t1, r=pi @ t1 @ pi,
         eigenvalues=eigenvalues, vectors=vectors,
     )
 
@@ -375,7 +355,7 @@ def perturbed_projection_check(red: KatoReduction, delta: float) -> dict:
     if not 0.0 < delta <= 0.3:
         raise ValueError("delta must lie in (0, 0.3]")
     k = k_of_delta(delta)
-    values, vectors = eig(w_stack(red.coin, red.s, red.t, [k])[0], k)
+    values, vectors = eig(w_stack(blocks(red.coin), red.m, [k])[0], k)
     left = np.linalg.inv(vectors)
     matched = []
     residuals = []
@@ -436,7 +416,7 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     phi = state.dense()[:, :, state.center].T.reshape(4 * m).astype(complex)
     real = state.packed.dtype.kind == "f"
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
-    q = 4 * -state.s + np.array([LL, RR])
+    q = 4 * (m // 2) + np.array([LL, RR])
     q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()
     size = 2 * n + 1
     ks = 2.0 * np.pi * np.arange(n + 1) / size
@@ -445,7 +425,7 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     for lo in range(0, n + 1, step):
         own = np.arange(lo, min(lo + step, n + 1))
         x = np.broadcast_to(vecs, (len(own), 4 * m, 2))
-        y = apply_power(_w_stack(state.blocks, m, ks[own]), n, x)
+        y = apply_power(w_stack(state.blocks, m, ks[own]), n, x)
         chi[own] = y[:, q, 0].sum(axis=1)
         mirrored = own > 0
         chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()

@@ -2,13 +2,14 @@
 
 The walk lives on rotated coordinates (u, v): u runs along the diagonal of
 the original two-dimensional lattice (the walker position), v is the
-transverse coherence coordinate, confined to the stripe rows
-v in {s, ..., t} with s <= 0 <= t.  One step reads
+transverse coherence coordinate, confined to the M stripe rows
+v = -(M // 2), ..., (M - 1) // 2 (``stripe_for_width``), so that v = 0 is
+row M // 2.  One step reads
 
     psi'(u, v) = PP psi(u+1, v) + QQ psi(u-1, v)
                + PQ psi(u, v+1) + QP psi(u, v-1),
 
-where PP = P (x) conj(P) etc., and any v outside {s..t} reads as zero
+where PP = P (x) conj(P) etc., and any v outside the stripe reads as zero
 (the cut).  This is the inverse Fourier transform of the momentum-space
 step V(k) psi(v) + PQ psi(v+1) + QP psi(v-1); the two agree because the
 u-shifts carry exactly the e^{-+ik} factors of V(k).
@@ -44,7 +45,7 @@ The step kernel computes only cells that can be nonzero and visible:
   occupies (one for product and mixed starts, possibly both for band
   starts) as its own packed field, and stores nothing else.
 * packed layout: in a packed field each stripe row keeps only its live
-  columns, so cell u of row r = v - s sits at packed column
+  columns, so cell u of row r = v + M // 2 sits at packed column
   j = (u + center) // 2.  Rows are stored even-first (r = 0, 2, 4, ...,
   then 1, 3, 5, ...), so each row parity is one contiguous block, and the
   two blocks are live on opposite column parities.  That parity flips
@@ -105,12 +106,14 @@ __all__ = [
 
 
 def stripe_for_width(m: int) -> tuple[int, int]:
-    """Stripe (s, t) of width m: symmetric for odd m, (-m/2, m/2-1) for even."""
+    """First and last row (s, t) of the width-m stripe: symmetric for odd m,
+    (-m/2, m/2 - 1) for even; v = 0 is row m // 2 either way.
+
+    The one placement of the stripe, and the one check that m >= 1.
+    """
     if m < 1:
         raise ValueError(f"stripe width must be >= 1, got {m}")
-    if m % 2 == 1:
-        return (-(m - 1) // 2, (m - 1) // 2)
-    return (-m // 2, m // 2 - 1)
+    return (-(m // 2), (m - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,14 @@ class _Block(NamedTuple):
 
     field: int  # index into ``BandState.sublattices``
     rows: slice  # its packed rows
-    vrows: slice  # the same rows as stripe rows v - s (step 2)
+    vrows: slice  # the same rows as stripe rows v + M // 2 (step 2)
     q: int  # parity of the column u + center live in these rows
     up: slice  # packed rows read through PQ (LR at v + 1) by the leading rows; the rest read zero
     down: int  # 1 when the first row reads zero through QP (RL at v - 1), else 0
     dn: slice  # packed rows read through QP by the rows after the first ``down``
 
 
-def _plans(s: int, m: int, center: int, sublattices: Sequence[int]) -> tuple:
+def _plans(m: int, center: int, sublattices: Sequence[int]) -> tuple:
     """Per parity of n: the blocks, and per column parity the (field, rows) live there.
 
     Even stripe rows occupy packed rows [0, ne), odd ones [ne, m).  Even
@@ -172,7 +175,7 @@ def _plans(s: int, m: int, center: int, sublattices: Sequence[int]) -> tuple:
         for f, sub in enumerate(sublattices):
             for b, (rows, vrows, up, down, dn) in enumerate(layout):
                 if rows.start < rows.stop:
-                    q = (parity + sub - s + center + b) % 2
+                    q = (parity + sub + m // 2 + center + b) % 2
                     groups.append(_Block(f, rows, vrows, q, up, down, dn))
                     columns[q].append((f, rows))
         plans.append((tuple(groups), (tuple(columns[0]), tuple(columns[1]))))
@@ -185,7 +188,7 @@ class BandState:
 
     ``packed`` has shape (F, 4, M, n_max + 2): one packed field per entry
     of ``sublattices`` (the parities of u+v occupied at n = 0), axis 1 the
-    component (LL, LR, RL, RR), axis 2 the stripe row r = v - s in
+    component (LL, LR, RL, RR), axis 2 the stripe row r = v + M // 2 in
     even-first order (0, 2, 4, ..., then 1, 3, 5, ...), axis 3 the packed
     column j.  At time n the field of sublattice sigma holds cell (u, v)
     with u + v = n + sigma (mod 2) at j = (u + center) // 2; its other
@@ -203,8 +206,7 @@ class BandState:
     """
 
     coin: Coin
-    s: int
-    t: int
+    m: int
     n: int
     n_max: int
     packed: np.ndarray
@@ -214,17 +216,13 @@ class BandState:
     plans: tuple = field(repr=False)
 
     @property
-    def m(self) -> int:
-        return self.t - self.s + 1
-
-    @property
     def center(self) -> int:
         return self.n_max + 1
 
     def dense(self) -> np.ndarray:
         """A fresh (4, M, 2 n_max + 3) copy of the field in its dtype.
 
-        Axis 1 is the row v - s, axis 2 the column u + center; the cells
+        Axis 1 is the row v + M // 2, axis 2 the column u + center; the cells
         off the live sublattices are zero.
         """
         width = 2 * self.n_max + 3
@@ -256,11 +254,6 @@ class BandState:
         }
 
 
-def _validate_stripe(s: int, t: int) -> None:
-    if not (s <= 0 <= t):
-        raise ValueError(f"stripe must satisfy s <= 0 <= t, got ({s}, {t})")
-
-
 def unit_spinor(g: Sequence[complex]) -> np.ndarray:
     """``g`` as a complex 2-vector; ValueError unless it is finite and unit length."""
     g = np.asarray(g, dtype=complex)
@@ -272,52 +265,46 @@ def unit_spinor(g: Sequence[complex]) -> np.ndarray:
     return g
 
 
-def init_product(
-    coin: Coin, g: Sequence[complex], s: int, t: int, n_max: int
-) -> BandState:
-    """Product initial state: the cell (Hg) (x) conj(Hg) at (u, v) = (0, 0).
+def init_product(coin: Coin, g: Sequence[complex], m: int, n_max: int) -> BandState:
+    """Product initial state of the width-m stripe: the cell (Hg) (x) conj(Hg) at (u, v) = (0, 0).
 
     ``g`` must be a unit 2-vector; the coin is applied once before forming
     the tensor square, so the stored cell is (Hg) (x) conj(Hg).
     """
-    _validate_stripe(s, t)
+    s, _ = stripe_for_width(m)
     hg = coin.matrix @ unit_spinor(g)
-    data = np.zeros((t - s + 1, 4), dtype=complex)
+    data = np.zeros((m, 4), dtype=complex)
     data[-s] = np.kron(hg, hg.conj())
-    return init_band_vector(coin, data, s, t, n_max)
+    return init_band_vector(coin, data, m, n_max)
 
 
 def init_band_vector(
-    coin: Coin,
-    data: Sequence[Sequence[complex]] | np.ndarray,
-    s: int,
-    t: int,
-    n_max: int,
+    coin: Coin, data: Sequence[Sequence[complex]] | np.ndarray, m: int, n_max: int
 ) -> BandState:
-    """Place one 4-vector per stripe row at u = 0.
+    """Place one 4-vector per row of the width-m stripe at u = 0.
 
-    ``data`` holds M 4-vectors indexed by v ascending from s to t, matching
-    the block order of the momentum-space operator (a flat 4M vector from
-    the spectral module reshapes to (M, 4) directly).  The data and the
-    coin choose the engine: float64 when both are exactly real, and the
-    u+v parities of the nonzero rows as the sublattices to step.
+    ``data`` holds M 4-vectors indexed by v ascending (row v + M // 2),
+    matching the block order of the momentum-space operator (a flat 4M
+    vector from the spectral module reshapes to (M, 4) directly).  The
+    data and the coin choose the engine: float64 when both are exactly
+    real, and the u+v parities of the nonzero rows as the sublattices to
+    step.
     """
-    _validate_stripe(s, t)
+    s, _ = stripe_for_width(m)
     data = np.asarray(data, dtype=complex)
-    m = t - s + 1
     if data.shape != (m, 4):
         raise ValueError(f"band data must have shape ({m}, 4), got {data.shape}")
     b = blocks(coin)
     inputs = (b.w_pp, b.w_qq, b.w_pq, b.w_qp, data)
     dtype = complex if any(np.any(x.imag) for x in inputs) else float
     occupied = np.any(data != 0, axis=1)  # a NaN row counts as occupied
-    sublattices = tuple(sorted({v % 2 for v in range(s, t + 1) if occupied[v - s]}))
+    sublattices = tuple(sorted({(r + s) % 2 for r in range(m) if occupied[r]}))
     c = n_max + 1
     state = BandState(
-        coin=coin, s=s, t=t, n=0, n_max=n_max,
+        coin=coin, m=m, n=0, n_max=n_max,
         packed=np.zeros((len(sublattices), 4, m, n_max + 2), dtype=dtype), blocks=b,
         sublattices=sublattices, live=(c, c + 1) if sublattices else (c, c),
-        plans=_plans(s, m, c, sublattices),
+        plans=_plans(m, c, sublattices),
     )
     # At n = 0 sublattice sigma is live at u = 0 exactly in its rows v = sigma (mod 2).
     for f, rows, vrows, q, *_ in state.plans[0][0]:
@@ -447,8 +434,7 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
         hi -= 1
     return BandState(
         coin=state.coin,
-        s=state.s,
-        t=state.t,
+        m=state.m,
         n=n,
         n_max=state.n_max,
         packed=dst,
@@ -498,7 +484,7 @@ def diagonal(state: BandState) -> np.ndarray:
     where ``measure`` would add a zero imaginary part.
     """
     out = np.zeros(2 * state.n + 1, dtype=state.packed.dtype)
-    r = -state.s
+    r = state.m // 2
     for f, rows, vrows, q, *_ in state.plans[state.n % 2][0]:
         if vrows.start == r % 2:
             i0, j0, count = _cone(state, q)
@@ -519,13 +505,14 @@ def band_field(state: BandState) -> np.ndarray:
     cells with |u| > n are omitted (they are exactly zero), so there are
     M (2n + 1) records.
     """
-    n, s, t = state.n, state.s, state.t
+    n = state.n
     values = np.zeros((state.m, 2 * n + 1), dtype=complex)
     for f, rows, vrows, q, *_ in state.plans[n % 2][0]:
         i0, j0, count = _cone(state, q)
         cells = state.packed[f, :, rows, j0 : j0 + count]
         np.add(cells[LL], cells[RR], out=values[vrows, i0::2])
     u = np.arange(-n, n + 1)
+    s, t = stripe_for_width(state.m)
     v = np.arange(s, t + 1)[:, None]
     x, y = (u + v).ravel(), (u - v).ravel()
     values = values.ravel()

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from stripewalk import BandState, ComplexMeasure, init_product, qw1d_trajectory, stripe_for_width, trajectory
+from stripewalk import BandState, ComplexMeasure, init_product, qw1d_trajectory, trajectory
 from stripewalk.characteristics import (
     DEFAULT_DELTA,
     RunSeries,
@@ -45,7 +45,7 @@ from stripewalk.characteristics import (
     _stats_from_values,
     n_crit_of_trace,
 )
-from stripewalk.coin import LL, RR, Coin
+from stripewalk.coin import LL, RR, Coin, blocks
 from stripewalk.spectral import apply_power, w_stack
 from stripewalk.walker import diagonal, unit_spinor
 
@@ -118,20 +118,19 @@ def exact_trajectory(
     e = norm2.bit_length()  # 2^e = 2 |gamma|^2
     if norm2 != 1 << (e - 1):
         raise ValueError(f"|gamma|^2 = {norm2} is not a power of two")
-    s, t = stripe_for_width(m)
     hg = _H2 @ np.array(gamma, dtype=object)
     data = np.zeros((m, 4), dtype=object)
-    data[-s] = np.kron(hg, hg)
+    data[m // 2] = np.kron(hg, hg)  # the row of v = 0
     for n, amps in exact_band_trajectory(data, steps):
         yield n, amps, e
 
 
 def live_mask(state: BandState) -> np.ndarray:
-    """(M, 2 n_max + 3) booleans: the cells (v - s, u + center) on the state's
-    sublattices at its time, u + v = n + sigma (mod 2)."""
+    """(M, 2 n_max + 3) booleans: the cells (v + M // 2, u + center) on the
+    state's sublattices at its time, u + v = n + sigma (mod 2)."""
     r = np.arange(state.m)[:, None]
     u = np.arange(2 * state.n_max + 3)[None, :] - state.center
-    return np.isin((u + state.s + r - state.n) % 2, state.sublattices)
+    return np.isin((u + r - state.m // 2 - state.n) % 2, state.sublattices)
 
 
 def pack(state: BandState, dense: np.ndarray) -> BandState:
@@ -140,7 +139,7 @@ def pack(state: BandState, dense: np.ndarray) -> BandState:
     The packed layout, stated here apart from the walker: cell (u, v) of
     sublattice sigma = (u + v - n) mod 2 is ``packed[f, :, R, j]`` with f
     the index of sigma in ``state.sublattices``, R = r // 2 for an even
-    stripe row r = v - s and ceil(M / 2) + r // 2 for an odd one, and
+    stripe row r = v + M // 2 and ceil(M / 2) + r // 2 for an odd one, and
     j = (u + center) // 2.  A nonzero value off the live sublattices is a
     ValueError, since the packed field has no place for it.  The live
     window is left as it is.
@@ -150,7 +149,7 @@ def pack(state: BandState, dense: np.ndarray) -> BandState:
     if np.any(dense[:, ~mask] != 0):
         raise ValueError("dense field is nonzero off the live cells")
     r, col = np.nonzero(mask)
-    sigma = (col - state.center + state.s + r - state.n) % 2
+    sigma = (col - state.center + r - state.m // 2 - state.n) % 2
     field = np.searchsorted(state.sublattices, sigma)
     row = np.where(r % 2 == 0, r // 2, (state.m + 1) // 2 + r // 2)
     state.packed[...] = 0
@@ -165,7 +164,7 @@ def exact_onset(m: int, n_max: int, gamma: tuple[int, int] = (1, 1)) -> tuple[in
     (n_max + 1, min over the run) when the measure never goes negative;
     the minimum is rounded to float only after the exact sign test.
     """
-    row, c = -stripe_for_width(m)[0], n_max + 1
+    row, c = m // 2, n_max + 1
     lowest = None
     for n, amps, e in exact_trajectory(m, gamma, n_max):
         low = min(amps[LL, row, c - n : c + n + 1] + amps[RR, row, c - n : c + n + 1])
@@ -213,8 +212,7 @@ def n_crit(
     A standalone run of its own; the ``characteristics`` command reads the
     same onset off the ``min_re`` trace of the run it already made.
     """
-    s, t = stripe_for_width(m)
-    state = init_product(coin, g, s, t, n_max)
+    state = init_product(coin, g, m, n_max)
     min_re = (float(diagonal(st).real.min()) for st in trajectory(state, n_max))
     return n_crit_of_trace(min_re, m, n_max, tol)
 
@@ -249,7 +247,7 @@ def oqrw_limit(coin: Coin) -> float:
 _S2, _S3 = math.sqrt(2.0), math.sqrt(3.0)
 
 #: The paper's orthonormal basis (phi1, phi2, phi3) of the eigenspace of
-#: the Hadamard W(0) at 1, width 2, rows in the layout of ``build_w``.
+#: the Hadamard W(0) at 1, width 2, rows in the layout of ``w_stack``.
 KATO_BASIS = np.array(
     [
         [0, 0, 0, 0, 1 / _S2, 0, 0, 1 / _S2],
@@ -391,7 +389,7 @@ def cardano_lambda2_j0(k: float) -> float:
 
 
 def char_function(
-    coin: Coin, s: int, t: int, n: int, ks: Sequence[float], g: Sequence[complex]
+    coin: Coin, m: int, n: int, ks: Sequence[float], g: Sequence[complex]
 ) -> np.ndarray:
     """Characteristic function <q0, W(k)^n phi0(k)> over a momentum grid.
 
@@ -400,9 +398,8 @@ def char_function(
     Agrees with the Fourier sum of the simulated measure.
     """
     hg = coin.matrix @ np.asarray(g, dtype=complex)
-    m = t - s + 1
-    i0 = -s  # block index of v = 0
-    w = w_stack(coin, s, t, ks)
+    i0 = m // 2  # block index of v = 0
+    w = w_stack(blocks(coin), m, ks)
     vec = np.zeros((len(w), 4 * m, 1), dtype=complex)
     vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
     vec = apply_power(w, n, vec)

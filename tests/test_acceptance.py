@@ -34,7 +34,6 @@ from stripewalk import (
     measure,
     oqrw_reference,
     step,
-    stripe_for_width,
 )
 from stripewalk.characteristics import (
     decay_exponent,
@@ -87,7 +86,7 @@ def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> 
 
 @pytest.fixture(scope="module")
 def m2_measure_2000():
-    state = evolve(init_product(HAD, PLUS, -1, 0, 2002), 2000)
+    state = evolve(init_product(HAD, PLUS, 2, 2002), 2000)
     return measure(state)
 
 
@@ -106,7 +105,7 @@ def test_c01_unitary_limit_oracle():
     n = 50
     worst = 0.0
     for g in (LEFT, PLUS):
-        state = init_product(HAD, g, -n, n, n)
+        state = init_product(HAD, g, 2 * n + 1, n)
         for j in range(1, n + 1):
             state = step(state)
             diff = np.max(np.abs(measure(state).values - qw1d_reference(HAD, g, j)))
@@ -127,7 +126,7 @@ def test_c02_classical_limit_oracle():
     worst = 0.0
     worst_neg, worst_sum = 0.0, 0.0
     for g in (LEFT, PLUS):
-        state = init_product(HAD, g, 0, 0, n)
+        state = init_product(HAD, g, 1, n)
         p = np.zeros((2, 2 * n + 3))
         p[:, n + 1] = np.abs(HAD.matrix @ g) ** 2
         for j in range(1, n + 1):
@@ -159,9 +158,8 @@ def test_c03_measure_sum_conservation():
     t0 = time.perf_counter()
     worst = 0.0
     for m in (1, 2, 3, 5, 10):
-        s, t = stripe_for_width(m)
         for g in (LEFT, PLUS):
-            state = init_product(HAD, g, s, t, 2000)
+            state = init_product(HAD, g, m, 2000)
             for _ in range(2000):
                 state = step(state)
                 dev = abs(measure(state).total() - 1.0)
@@ -195,7 +193,7 @@ def test_c04_operator_algebra():
     # (-1 +- i sqrt7)/4: the roots of the minimal polynomial factor
     # 2 L^2 + L + 1 checked below.
     t0 = time.perf_counter()
-    w = w_stack(HAD, -1, 0, [0.0])[0]
+    w = w_stack(blocks(HAD), 2, [0.0])[0]
     w_err = float(np.max(np.abs(w - W0_EXPECTED)))
     expected_eigs = [0, 0, 1, 1, 1, -0.5, (-1 + 1j * S7) / 4, (-1 - 1j * S7) / 4]
     got = list(eig(w, 0.0)[0])
@@ -205,7 +203,7 @@ def test_c04_operator_algebra():
         eig_err = max(eig_err, abs(got.pop(i) - z))
     poly = poly_residuals(w)
     mp, witness = poly["minimal_poly_residual"], poly["minimality_witness"]
-    red = kato_reduction(HAD, -1, 0)
+    red = kato_reduction(HAD, 2)
     pi_err = float(np.max(np.abs(red.pi - KATO_PI)))
     skew = float(np.max(np.abs(red.r + red.r.conj().T)))
     small = red.onb.conj() @ red.r @ red.onb.T
@@ -255,7 +253,7 @@ def test_c05_perturbation_expansions():
             p2 = lambda2_expansion(k2)[idx]
             ratios.append(np.min(np.abs(s1 - p1)) / np.min(np.abs(s2 - p2)))
     min_ratio = min(ratios)
-    red = kato_reduction(HAD, -1, 0)
+    red = kato_reduction(HAD, 2)
     residuals = {}
     for d in (1e-1, 1e-2, 1e-3):
         residuals[d] = perturbed_projection_check(red, d)["residuals"]
@@ -449,14 +447,13 @@ def test_c11_spectral_simulation_consistency():
     ks = 2 * math.pi * np.arange(64) / 64
     worst = 0.0
     for m in (1, 2, 3, 4):
-        s, t = stripe_for_width(m)
         for g in (LEFT, PLUS):
             n = 60
-            state = evolve(init_product(HAD, g, s, t, n), n)
+            state = evolve(init_product(HAD, g, m, n), n)
             mu = measure(state)
             xs = mu.positions()
             engine = np.array([np.sum(mu.values * np.exp(1j * k * xs)) for k in ks])
-            matrix = char_function(HAD, s, t, n, ks, g)
+            matrix = char_function(HAD, m, n, ks, g)
             worst = max(worst, float(np.max(np.abs(engine - matrix))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10
@@ -472,13 +469,13 @@ def test_c11_spectral_simulation_consistency():
 
 def test_c12_eigenvector_runs():
     t0 = time.perf_counter()
-    red = kato_reduction(HAD, -1, 0)
+    red = kato_reduction(HAD, 2)
     n = 200
     wv = 4.0 * math.sqrt(n)
     c = n / S3
     results = {}
-    for name, vec, direction in (("v2", red.v2, +1), ("v3", red.v3, -1)):
-        state = evolve(init_band_vector(HAD, vec.reshape(2, 4), -1, 0, n + 2), n)
+    for name, vec, direction in (("v2", red.vectors[1], +1), ("v3", red.vectors[2], -1)):
+        state = evolve(init_band_vector(HAD, vec.reshape(2, 4), 2, n + 2), n)
         mu = measure(state)
         xs = mu.positions()
         main_sel = np.abs(xs - direction * c) <= wv
@@ -511,9 +508,9 @@ def test_c12_eigenvector_runs():
 def test_c12_supplement_stationary_run():
     # The zero-mode vector keeps its central mass: the window sum stays
     # within 1e-6 of the initial total while the sides stay below 1e-2.
-    red = kato_reduction(HAD, -1, 0)
+    red = kato_reduction(HAD, 2)
     n = 200
-    state = init_band_vector(HAD, red.v1.reshape(2, 4), -1, 0, n + 2)
+    state = init_band_vector(HAD, red.vectors[0].reshape(2, 4), 2, n + 2)
     total0 = measure(state).total().real
     state = evolve(state, n)
     mu = measure(state)

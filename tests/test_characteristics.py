@@ -11,7 +11,6 @@ from stripewalk import (
     init_product,
     measure,
     qw1d_trajectory,
-    stripe_for_width,
     trajectory,
 )
 from stripewalk.characteristics import (
@@ -68,7 +67,7 @@ def test_n_crit_known_values(hadamard):
 
 
 def test_peak_position_definition(hadamard):
-    state = evolve(init_product(hadamard, LEFT, -1, 0, 402), 400)
+    state = evolve(init_product(hadamard, LEFT, 2, 402), 400)
     mu = measure(state)
     xbar = peak_position(mu, 0.3)
     assert 0.3 <= xbar <= 1.0
@@ -76,7 +75,7 @@ def test_peak_position_definition(hadamard):
 
 
 def test_peak_position_validation(hadamard):
-    mu = measure(evolve(init_product(hadamard, LEFT, -1, 0, 12), 10))
+    mu = measure(evolve(init_product(hadamard, LEFT, 2, 12), 10))
     with pytest.raises(ValueError):
         peak_position(mu, 0.0)
     with pytest.raises(ValueError):
@@ -96,7 +95,7 @@ def test_peak_position_tie_breaks_right():
 def test_peak_position_scale_invariant(hadamard):
     from stripewalk.walker import ComplexMeasure
 
-    state = evolve(init_product(hadamard, LEFT, -1, 0, 202), 200)
+    state = evolve(init_product(hadamard, LEFT, 2, 202), 200)
     mu = measure(state)
     scaled = ComplexMeasure(n=mu.n, values=3.7 * mu.values)
     assert peak_position(mu, 0.3) == peak_position(scaled, 0.3)
@@ -275,10 +274,9 @@ def _assert_series_equal(series, rows):
 @pytest.mark.parametrize("g", [PLUS, CIRCULAR], ids=["real", "complex"])
 def test_run_series_matches_mask_oracle(hadamard, m, g):
     n, delta = 240, 0.3
-    s, t = stripe_for_width(m)
     rows = [
         _oracle_sample(mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n, delta)
-        for mu in map(measure, trajectory(init_product(hadamard, g, s, t, n), n))
+        for mu in map(measure, trajectory(init_product(hadamard, g, m, n), n))
     ]
     series = run_series(hadamard, m, n, g=g, delta=delta)
     assert series.m == m and series.delta == delta
@@ -305,7 +303,7 @@ def test_run_series_nan_cell_never_reads_finite(hadamard, monkeypatch):
                 lo, hi = later.engine()["live_u"]
                 assert lo <= bad - 2 <= hi
                 field = later.dense()
-                field[0, -later.s, later.center + bad - 2] = math.nan  # LL at x = n - 2, v = 0
+                field[0, later.m // 2, later.center + bad - 2] = math.nan  # LL at x = n - 2, v = 0
                 pack(later, field)
             yield later
 

@@ -20,9 +20,8 @@ from stripewalk import (
     make_hadamard,
     measure,
     spectral,
-    stripe_for_width,
 )
-from stripewalk.coin import LL, RR
+from stripewalk.coin import LL, RR, blocks
 from stripewalk.cli import (
     RunConfig,
     _NoRandomGuard,
@@ -112,8 +111,8 @@ def test_simulate_band_field_emission(tmp_path):
     _, header, rows = _read_csv(tmp_path / "o" / "band_n12.csv")
     assert header == ["n", "x", "y", "re", "im"]
     # One row per cell with |u| <= n, sorted by (x, y), holding LL + RR.
-    n, (s, t) = 12, (-1, 1)
-    state = evolve(init_product(make_hadamard(), (0.6, 0.8j), s, t, n), n)
+    n, m, (s, t) = 12, 3, (-1, 1)
+    state = evolve(init_product(make_hadamard(), (0.6, 0.8j), m, n), n)
     field = state.dense()
     expected = []
     for v in range(s, t + 1):
@@ -248,14 +247,13 @@ def test_spectrum_rows_match_per_k_eig(tmp_path, phased_coin, kgrid):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     _, _, rows = _read_csv(tmp_path / "o" / "spectrum.csv")
     assert len(rows) == kgrid * 4 * m
-    s, t = stripe_for_width(m)
     for i in range(kgrid):
         k = 2.0 * math.pi * i / kgrid
         group = rows[4 * m * i : 4 * m * (i + 1)]
         assert all(r[0] == str(m) and float(r[1]) == k for r in group)
         got = [complex(float(r[2]), float(r[3])) for r in group]
         assert all(float(r[4]) == abs(z) for r, z in zip(group, got))
-        remaining = list(spectral.eig(spectral.w_stack(phased_coin, s, t, [k])[0], k)[0])
+        remaining = list(spectral.eig(spectral.w_stack(blocks(phased_coin), m, [k])[0], k)[0])
         for z in got:
             j = int(np.argmin(np.abs(np.array(remaining) - z)))
             assert abs(remaining.pop(j) - z) < 1e-12
@@ -511,7 +509,7 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
     # builds its start with no horizon, so it is rebuilt with horizon n.
     def real_space(state, n):
         data = state.dense()[:, :, state.center].T  # each row's 4-vector at u = 0
-        return measure(evolve(init_band_vector(state.coin, data, state.s, state.t, n), n))
+        return measure(evolve(init_band_vector(state.coin, data, state.m, n), n))
 
     monkeypatch.setattr(cli, "snapshot_measure", real_space)
     assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
@@ -587,6 +585,22 @@ def test_engine_records_carry_versions(tmp_path):
         ("simulate", "m = 3\ninit = band\nband = " + " ".join(["6e153,0"] * 12) + "\n", "l2 norm"),
         # Width 1 has no ballistic tail in the fit window (600, 1200).
         ("characteristics", "mlist = 1 2\nsteps = 1200\n", "M=1: only 0 positive tail widths"),
+        # An integer key names itself and the form it expects.
+        ("simulate", "steps = 1e3\n", "steps: expected an integer, got '1e3'"),
+        ("sweep", "mlist = 2 x\n", "mlist: expected an integer, got 'x'"),
+        ("spectrum", "kgrid = 8.5\n", "kgrid: expected an integer, got '8.5'"),
+        # Every width that reaches the library is checked there.
+        *(
+            (command, text, "stripe width must be >= 1")
+            for command, text in (
+                ("simulate", "m = 0\n"),
+                ("simulate", "m = 0\ninit = mixed\n"),
+                ("spectrum", "m = 0\n"),
+                ("limits", "m = 0\n"),
+                ("sweep", "mlist = 0 2\n"),
+                ("characteristics", "mlist = 0 2\n"),
+            )
+        ),
         # Keys that were settable once and are now fixed values.
         *(
             ("simulate", f"steps = 10\n{line}\n", "unknown config key")
@@ -724,7 +738,7 @@ def test_simulate_nan_measure_fails_checks(tmp_path, monkeypatch):
         for st in trajectory(state, steps):
             if st.n == 5:
                 field = st.dense()
-                field[LL, -st.s, st.center + 1] = np.nan  # u = 1, v = 0: u + v odd, live at n = 5
+                field[LL, st.m // 2, st.center + 1] = np.nan  # u = 1, v = 0: u + v odd, live at n = 5
                 pack(st, field)
             yield st
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from stripewalk import blocks, init_band_vector, init_product, make_hadamard, stripe_for_width, trajectory
+from stripewalk import blocks, init_band_vector, init_product, make_hadamard, trajectory
 
 from oracles import HADAMARD_BLOCKS_X2, exact_band_trajectory, exact_onset, exact_trajectory
 
@@ -46,8 +46,7 @@ def test_float_engine_within_1e14_of_exact(m):
     # The exact cells are rounded to float64 before the difference, which
     # adds at most half an ulp (<= 1.2e-16 for cells of size <= 1).
     n_max = 200
-    s, t = stripe_for_width(m)
-    start = init_product(HAD, np.array(PLUS_INT) / math.sqrt(2.0), s, t, n_max)
+    start = init_product(HAD, np.array(PLUS_INT) / math.sqrt(2.0), m, n_max)
     assert start.engine()["dtype"] == "float64"
     worst = 0.0
     for state, (n, exact, e) in zip(trajectory(start, n_max), exact_trajectory(m, PLUS_INT, n_max)):
@@ -71,13 +70,12 @@ def test_band_starts_within_1e14_of_exact(m, rows):
     # Odd and even widths, so the even block of the packed layout has one
     # row more than the odd block or as many.
     n_max = 60
-    s, t = stripe_for_width(m)
     data = np.random.default_rng(m).integers(-1, 2, size=(m, 4))
     if BAND_ROWS[rows] is not None:
         keep = np.zeros(m, dtype=bool)
         keep[BAND_ROWS[rows]] = True
         data[~keep] = 0
-    start = init_band_vector(HAD, data.astype(float), s, t, n_max)
+    start = init_band_vector(HAD, data.astype(float), m, n_max)
     if rows == "all rows":
         assert start.sublattices == (0, 1)
     worst = 0.0

@@ -31,7 +31,7 @@ PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def m2_measure_600(hadamard):
-    state = evolve(init_product(hadamard, PLUS, -1, 0, 602), 600)
+    state = evolve(init_product(hadamard, PLUS, 2, 602), 600)
     return measure(state)
 
 
@@ -168,7 +168,7 @@ def test_complex_window_sums_match_coefficients(hadamard):
     # A complex cross term makes the side weights complex; the complex
     # window sums of the late measure carry the same imaginary parts.
     g = np.array([0.6, 0.8j])
-    mu = snapshot_measure(init_product(hadamard, g, -1, 0, 0), 4000)
+    mu = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
     xs = mu.positions()
     sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, 4.0)]
     cell = hadamard.matrix @ g
@@ -196,7 +196,7 @@ def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
 
 def test_scaled_cdf_distance_empty_window(hadamard, m2_measure_600):
     profile = LimitProfile("right", 0.1, SPEED, SIDE_VARIANCE)
-    small = measure(evolve(init_product(hadamard, PLUS, -1, 0, 702), 700))
+    small = measure(evolve(init_product(hadamard, PLUS, 2, 702), 700))
     # A half-width of 1e-3 sqrt(n) leaves the right window [405, 404] empty.
     with pytest.raises(ValueError, match="empty"):
         scaled_cdf_distance(small, profile, 1e-3)

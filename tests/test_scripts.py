@@ -1,5 +1,6 @@
-"""Smoke tests of the experiment scripts: each runs and writes its CSVs or table."""
+"""Smoke tests of the experiment scripts and the README examples: each runs, and each script writes its CSVs or table."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def _run(monkeypatch, name, *args):
@@ -49,3 +51,13 @@ def test_side_mode_convergence(monkeypatch, capsys):
         assert len(values) == 7
         assert all(0.0 <= v < 1.0 for v in values[:4])
         assert all(abs(v) < 0.02 for v in values[4:])
+
+
+def test_readme_python_blocks_run():
+    # Every ```python block of the README, in order and in one namespace,
+    # as a reader would paste them: a stale example fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unitary_coin_strategy
-from stripewalk import evolve, init_band_vector, init_product, make_coin, measure, stripe_for_width
+from stripewalk import blocks, evolve, init_band_vector, init_product, make_coin, measure
 from stripewalk import spectral
 from stripewalk.limits import SPEED, limit_coefficients
 from stripewalk.spectral import (
@@ -81,35 +81,31 @@ def _multiset_distance(got, expected):
     return worst
 
 
-def _w(coin, s, t, k):
+def _w(coin, m, k):
     """W(k) alone: the one-k stack."""
-    return w_stack(coin, s, t, [k])[0]
+    return w_stack(blocks(coin), m, [k])[0]
 
 
 def test_w_matches_explicit_matrix(hadamard):
-    w = _w(hadamard, -1, 0, 0.0)
+    w = _w(hadamard, 2, 0.0)
     assert np.max(np.abs(w - W0_EXPECTED)) < 1e-15
-    # Width-2 stripes share the matrix regardless of placement.
-    assert np.array_equal(w, _w(hadamard, 0, 1, 0.0))
 
 
 def test_w_width_one_is_v_block(hadamard):
-    from stripewalk.coin import blocks
-
     for k in (0.0, 0.7, 2.5):
-        assert np.allclose(_w(hadamard, 0, 0, k), v_block(blocks(hadamard), k), atol=1e-15)
+        assert np.allclose(_w(hadamard, 1, k), v_block(blocks(hadamard), k), atol=1e-15)
 
 
 def test_w_contraction_norm(hadamard):
     for k in np.linspace(0, 2 * math.pi, 9):
-        assert np.linalg.norm(_w(hadamard, -1, 0, k), 2) <= 1 + 1e-12
-        assert np.linalg.norm(_w(hadamard, -2, 1, k), 2) <= 1 + 1e-12
+        assert np.linalg.norm(_w(hadamard, 2, k), 2) <= 1 + 1e-12
+        assert np.linalg.norm(_w(hadamard, 4, k), 2) <= 1 + 1e-12
 
 
 def test_w_conjugation_symmetry(hadamard):
     for k in (0.3, 1.1, 2.0):
-        a = _w(hadamard, -1, 0, k)
-        b = _w(hadamard, -1, 0, 2 * math.pi - k)
+        a = _w(hadamard, 2, k)
+        b = _w(hadamard, 2, 2 * math.pi - k)
         assert np.max(np.abs(b - a.conj())) < 1e-14
 
 
@@ -117,9 +113,9 @@ def test_w_conjugation_symmetry(hadamard):
 def test_reflection_conjugates_w_for_any_coin(phased_coin, m):
     # W(-k) = Pi conj(W(k)) Pi^T, Pi reversing the blocks and swapping
     # LR <-> RL inside each; conj alone does not do it for this coin.
-    s, t = stripe_for_width(m)
+    b = blocks(phased_coin)
     ks = np.array([0.0, 0.3, 1.1, 2.0, math.pi, 4.4])
-    w, w_neg = w_stack(phased_coin, s, t, ks), w_stack(phased_coin, s, t, -ks)
+    w, w_neg = w_stack(b, m, ks), w_stack(b, m, -ks)
     p = reflection(m)
     assert sorted(p) == list(range(4 * m))
     assert np.max(np.abs(w.conj()[:, p][:, :, p] - w_neg)) < 1e-15
@@ -131,9 +127,9 @@ def test_reflection_conjugates_w_for_any_coin(phased_coin, m):
 def test_shift_by_pi_negates_w_for_any_coin(phased_coin, m):
     # W(k + pi) = -D W(k) D, D = diag((-1)^v) per block; -W(k) alone
     # differs in the off-diagonal blocks whenever there are any.
-    s, t = stripe_for_width(m)
+    b = blocks(phased_coin)
     ks = np.array([0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.4])
-    w, w_shift = w_stack(phased_coin, s, t, ks), w_stack(phased_coin, s, t, ks + math.pi)
+    w, w_shift = w_stack(b, m, ks), w_stack(b, m, ks + math.pi)
     d = shift_signs(m)
     assert d.shape == (4 * m,) and np.array_equal(np.abs(d), np.ones(4 * m))
     assert np.max(np.abs(-d[:, None] * w * d - w_shift)) < 1e-15
@@ -150,12 +146,12 @@ def test_shift_by_pi_maps_the_m2_cubics_onto_each_other():
         assert _multiset_distance(first_shifted, -second) < 1e-12
 
 
-def test_w_stack_rows_are_build_w(phased_coin):
+def test_w_stack_rows_are_one_k_stacks(phased_coin):
     ks = [0.0, 0.7, 2.5, 5.9]
-    stack = w_stack(phased_coin, -1, 1, ks)
+    stack = w_stack(blocks(phased_coin), 3, ks)
     assert stack.shape == (4, 12, 12)
     for k, w in zip(ks, stack):
-        assert np.array_equal(w, _w(phased_coin, -1, 1, k))
+        assert np.array_equal(w, _w(phased_coin, 3, k))
 
 
 def _corrupt_eig(monkeypatch, index, value):
@@ -178,7 +174,7 @@ def test_residual_check_covers_mirrored_rows(phased_coin, monkeypatch):
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     _corrupt_eig(monkeypatch, 1, 0.5)
     with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
-        spectrum_grid(phased_coin, -1, 1, kgrid)
+        spectrum_grid(phased_coin, 3, kgrid)
     assert str(exc.value).endswith(f"k = {ks[[1, 7, 9, 15]].tolist()}")
 
 
@@ -191,7 +187,7 @@ def test_residual_check_catches_a_wrong_mirror(phased_coin, monkeypatch):
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     monkeypatch.setattr(spectral, "reflection", lambda m: np.arange(4 * m))
     with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
-        spectrum_grid(phased_coin, -1, 1, kgrid)
+        spectrum_grid(phased_coin, 3, kgrid)
     assert str(exc.value).endswith(f"k = {ks[[5, 6, 7, 12, 13, 14, 15]].tolist()}")
 
 
@@ -203,7 +199,7 @@ def test_residual_check_catches_a_wrong_shift(phased_coin, monkeypatch):
     ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
     monkeypatch.setattr(spectral, "shift_signs", lambda m: np.ones(4 * m))
     with pytest.raises(RuntimeError, match="eigenpair residual") as exc:
-        spectrum_grid(phased_coin, -1, 1, kgrid)
+        spectrum_grid(phased_coin, 3, kgrid)
     assert str(exc.value).endswith(f"k = {ks[5:12].tolist()}")
 
 
@@ -223,8 +219,7 @@ def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
         return solve(mats)
 
     monkeypatch.setattr(np.linalg, "eig", counting)
-    s, t = stripe_for_width(10)
-    _, values = spectrum_grid(phased_coin, s, t, kgrid)
+    _, values = spectrum_grid(phased_coin, 10, kgrid)
     assert values.shape == (kgrid, 40)
     assert sum(solved) == _orbit_count(kgrid)
     if kgrid == 1024:
@@ -234,36 +229,36 @@ def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
 def test_residual_check_catches_nan(phased_coin, monkeypatch):
     _corrupt_eig(monkeypatch, 0, np.nan)
     with pytest.raises(RuntimeError, match="eigenpair residual"):
-        eig(_w(phased_coin, -1, 1, 0.4), 0.4)
+        eig(_w(phased_coin, 3, 0.4), 0.4)
 
 
 def test_spectrum_grid_size_limit_before_allocation(hadamard, monkeypatch):
     def no_stack(*args):
         raise AssertionError("a W stack was built")
 
-    monkeypatch.setattr(spectral, "_w_stack", no_stack)
+    monkeypatch.setattr(spectral, "w_stack", no_stack)
     with pytest.raises(ValueError, match="matrix size 280 exceeds limit 256"):
-        spectrum_grid(hadamard, -35, 34, 1024)
+        spectrum_grid(hadamard, 70, 1024)
 
 
 def test_eigenvalues_at_zero_momentum(hadamard):
-    values, _ = eig(_w(hadamard, -1, 0, 0.0), 0.0)
+    values, _ = eig(_w(hadamard, 2, 0.0), 0.0)
     assert _multiset_distance(values, W0_EIGENVALUES) < 1e-10
 
 
 def test_eig_width_one(hadamard):
     for k in (0.0, 0.9, 2.2):
-        values, _ = eig(_w(hadamard, 0, 0, k), k)
+        values, _ = eig(_w(hadamard, 1, k), k)
         assert _multiset_distance(values, [0, 0, 0, math.cos(k)]) < 1e-12
 
 
 def test_eig_size_limit(hadamard):
     with pytest.raises(ValueError, match="limit"):
-        eig(_w(hadamard, -70, 70, 0.0), 0.0)
+        eig(_w(hadamard, 141, 0.0), 0.0)
 
 
 def test_eig_multiplicity_clusters(hadamard):
-    values, _ = eig(_w(hadamard, -1, 0, 0.0), 0.0)
+    values, _ = eig(_w(hadamard, 2, 0.0), 0.0)
     clusters = dict()
     for center, mult in eig_multiplicities(values, tol=1e-8):
         clusters[complex(np.round(center, 6))] = mult
@@ -273,7 +268,7 @@ def test_eig_multiplicity_clusters(hadamard):
 
 
 def test_eig_reconstruction(hadamard):
-    w = _w(hadamard, -1, 0, 0.7)
+    w = _w(hadamard, 2, 0.7)
     values, vectors = eig(w, 0.7)
     recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
     assert np.max(np.abs(recon - w)) < 1e-8
@@ -299,7 +294,7 @@ def test_cubic_union_matches_spectrum(hadamard):
     for k in np.linspace(0, 2 * math.pi, 17):
         first, second = cubic_spectrum_m2(k)
         expected = np.concatenate([first, second, [0, 0]])
-        values, _ = eig(_w(hadamard, -1, 0, k), k)
+        values, _ = eig(_w(hadamard, 2, k), k)
         assert _multiset_distance(values, expected) < 1e-8
 
 
@@ -345,7 +340,7 @@ def test_cardano_branch_cross_check():
 
 
 def test_kato_projection_matches_explicit(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     assert np.max(np.abs(red.pi - KATO_PI)) < 1e-14
     assert np.max(np.abs(red.pi @ red.pi - red.pi)) < 1e-14
     assert np.max(np.abs(red.pi - red.pi.conj().T)) < 1e-14
@@ -353,13 +348,13 @@ def test_kato_projection_matches_explicit(hadamard):
 
 
 def test_kato_reduced_generator(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     assert np.max(np.abs(red.r - KATO_R)) < 1e-14
     assert np.max(np.abs(red.r + red.r.conj().T)) < 1e-14
 
 
 def test_kato_eigenpairs(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     expected = [0.0, 1j / S3, -1j / S3]
     for lam, v in zip(expected, red.vectors):
         assert np.linalg.norm(red.r @ v - lam * v) < 1e-12
@@ -377,19 +372,19 @@ def test_kato_vector_normalizations(hadamard):
     # 12 (2 - sqrt3) = 2 (3 - sqrt3)^2, so both published normalizations
     # of the right-moving eigenvector agree.
     assert abs(12 * (2 - S3) - 2 * (3 - S3) ** 2) < 1e-12
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     alt = np.array([2 - S3, 0, 1 - S3, 1, 2 - S3, 1 - S3, 0, 1]) / math.sqrt(
         12 * (2 - S3)
     )
-    assert np.max(np.abs(red.v2 - alt)) < 1e-14
+    assert np.max(np.abs(red.vectors[1] - alt)) < 1e-14
     v1_expected = 0.5 * np.array([1, 0, 0, 1, -1, 0, 0, -1])
-    assert np.max(np.abs(red.v1 - v1_expected)) < 1e-15
+    assert np.max(np.abs(red.vectors[0] - v1_expected)) < 1e-15
 
 
 def test_kato_commutes_with_w(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     w = red.w0
-    assert np.array_equal(w, _w(hadamard, -1, 0, 0.0))
+    assert np.array_equal(w, _w(hadamard, 2, 0.0))
     assert np.max(np.abs(red.pi @ w - w @ red.pi)) < 1e-14
     assert np.max(np.abs(red.t1 - t1_matrix(hadamard, 2))) == 0.0
 
@@ -416,13 +411,13 @@ def test_kato_reduction_matches_the_paper_oracle(hadamard):
     # red.pi and red.r meet KATO_PI and KATO_R in the two projection tests.
     assert np.max(np.abs(KATO_BASIS.T @ KATO_BASIS.conj() - KATO_PI)) < 1e-15
     assert np.max(np.abs(KATO_PI @ t1_matrix(hadamard, 2) @ KATO_PI - KATO_R)) < 1e-15
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     for got, want in zip(red.vectors, KATO_VECTORS):
         assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_kato_speeds_are_the_side_mode_speeds(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     assert np.max(np.abs(-1j * red.eigenvalues - np.array([0.0, SPEED, -SPEED]))) < 1e-15
 
 
@@ -432,7 +427,7 @@ def test_kato_mode_masses_are_the_limit_coefficients(hadamard, g):
     # The mass of mode j from the cell g (x) conj(g) at v = 0 is
     # q^T v_j v_j^* phi, with q = LL + RR at v = 0: (c0, c+, c-) in the
     # order (v1, v2, v3).
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     phi = np.zeros(8, dtype=complex)
     phi[4:] = np.kron(g, g.conj())
     masses = [(v[4] + v[7]) * np.vdot(v, phi) for v in red.vectors]
@@ -492,7 +487,7 @@ def _names_used(node, enclosing=frozenset(), attributes_only=False):
 
 
 def test_minimal_polynomial(hadamard):
-    res = poly_residuals(_w(hadamard, -1, 0, 0.0))
+    res = poly_residuals(_w(hadamard, 2, 0.0))
     assert res["minimal_poly_residual"] < 1e-12
     assert res["char_poly_residual"] < 1e-12
     assert res["minimality_witness"] >= 0.1
@@ -502,14 +497,14 @@ def test_derivative_consistency(hadamard):
     t1 = t1_matrix(hadamard, 2)
     for h in (1e-3, 1e-4):
         fd = (
-            _w(hadamard, -1, 0, h)
-            - _w(hadamard, -1, 0, -h)
+            _w(hadamard, 2, h)
+            - _w(hadamard, 2, -h)
         ) / (2 * h)
         assert np.max(np.abs(t1 - fd)) < 0.2 * h * h
 
 
 def test_perturbed_projections_decay(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     residuals = {}
     for d in (1e-1, 1e-2, 1e-3):
         rep = perturbed_projection_check(red, d)
@@ -522,7 +517,7 @@ def test_perturbed_projections_decay(hadamard):
 
 
 def test_perturbed_projection_range_validation(hadamard):
-    red = kato_reduction(hadamard, -1, 0)
+    red = kato_reduction(hadamard, 2)
     for delta in (0.0, 0.5):
         with pytest.raises(ValueError, match="delta must lie"):
             perturbed_projection_check(red, delta)
@@ -532,21 +527,21 @@ def test_perturbed_projection_ambiguity_reported(hadamard):
     # At tiny delta the three near-unit eigenvalues crowd within the
     # matching tolerance of each prediction.
     with pytest.raises(RuntimeError, match="ambiguous"):
-        perturbed_projection_check(kato_reduction(hadamard, -1, 0), 1e-7)
+        perturbed_projection_check(kato_reduction(hadamard, 2), 1e-7)
 
 
 def test_char_function_matches_engine(hadamard):
     ks = 2 * math.pi * np.arange(16) / 16
-    for m, (s, t) in ((1, (0, 0)), (2, (-1, 0)), (3, (-1, 1))):
+    for m in (1, 2, 3):
         for g in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / S2):
             n = 30
-            state = evolve(init_product(hadamard, g, s, t, n), n)
+            state = evolve(init_product(hadamard, g, m, n), n)
             mu = measure(state)
             xs = mu.positions()
             engine = np.array(
                 [np.sum(mu.values * np.exp(1j * k * xs)) for k in ks]
             )
-            matrix = char_function(hadamard, s, t, n, ks, g)
+            matrix = char_function(hadamard, m, n, ks, g)
             assert np.max(np.abs(engine - matrix)) < 1e-9
 
 
@@ -554,12 +549,12 @@ def test_char_function_matches_engine(hadamard):
 @given(unitary_coin_strategy(), st.floats(min_value=0.0, max_value=2 * math.pi))
 def test_w_contraction_any_coin(coin, k):
     # Compressions of a unitary stay contractions for every coin.
-    assert np.linalg.norm(_w(coin, -1, 1, k), 2) <= 1 + 1e-12
+    assert np.linalg.norm(_w(coin, 3, k), 2) <= 1 + 1e-12
 
 
 def test_general_coin_reduction_fallback():
     coin = make_coin(0.6, 0.8, 0.8, -0.6)
-    red = kato_reduction(coin, -1, 0)
+    red = kato_reduction(coin, 2)
     assert abs(np.trace(red.pi).real - 3.0) < 1e-8
     assert np.max(np.abs(red.r + red.r.conj().T)) < 1e-10
     vals = sorted(red.eigenvalues, key=lambda z: z.imag)
@@ -569,7 +564,7 @@ def test_general_coin_reduction_fallback():
 
 
 def test_apply_power_is_matrix_power(phased_coin):
-    w = w_stack(phased_coin, -1, 1, [0.0, 0.4, 3.0])
+    w = w_stack(blocks(phased_coin), 3, [0.0, 0.4, 3.0])
     x = np.arange(24.0).reshape(12, 2) + 1j
     for n in (0, 1, 2, 5, 64, 77):
         want = np.linalg.matrix_power(w, n) @ x
@@ -584,17 +579,16 @@ SNAPSHOT_N = {1: 2000, 2: 1200, 3: 600, 10: 250}
 
 def _snapshot_starts(coin, m):
     """Initial states covering both dtypes, one and two sublattices."""
-    s, t = stripe_for_width(m)
     mixed = np.zeros((m, 4))
-    mixed[-s] = [0.5, 0.0, 0.0, 0.5]
+    mixed[m // 2] = [0.5, 0.0, 0.0, 0.5]
     rng = np.random.default_rng(m)
     band = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
     band /= np.linalg.norm(band)
     return {
-        "real spinor": init_product(coin, np.array([0.6, 0.8]), s, t, SNAPSHOT_N[m]),
-        "complex spinor": init_product(coin, np.array([1.0, 1j]) / S2, s, t, SNAPSHOT_N[m]),
-        "mixed": init_band_vector(coin, mixed, s, t, SNAPSHOT_N[m]),
-        "band": init_band_vector(coin, band, s, t, SNAPSHOT_N[m]),
+        "real spinor": init_product(coin, np.array([0.6, 0.8]), m, SNAPSHOT_N[m]),
+        "complex spinor": init_product(coin, np.array([1.0, 1j]) / S2, m, SNAPSHOT_N[m]),
+        "mixed": init_band_vector(coin, mixed, m, SNAPSHOT_N[m]),
+        "band": init_band_vector(coin, band, m, SNAPSHOT_N[m]),
     }
 
 
@@ -621,7 +615,7 @@ def test_snapshot_measure_matches_real_space_engine(request, coin_name, m):
 
 
 def test_snapshot_measure_needs_the_initial_state(hadamard):
-    state = init_product(hadamard, np.array([1.0, 0.0]), -1, 0, 4)
+    state = init_product(hadamard, np.array([1.0, 0.0]), 2, 4)
     with pytest.raises(ValueError, match="initial state"):
         snapshot_measure(evolve(state, 1), 3)
     with pytest.raises(ValueError, match="non-negative"):
@@ -641,10 +635,10 @@ def test_snapshot_measure_rejects_a_wrong_chi_off_k0(hadamard, monkeypatch, subl
         return y
 
     if sublattices == 1:
-        state = init_product(hadamard, np.array([0.6, 0.8]), -1, 0, 200)
+        state = init_product(hadamard, np.array([0.6, 0.8]), 2, 200)
     else:
         band = np.random.default_rng(2).normal(size=(2, 4))
-        state = init_band_vector(hadamard, band / np.linalg.norm(band), -1, 0, 200)
+        state = init_band_vector(hadamard, band / np.linalg.norm(band), 2, 200)
     assert len(state.sublattices) == sublattices and state.engine()["dtype"] == "float64"
     assert np.max(np.abs(snapshot_measure(state, 200).values - measure(evolve(state, 200)).values)) <= 1e-12
     monkeypatch.setattr(spectral, "apply_power", corrupted)

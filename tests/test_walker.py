@@ -41,44 +41,44 @@ def test_stripe_for_width():
     assert stripe_for_width(1) == (0, 0)
     assert stripe_for_width(2) == (-1, 0)
     assert stripe_for_width(3) == (-1, 1)
+    assert stripe_for_width(4) == (-2, 1)
     assert stripe_for_width(10) == (-5, 4)
     with pytest.raises(ValueError):
         stripe_for_width(0)
 
 
 def test_init_product_left_spinor(hadamard):
-    state = init_product(hadamard, LEFT, -1, 0, 4)
+    state = init_product(hadamard, LEFT, 2, 4)
     assert np.allclose(state.dense()[:, 1, state.center], [0.5, 0.5, 0.5, 0.5], atol=1e-15)
     assert abs(state.norm() - 1.0) < 1e-14
 
 
 def test_init_product_plus_spinor(hadamard):
-    state = init_product(hadamard, PLUS, -1, 0, 4)
+    state = init_product(hadamard, PLUS, 2, 4)
     assert np.allclose(state.dense()[:, 1, state.center], [1, 0, 0, 0], atol=1e-15)
 
 
 def test_init_product_rejects_non_unit(hadamard):
     with pytest.raises(ValueError, match="unit"):
-        init_product(hadamard, [1.0, 1.0], -1, 0, 4)
-    with pytest.raises(ValueError):
-        init_product(hadamard, LEFT, 1, 2, 4)  # stripe must contain 0
+        init_product(hadamard, [1.0, 1.0], 2, 4)
+    with pytest.raises(ValueError, match="stripe width must be >= 1"):
+        init_product(hadamard, LEFT, 0, 4)
 
 
 def test_init_band_vector_zero_data(hadamard):
-    state = init_band_vector(hadamard, np.zeros((2, 4)), -1, 0, 10)
+    state = init_band_vector(hadamard, np.zeros((2, 4)), 2, 10)
     state = evolve(state, 8)
     assert np.max(np.abs(measure(state).values)) == 0.0
 
 
 def test_init_band_vector_shape_mismatch(hadamard):
     with pytest.raises(ValueError, match="shape"):
-        init_band_vector(hadamard, np.zeros((3, 4)), -1, 0, 4)
+        init_band_vector(hadamard, np.zeros((3, 4)), 2, 4)
 
 
 def test_one_step_measure_is_half_half(hadamard):
     for m in (1, 2, 3):
-        s, t = stripe_for_width(m)
-        state = step(init_product(hadamard, LEFT, s, t, 2))
+        state = step(init_product(hadamard, LEFT, m, 2))
         mu = measure(state)
         assert abs(mu.values[-1 + mu.n] - 0.5) < 1e-15
         assert abs(mu.values[1 + mu.n] - 0.5) < 1e-15
@@ -86,21 +86,21 @@ def test_one_step_measure_is_half_half(hadamard):
 
 
 def test_horizon_exhaustion(hadamard):
-    state = init_product(hadamard, LEFT, -1, 0, 2)
+    state = init_product(hadamard, LEFT, 2, 2)
     state = evolve(state, 2)
     with pytest.raises(RuntimeError, match="horizon"):
         step(state)
 
 
 def test_evolve_zero_is_identity(hadamard):
-    state = init_product(hadamard, LEFT, -1, 0, 5)
+    state = init_product(hadamard, LEFT, 2, 5)
     same = evolve(state, 0)
     assert np.array_equal(same.dense(), state.dense())
     assert same.n == 0
 
 
 def test_evolve_composition_bitwise(hadamard):
-    state = init_product(hadamard, PLUS, -2, 1, 8)
+    state = init_product(hadamard, PLUS, 4, 8)
     a = evolve(evolve(state, 3), 2)
     b = evolve(state, 5)
     assert np.array_equal(a.dense(), b.dense())
@@ -108,7 +108,7 @@ def test_evolve_composition_bitwise(hadamard):
 
 def test_dense_and_rank1_paths_agree(hadamard, complex_coin):
     for coin in (hadamard, complex_coin):
-        state = init_product(coin, PLUS, -2, 1, 12)
+        state = init_product(coin, PLUS, 4, 12)
         *_, dense = dense_trajectory(state, 12)
         assert np.max(np.abs(evolve(state, 12).dense() - dense)) < 1e-14
 
@@ -120,21 +120,20 @@ def _band_starts(coin, m, n_max=40):
     read zero beyond the cut (through QP and PQ); it occupies two
     sublattices at even widths and one at odd widths.
     """
-    s, t = stripe_for_width(m)
     rng = np.random.default_rng(m)
     mixed = np.zeros((m, 4))
-    mixed[-s] = [0.5, 0.0, 0.0, 0.5]
+    mixed[m // 2] = [0.5, 0.0, 0.0, 0.5]
     band = rng.normal(size=(m, 4))
     complex_band = band + 1j * rng.normal(size=(m, 4))
     edges = np.zeros((m, 4))
     edges[[0, -1]] = rng.normal(size=(2, 4))
     return {
-        "product": init_product(coin, PLUS, s, t, n_max),
-        "product complex spinor": init_product(coin, np.array([1.0, 1.0j]) / math.sqrt(2), s, t, n_max),
-        "mixed": init_band_vector(coin, mixed, s, t, n_max),
-        "band": init_band_vector(coin, band, s, t, n_max),
-        "band complex": init_band_vector(coin, complex_band, s, t, n_max),
-        "edge rows": init_band_vector(coin, edges, s, t, n_max),
+        "product": init_product(coin, PLUS, m, n_max),
+        "product complex spinor": init_product(coin, np.array([1.0, 1.0j]) / math.sqrt(2), m, n_max),
+        "mixed": init_band_vector(coin, mixed, m, n_max),
+        "band": init_band_vector(coin, band, m, n_max),
+        "band complex": init_band_vector(coin, complex_band, m, n_max),
+        "edge rows": init_band_vector(coin, edges, m, n_max),
     }
 
 
@@ -218,7 +217,7 @@ def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
     assert starts["band"].sublattices == (0, 1)
     odd_rows = np.zeros((3, 4))
     odd_rows[0] = [1.0, 0.0, 0.0, 0.0]  # v = -1 only
-    assert init_band_vector(hadamard, odd_rows, -1, 1, 4).sublattices == (1,)
+    assert init_band_vector(hadamard, odd_rows, 3, 4).sublattices == (1,)
     state = evolve(starts["product"], 5)
     # The accessors stay complex whatever the engine's dtype.
     assert measure(state).values.dtype == np.complex128
@@ -233,7 +232,7 @@ def test_dtype_and_sublattices_follow_the_inputs(hadamard, complex_coin):
 
 
 def test_trajectory_swaps_two_buffers(hadamard):
-    state = init_product(hadamard, PLUS, -1, 0, 30)
+    state = init_product(hadamard, PLUS, 2, 30)
     buffers = {id(st.packed) for st in trajectory(state, 30)}
     assert len(buffers) == 2 and id(state.packed) not in buffers
 
@@ -241,7 +240,7 @@ def test_trajectory_swaps_two_buffers(hadamard):
 def test_step_into_spent_buffer_clears_stale_columns(hadamard):
     # A spent state whose live window is wider than the new one: the
     # columns it alone covers must read zero after the step.
-    x = init_product(hadamard, PLUS, -2, 1, 30)
+    x = init_product(hadamard, PLUS, 4, 30)
     spent = evolve(x, 9)
     src = evolve(x, 10)
     c = src.center
@@ -259,14 +258,14 @@ def test_step_into_spent_buffer_clears_stale_columns(hadamard):
 def test_step_rejects_a_wrong_spent_state(hadamard, complex_coin):
     # Only the state one step back, on its own buffer of the same dtype and
     # shape, has its live cells where the kernel writes.
-    x = init_product(hadamard, PLUS, -2, 1, 30)
+    x = init_product(hadamard, PLUS, 4, 30)
     state = evolve(x, 10)
     wrong = {
         "same parity": evolve(x, 8),
         "newer": evolve(x, 11),
         "itself": state,
-        "complex": evolve(init_product(complex_coin, PLUS, -2, 1, 30), 9),
-        "narrower": evolve(init_product(hadamard, PLUS, -2, 1, 20), 9),
+        "complex": evolve(init_product(complex_coin, PLUS, 4, 30), 9),
+        "narrower": evolve(init_product(hadamard, PLUS, 4, 20), 9),
     }
     for name, out in wrong.items():
         with pytest.raises(ValueError, match="one step before"):
@@ -278,7 +277,7 @@ def test_non_finite_edge_column_survives_trajectory(hadamard):
     # A column of sub-tiny values that also holds a NaN (or an inf) must
     # not be dropped as if it were an underflowed tail.
     for bad in (math.nan, math.inf):
-        state = evolve(init_product(hadamard, PLUS, -1, 0, 80), 20)
+        state = evolve(init_product(hadamard, PLUS, 2, 80), 20)
         lo, hi = state.live
         field = state.dense()
         live = live_mask(state)[:, lo]  # the rows live in column lo
@@ -299,7 +298,7 @@ def test_window_drop_bound_against_dense_oracle(hadamard, monkeypatch):
     # so the bound measures the drop alone and not the kernel's rounding,
     # which the dense oracle bounds at 1e-14 in the tests above.
     n = 1600
-    state = init_product(hadamard, PLUS, -1, 0, n)
+    state = init_product(hadamard, PLUS, 2, n)
     for got in trajectory(state, n):
         lo, hi = got.live  # everything outside the live window reads zero
         field = got.dense()
@@ -316,7 +315,7 @@ def test_window_drop_bound_against_dense_oracle(hadamard, monkeypatch):
 
 
 def test_trajectory_yields_each_step(hadamard):
-    state = init_product(hadamard, PLUS, -2, 1, 9)
+    state = init_product(hadamard, PLUS, 4, 9)
     items = [(s.n, s.dense()) for s in trajectory(state, 9)]
     assert [n for n, _ in items] == list(range(1, 10))
     assert np.array_equal(items[-1][1], evolve(state, 9).dense())
@@ -341,7 +340,7 @@ def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
     from stripewalk.limits import limit_coefficients
 
     calls = (
-        lambda: init_product(hadamard, bad, -1, 0, 4),
+        lambda: init_product(hadamard, bad, 2, 4),
         lambda: qw1d_reference(hadamard, bad, 3),
         lambda: oqrw_reference(hadamard, bad, 3),
         lambda: oracle_series(hadamard, bad, 3),
@@ -353,7 +352,7 @@ def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
 
 
 def test_measure_initial_point_mass(hadamard):
-    mu = measure(init_product(hadamard, PLUS, -1, 0, 3))
+    mu = measure(init_product(hadamard, PLUS, 2, 3))
     assert mu.values[mu.n] == 1.0
     assert abs(mu.total() - 1.0) < 1e-15
 
@@ -361,20 +360,19 @@ def test_measure_initial_point_mass(hadamard):
 def test_measure_sum_conserved_small(hadamard, complex_coin):
     for coin in (hadamard, complex_coin):
         for m in (1, 2, 3, 5):
-            s, t = stripe_for_width(m)
-            state = init_product(coin, PLUS, s, t, 120)
+            state = init_product(coin, PLUS, m, 120)
             for _ in range(120):
                 state = step(state)
                 assert abs(measure(state).total() - 1.0) < 1e-10
 
 
 def test_measure_goes_negative_past_onset(hadamard):
-    state = evolve(init_product(hadamard, PLUS, -1, 0, 100), 100)
+    state = evolve(init_product(hadamard, PLUS, 2, 100), 100)
     assert measure(state).values.real.min() < 0.0
 
 
 def test_support_confined_to_light_cone(hadamard):
-    state = init_product(hadamard, PLUS, -2, 2, 20)
+    state = init_product(hadamard, PLUS, 5, 20)
     for _ in range(12):
         state = step(state)
         c, n, field = state.center, state.n, state.dense()
@@ -383,7 +381,7 @@ def test_support_confined_to_light_cone(hadamard):
 
 
 def test_parity_zeros(hadamard):
-    state = init_product(hadamard, LEFT, -1, 1, 30)
+    state = init_product(hadamard, LEFT, 3, 30)
     for _ in range(30):
         state = step(state)
         mu = measure(state)
@@ -392,7 +390,7 @@ def test_parity_zeros(hadamard):
 
 
 def test_norm_monotone_and_flat_before_boundary(hadamard):
-    state = init_product(hadamard, LEFT, -3, 3, 20)
+    state = init_product(hadamard, LEFT, 7, 20)
     norms = [state.norm()]
     for _ in range(20):
         state = step(state)
@@ -415,15 +413,14 @@ def test_evolution_linear_in_band_vector(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    s, t = stripe_for_width(3)
-    ea = evolve(init_band_vector(coin, a, s, t, 6), 6)
-    eb = evolve(init_band_vector(coin, b, s, t, 6), 6)
-    eab = evolve(init_band_vector(coin, alpha * a + beta * b, s, t, 6), 6)
+    ea = evolve(init_band_vector(coin, a, 3, 6), 6)
+    eb = evolve(init_band_vector(coin, b, 3, 6), 6)
+    eab = evolve(init_band_vector(coin, alpha * a + beta * b, 3, 6), 6)
     assert np.max(np.abs(eab.dense() - (alpha * ea.dense() + beta * eb.dense()))) < 1e-12
 
 
 def test_band_field_matches_measure_on_diagonal(hadamard):
-    state = evolve(init_product(hadamard, LEFT, -1, 1, 8), 7)
+    state = evolve(init_product(hadamard, LEFT, 3, 8), 7)
     field = band_field(state)
     diagonal = field[field["x"] == field["y"]]
     mu = measure(state)
@@ -433,7 +430,7 @@ def test_band_field_matches_measure_on_diagonal(hadamard):
 
 
 def test_band_field_m1_diagonal_only(hadamard):
-    state = evolve(init_product(hadamard, PLUS, 0, 0, 10), 9)
+    state = evolve(init_product(hadamard, PLUS, 1, 10), 9)
     field = band_field(state)
     assert np.array_equal(field["x"], field["y"])
 
@@ -441,14 +438,14 @@ def test_band_field_m1_diagonal_only(hadamard):
 def test_band_field_vanishes_at_far_boundary(hadamard):
     # Light cone reaches rows +-100 at n = 100 with one lone path of
     # weight 2^-100; everything on the boundary rows is below 1e-12.
-    state = evolve(init_product(hadamard, PLUS, -100, 100, 102), 100)
+    state = evolve(init_product(hadamard, PLUS, 201, 102), 100)
     field = state.dense()
     assert np.max(np.abs(field[:, [0, -1]])) < 1e-12  # rows v = -100 and 100
 
 
 def test_odd_width_measure_exactly_real(hadamard, complex_coin):
     for coin in (hadamard, complex_coin):
-        state = init_product(coin, PLUS, -2, 2, 60)
+        state = init_product(coin, PLUS, 5, 60)
         for _ in range(60):
             state = step(state)
             assert measure(state).max_abs_imag() <= 1e-12
@@ -456,13 +453,13 @@ def test_odd_width_measure_exactly_real(hadamard, complex_coin):
 
 def test_even_width_imag_reported_not_asserted(complex_coin):
     # Asymmetric stripes may carry imaginary residue; it is recorded.
-    state = evolve(init_product(complex_coin, PLUS, -1, 0, 40), 40)
+    state = evolve(init_product(complex_coin, PLUS, 2, 40), 40)
     imag = measure(state).max_abs_imag()
     assert np.isfinite(imag)
 
 
 def test_m1_measure_probability(hadamard):
-    state = init_product(hadamard, PLUS, 0, 0, 200)
+    state = init_product(hadamard, PLUS, 1, 200)
     for _ in range(200):
         state = step(state)
         mu = measure(state)
@@ -507,7 +504,7 @@ def test_oqrw_gaussian_limit_small(hadamard):
 
 def test_untruncated_stripe_matches_qw1d(hadamard):
     n = 20
-    state = init_product(hadamard, LEFT, -n, n, n)
+    state = init_product(hadamard, LEFT, 2 * n + 1, n)
     for j in range(1, n + 1):
         state = step(state)
         got = measure(state).values
@@ -516,7 +513,7 @@ def test_untruncated_stripe_matches_qw1d(hadamard):
 
 def test_width_one_matches_oqrw(hadamard):
     n = 100
-    state = init_product(hadamard, PLUS, 0, 0, n)
+    state = init_product(hadamard, PLUS, 1, n)
     for j in range(1, n + 1):
         state = step(state)
         got = measure(state).values
@@ -527,7 +524,7 @@ def test_width_one_matches_oqrw(hadamard):
 @given(unit_spinor_strategy())
 def test_measure_sum_one_random_spinors(g):
     coin = make_hadamard()
-    state = evolve(init_product(coin, g, -1, 0, 40), 40)
+    state = evolve(init_product(coin, g, 2, 40), 40)
     assert abs(measure(state).total() - 1.0) < 1e-10
 
 
@@ -535,11 +532,10 @@ def test_measure_sum_one_random_spinors(g):
 @given(
     unitary_coin_strategy(),
     unit_spinor_strategy(),
-    st.integers(min_value=-3, max_value=0),
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=7),
 )
-def test_measure_sum_one_any_coin_stripe(coin, g, s, t):
-    state = evolve(init_product(coin, g, s, t, 25), 25)
+def test_measure_sum_one_any_coin_stripe(coin, g, m):
+    state = evolve(init_product(coin, g, m, 25), 25)
     assert abs(measure(state).total() - 1.0) < 1e-10
 
 
