@@ -6,7 +6,7 @@ All observables are read off per-step traces of the diagonal measure:
   carries a negative real measure value (the onset of boundary
   interference), read off a recorded min Re mu trace;
 * ``peak_xbar`` of a ``RunSeries``: the normalized argmax of Re mu over
-  x/n in [delta, 1], excluding the diffusive central bump;
+  x/n in [PEAK_DELTA, 1], excluding the diffusive central bump;
 * ``height_ratio``: the time-averaged ratio mu_n(0) / mu_n(peak); the
   average over all n is half the even-n ratio because parity forces
   mu_n(0) = 0 at odd n;
@@ -18,7 +18,7 @@ All observables are read off per-step traces of the diagonal measure:
 
 Slopes come from unweighted least squares on (log n, log y).  When the
 local slope oscillates across the fit window the longest sub-window with
-slope variation below 0.05 is selected automatically and reported.
+slope variation below SLOPE_TOL is selected automatically and reported.
 """
 
 from __future__ import annotations
@@ -50,7 +50,13 @@ __all__ = [
 SUPPORT_THRESHOLDS = (1e-10, 1e-12, 1e-14)
 _THRESHOLD_COLUMN = np.array(SUPPORT_THRESHOLDS)[:, None]
 
-DEFAULT_DELTA = 0.3
+#: The side peak is searched over x/n in [PEAK_DELTA, 1].
+PEAK_DELTA = 0.3
+
+#: ``stable_subwindow`` cuts a fit window into SLOPE_CHUNKS chunks and keeps
+#: the longest run whose local slopes agree within SLOPE_TOL.
+SLOPE_CHUNKS = 8
+SLOPE_TOL = 0.05
 
 
 @dataclass
@@ -59,14 +65,13 @@ class RunSeries:
 
     Arrays are indexed by step number minus one (entry i is time n = i+1).
     ``edges`` maps each recorded support threshold to the a_n trace.
-    ``peak_xbar`` is nan when the maximum over the window [delta, 1] is
+    ``peak_xbar`` is nan when the maximum over the window [PEAK_DELTA, 1] is
     NaN.  ``engine`` is ``BandState.engine()`` of the last state
     (empty for a series that ``run_series`` did not make).
     """
 
     m: int
     n: int
-    delta: float
     ns: np.ndarray
     sum_re: np.ndarray
     max_abs_im: np.ndarray
@@ -78,14 +83,14 @@ class RunSeries:
     engine: dict = field(default_factory=dict)
 
     @classmethod
-    def allocate(cls, m: int, n: int, delta: float) -> RunSeries:
+    def allocate(cls, m: int, n: int) -> RunSeries:
         """A series of n steps whose entries read NaN until written."""
 
         def nans() -> np.ndarray:
             return np.full(n, math.nan)
 
         return cls(
-            m=m, n=n, delta=delta, ns=np.arange(1, n + 1), sum_re=nans(),
+            m=m, n=n, ns=np.arange(1, n + 1), sum_re=nans(),
             max_abs_im=nans(), min_re=nans(), mu_center=nans(), peak_xbar=nans(),
             peak_val=nans(), edges={thr: nans() for thr in SUPPORT_THRESHOLDS},
         )
@@ -95,15 +100,13 @@ class RunSeries:
         return (self.ns >= n_lo) & (self.ns <= n_hi)
 
 
-def _peak_in_window(re: np.ndarray, n: int, delta: float) -> tuple[float, float]:
-    """Rightmost maximum of Re mu_n (index x + n) over x/n in [delta, 1], as (x/n, value).
+def _peak_in_window(re: np.ndarray, n: int) -> tuple[float, float]:
+    """Rightmost maximum of Re mu_n (index x + n) over x/n in [PEAK_DELTA, 1], as (x/n, value).
 
-    x/n is NaN when that maximum is NaN.  n >= 1 and 0 < delta < 1 keep
-    x = n inside the window.
+    x/n is NaN when that maximum is NaN.  n >= 1 and 0 < PEAK_DELTA < 1
+    keep x = n inside the window.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    window = re[n + math.ceil(delta * n) :][::-1]
+    window = re[n + math.ceil(PEAK_DELTA * n) :][::-1]
     j = int(np.argmax(window))  # first max from the right = largest-x tie
     value = float(window[j])
     return (math.nan if math.isnan(value) else (n - j) / n), value
@@ -126,7 +129,7 @@ def _stats_from_values(series: RunSeries, n: int, values: np.ndarray) -> None:
     series.max_abs_im[i] = im if finite and math.isfinite(im) else math.nan
     series.min_re[i] = re.min()
     series.mu_center[i] = re[n]
-    series.peak_xbar[i], series.peak_val[i] = _peak_in_window(re, n, series.delta)
+    series.peak_xbar[i], series.peak_val[i] = _peak_in_window(re, n)
     if finite and amax > 0.0:
         # One comparison for all thresholds; a_n is n minus the distance
         # from the nearer end of the array to the first value above.
@@ -139,16 +142,10 @@ def _stats_from_values(series: RunSeries, n: int, values: np.ndarray) -> None:
         series.edges[thr][i] = edge
 
 
-def run_series(
-    coin: Coin,
-    m: int,
-    n: int,
-    g: Sequence[complex] = (1.0, 0.0),
-    delta: float = DEFAULT_DELTA,
-) -> RunSeries:
+def run_series(coin: Coin, m: int, n: int, g: Sequence[complex] = (1.0, 0.0)) -> RunSeries:
     """Evolve the width-m product start for n steps recording all per-step observables."""
     state = init_product(coin, g, m, n)
-    series = RunSeries.allocate(m, n, delta)
+    series = RunSeries.allocate(m, n)
     final = state
     for final in trajectory(state, n):
         _stats_from_values(series, final.n, diagonal(final))
@@ -206,31 +203,28 @@ def loglog_fit(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
-def stable_subwindow(
-    ns: np.ndarray, ys: np.ndarray, tol: float = 0.05, chunks: int = 8
-) -> tuple[np.ndarray, bool]:
-    """Longest run of consecutive chunks whose local slopes agree within tol.
+def stable_subwindow(ns: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Longest run of consecutive chunks whose local slopes agree within ``SLOPE_TOL``.
 
     Returns a boolean mask over the input and whether the full window was
     judged oscillating (i.e. a proper sub-window was selected).
     """
     npts = len(ns)
-    if npts < 4 * chunks:
+    if npts < 4 * SLOPE_CHUNKS:
         return np.ones(npts, dtype=bool), False
-    bounds = np.linspace(0, npts, chunks + 1).astype(int)
+    bounds = np.linspace(0, npts, SLOPE_CHUNKS + 1).astype(int)
     slopes = []
-    for i in range(chunks):
+    for i in range(SLOPE_CHUNKS):
         lo, hi = bounds[i], bounds[i + 1]
         s, _, _ = loglog_fit(ns[lo:hi], ys[lo:hi])
         slopes.append(s)
     best = (0, 0)
-    start = 0
-    for i in range(chunks):
-        for j in range(i, chunks):
+    for i in range(SLOPE_CHUNKS):
+        for j in range(i, SLOPE_CHUNKS):
             window = slopes[i : j + 1]
-            if max(window) - min(window) <= tol and (j + 1 - i) > best[1] - best[0]:
+            if max(window) - min(window) <= SLOPE_TOL and (j + 1 - i) > best[1] - best[0]:
                 best = (i, j + 1)
-    if best == (0, chunks) or best[1] - best[0] == 0:
+    if best == (0, SLOPE_CHUNKS) or best[1] - best[0] == 0:
         return np.ones(npts, dtype=bool), False
     mask = np.zeros(npts, dtype=bool)
     mask[bounds[best[0]] : bounds[best[1]]] = True

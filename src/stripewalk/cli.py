@@ -59,6 +59,7 @@ from .limits import (
     scaled_cdf_distance,
 )
 from .characteristics import (
+    PEAK_DELTA,
     SUPPORT_THRESHOLDS,
     decay_exponent,
     height_ratio,
@@ -569,7 +570,7 @@ def _characteristics_row(cfg: RunConfig, m: int) -> tuple[list, dict]:
         "n": n,
         "n_crit": {"value": nc, "n_max": nmax, "tol": NCRIT_TOL},
         "fit_window": [lo, hi],
-        "delta": series.delta,
+        "delta": PEAK_DELTA,
         "support_threshold": SUPPORT_THRESHOLDS[1],
         "support_thresholds_recorded": list(SUPPORT_THRESHOLDS),
         "gamma": {
@@ -668,9 +669,9 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     n = cfg.steps
-    for m in cfg.mlist:
-        mu = measure(evolve(_initial_state(replace(cfg, m=m), n), n))
-        _write_measure(out, f"M{m}_n{n}", mu, digest)
+    starts = [_initial_state(replace(cfg, m=m), n) for m in cfg.mlist]  # reject before any write
+    for m, state in zip(cfg.mlist, starts):
+        _write_measure(out, f"M{m}_n{n}", measure(evolve(state, n)), digest)
     _write_json(out / "provenance.json", {"command": "sweep", "config": config_to_text(cfg)}, digest)
     return 0
 

@@ -51,13 +51,15 @@ The step kernel computes only cells that can be nonzero and visible:
   two blocks are live on opposite column parities.  That parity flips
   every step, so the block written on even columns reads LL at j and RR at
   j - 1, the other reads LL at j + 1 and RR at j, and both read LR and RL
-  from the neighbor rows, which lie in the other block, at the same j:
-  every gather is a step-1 slice.  Which block reads which offsets depends
-  only on the parity of n, so the slices are set up once, with the initial
-  state, and ``step`` passes them on (``BandState.plans``).  A two-class
-  band start steps its two packed fields through the same kernel; exactly
-  one of them is live at each cell, so the dense field is their
-  interleave (``BandState.dense``).
+  from the neighbor rows, which lie in the other block, at the same j.
+  Both edges of the field are zero guards: packed column n_max + 1 past u,
+  and one row after each block, which row 0 reads through QP and the last
+  stripe row through PQ (the cut), so every gather is one step-1 slice.
+  Which block reads which offsets depends only on the parity of n, so the
+  slices are set up once, with the initial state, and ``step`` passes them
+  on (``BandState.plans``).  A two-class band start steps its two packed
+  fields through the same kernel; exactly one of them is live at each
+  cell, so the dense field is their interleave (``BandState.dense``).
 * live window: each state carries the column range that may be nonzero.
   It grows by at most one column per side per step; after each step, edge
   columns whose live cells are all finite and below ``np.finfo(dtype).tiny``
@@ -149,34 +151,33 @@ class _Block(NamedTuple):
     rows: slice  # its packed rows
     vrows: slice  # the same rows as stripe rows v + M // 2 (step 2)
     q: int  # parity of the column u + center live in these rows
-    up: slice  # packed rows read through PQ (LR at v + 1) by the leading rows; the rest read zero
-    down: int  # 1 when the first row reads zero through QP (RL at v - 1), else 0
-    dn: slice  # packed rows read through QP by the rows after the first ``down``
+    up: slice  # packed rows read through PQ (LR at v + 1), one per row
+    dn: slice  # packed rows read through QP (RL at v - 1), one per row
 
 
 def _plans(m: int, center: int, sublattices: Sequence[int]) -> tuple:
     """Per parity of n: the blocks, and per column parity the (field, rows) live there.
 
-    Even stripe rows occupy packed rows [0, ne), odd ones [ne, m).  Even
-    row 2i reads row 2i+1 (packed ne + i) through PQ and row 2i-1
-    (packed ne + i - 1) through QP; odd row 2i+1 reads rows 2i+2 (packed
-    i + 1) and 2i (packed i).  Rows beyond the stripe edge read zero (the
-    cut): row 0 through QP, and the last row through PQ.
+    Even stripe rows occupy packed rows [0, ne), odd ones [ne + 1, m + 1);
+    rows ne and m + 1 are zero guards.  Even row 2i reads row 2i+1 (packed
+    ne + 1 + i) through PQ and row 2i-1 (packed ne + i) through QP; odd row
+    2i+1 reads rows 2i+2 (packed i + 1) and 2i (packed i).  So row 0 and the
+    last stripe row read a guard row beyond the stripe edge: the cut.
     """
     ne = (m + 1) // 2
     layout = (
-        (slice(0, ne), slice(0, m, 2), slice(ne, ne + m // 2), 1, slice(ne, 2 * ne - 1)),
-        (slice(ne, m), slice(1, m, 2), slice(1, ne), 0, slice(0, m - ne)),
+        (slice(0, ne), slice(0, m, 2), slice(ne + 1, 2 * ne + 1), slice(ne, 2 * ne)),
+        (slice(ne + 1, m + 1), slice(1, m, 2), slice(1, m - ne + 1), slice(0, m - ne)),
     )
     plans = []
     for parity in (0, 1):
         groups: list[_Block] = []
         columns: tuple[list, list] = ([], [])
         for f, sub in enumerate(sublattices):
-            for b, (rows, vrows, up, down, dn) in enumerate(layout):
+            for b, (rows, vrows, up, dn) in enumerate(layout):
                 if rows.start < rows.stop:
                     q = (parity + sub + m // 2 + center + b) % 2
-                    groups.append(_Block(f, rows, vrows, q, up, down, dn))
+                    groups.append(_Block(f, rows, vrows, q, up, dn))
                     columns[q].append((f, rows))
         plans.append((tuple(groups), (tuple(columns[0]), tuple(columns[1]))))
     return tuple(plans)
@@ -186,17 +187,19 @@ def _plans(m: int, center: int, sublattices: Sequence[int]) -> tuple:
 class BandState:
     """The walker's 4-vector field over the stripe, stored at its live cells.
 
-    ``packed`` has shape (F, 4, M, n_max + 2): one packed field per entry
-    of ``sublattices`` (the parities of u+v occupied at n = 0), axis 1 the
-    component (LL, LR, RL, RR), axis 2 the stripe row r = v + M // 2 in
-    even-first order (0, 2, 4, ..., then 1, 3, 5, ...), axis 3 the packed
-    column j.  At time n the field of sublattice sigma holds cell (u, v)
-    with u + v = n + sigma (mod 2) at j = (u + center) // 2; its other
-    cells are zero and not stored.  The dtype is float64 or complex128 (see
-    the module docstring).  ``live`` = [lo, hi) is the range of the column
-    u + center that may be nonzero, and |u| <= n inside it; packed cells
-    outside it are exactly zero, as is packed column n_max + 1 of the rows
-    live on odd columns, which lies past the field (a guard column).
+    ``packed`` has shape (F, 4, M + 2, n_max + 2): one packed field per
+    entry of ``sublattices`` (the parities of u+v occupied at n = 0), axis
+    1 the component (LL, LR, RL, RR), axis 2 the stripe row r = v + M // 2
+    in even-first order (0, 2, 4, ..., then 1, 3, 5, ...) with a zero guard
+    row after each parity (packed rows ceil(M / 2) and M + 1), axis 3 the
+    packed column j.  At time n the field of sublattice sigma holds cell
+    (u, v) with u + v = n + sigma (mod 2) at j = (u + center) // 2; its
+    other cells are zero and not stored.  The dtype is float64 or
+    complex128 (see the module docstring).  ``live`` = [lo, hi) is the
+    range of the column u + center that may be nonzero, and |u| <= n inside
+    it; packed cells outside it are exactly zero, as is packed column
+    n_max + 1 of the rows live on odd columns, which lies past the field (a
+    guard column).  No step writes a guard row or column.
 
     ``dense()`` gives the field in the layout (4, M, 2 n_max + 3) with the
     column u + center; ``plans`` holds the kernel's slices for both
@@ -302,7 +305,7 @@ def init_band_vector(
     c = n_max + 1
     state = BandState(
         coin=coin, m=m, n=0, n_max=n_max,
-        packed=np.zeros((len(sublattices), 4, m, n_max + 2), dtype=dtype), blocks=b,
+        packed=np.zeros((len(sublattices), 4, m + 2, n_max + 2), dtype=dtype), blocks=b,
         sublattices=sublattices, live=(c, c + 1) if sublattices else (c, c),
         plans=_plans(m, c, sublattices),
     )
@@ -327,33 +330,23 @@ def _step_kernel_rank1(
     contributes (weight vector) times one scalar component of a shifted
     neighbor.  Per block of ``groups`` (the plan of the new time), the four
     neighbors (LL from u+1, RR from u-1, LR from v+1, RL from v-1) are
-    gathered from packed step-1 slices into one contiguous
-    (rows, 4, cols) array, and a (4, 4) by (4, cols) product per row
-    mixes them into dst.  [lo, hi) is in the column u + center; a block
-    live on column parity q writes packed columns (lo - q + 1) // 2 up to
-    (hi - q + 1) // 2 and reads one packed column beyond them on one
-    side.  ``weights`` is ``CoinBlocks.weights`` (columns w_pp, w_qq,
-    w_pq, w_qp) as a contiguous array in the field's dtype.
+    gathered from packed step-1 slices (beyond the stripe edge, a zero
+    guard row: the cut) into one contiguous (rows, 4, cols) array, and a
+    (4, 4) by (4, cols) product per row mixes them into dst.  [lo, hi) is
+    in the column u + center; a block live on column parity q writes packed
+    columns (lo - q + 1) // 2 up to (hi - q + 1) // 2 and reads one packed
+    column beyond them on one side.  ``weights`` is ``CoinBlocks.weights``
+    (columns w_pp, w_qq, w_pq, w_qp) as a contiguous array in the field's
+    dtype.
     """
-    for f, rows, _, q, up, down, dn in groups:
+    for f, rows, _, q, up, dn in groups:
         j0, j1 = (lo - q + 1) >> 1, (hi - q + 1) >> 1
         a = src[f]
-        nrows = rows.stop - rows.start
-        gathered = np.empty((nrows, 4, j1 - j0), dtype=src.dtype)
+        gathered = np.empty((rows.stop - rows.start, 4, j1 - j0), dtype=src.dtype)
         gathered[:, 0] = a[LL, rows, j0 + q : j1 + q]
         gathered[:, 1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
-        # Rows whose neighbor lies beyond the stripe edge read zero (the
-        # cut): those after the first k through PQ, the first ``down``
-        # through QP.
-        k = up.stop - up.start
-        if k:
-            gathered[:k, 2] = a[LR, up, j0:j1]
-        if k < nrows:
-            gathered[k:, 2] = 0
-        if down:
-            gathered[0, 3] = 0
-        if down < nrows:
-            gathered[down:, 3] = a[RL, dn, j0:j1]
+        gathered[:, 2] = a[LR, up, j0:j1]
+        gathered[:, 3] = a[RL, dn, j0:j1]
         # One (4, 4) product per row, written straight into the field.
         np.matmul(weights, gathered, out=dst[f, :, rows, j0:j1].transpose(1, 0, 2))
 

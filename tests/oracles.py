@@ -39,7 +39,7 @@ import numpy as np
 
 from stripewalk import BandState, ComplexMeasure, init_product, qw1d_trajectory, trajectory
 from stripewalk.characteristics import (
-    DEFAULT_DELTA,
+    PEAK_DELTA,
     RunSeries,
     _peak_in_window,
     _stats_from_values,
@@ -139,10 +139,11 @@ def pack(state: BandState, dense: np.ndarray) -> BandState:
     The packed layout, stated here apart from the walker: cell (u, v) of
     sublattice sigma = (u + v - n) mod 2 is ``packed[f, :, R, j]`` with f
     the index of sigma in ``state.sublattices``, R = r // 2 for an even
-    stripe row r = v + M // 2 and ceil(M / 2) + r // 2 for an odd one, and
-    j = (u + center) // 2.  A nonzero value off the live sublattices is a
-    ValueError, since the packed field has no place for it.  The live
-    window is left as it is.
+    stripe row r = v + M // 2 and ceil(M / 2) + 1 + r // 2 for an odd one,
+    and j = (u + center) // 2.  Packed rows ceil(M / 2) and M + 1 are zero
+    guard rows, as is packed column n_max + 1 past the u-edge.  A nonzero
+    value off the live sublattices is a ValueError, since the packed field
+    has no place for it.  The live window is left as it is.
     """
     dense = np.asarray(dense)
     mask = live_mask(state)
@@ -151,7 +152,7 @@ def pack(state: BandState, dense: np.ndarray) -> BandState:
     r, col = np.nonzero(mask)
     sigma = (col - state.center + r - state.m // 2 - state.n) % 2
     field = np.searchsorted(state.sublattices, sigma)
-    row = np.where(r % 2 == 0, r // 2, (state.m + 1) // 2 + r // 2)
+    row = np.where(r % 2 == 0, r // 2, (state.m + 1) // 2 + 1 + r // 2)
     state.packed[...] = 0
     state.packed[field, :, row, col // 2] = dense[:, r, col].T
     return state
@@ -187,14 +188,9 @@ def qw1d_reference(coin: Coin, phi0: Sequence[complex], n: int) -> np.ndarray:
     return probs
 
 
-def oracle_series(
-    coin: Coin,
-    phi0: Sequence[complex],
-    n: int,
-    delta: float = DEFAULT_DELTA,
-) -> RunSeries:
+def oracle_series(coin: Coin, phi0: Sequence[complex], n: int) -> RunSeries:
     """Per-step observables of the untruncated one-dimensional walk."""
-    series = RunSeries.allocate(2 * n + 1, n, delta)
+    series = RunSeries.allocate(2 * n + 1, n)
     for j, probs in enumerate(qw1d_trajectory(coin, phi0, n), start=1):
         _stats_from_values(series, j, probs)
     return series
@@ -217,11 +213,11 @@ def n_crit(
     return n_crit_of_trace(min_re, m, n_max, tol)
 
 
-def peak_position(mu: ComplexMeasure, delta: float = DEFAULT_DELTA) -> float:
+def peak_position(mu: ComplexMeasure) -> float:
     """Normalized off-center peak position of one measure snapshot."""
-    xbar, _ = _peak_in_window(mu.values.real, mu.n, delta)
+    xbar, _ = _peak_in_window(mu.values.real, mu.n)
     if math.isnan(xbar):
-        raise ValueError(f"no finite peak in the window [{delta}, 1] at n={mu.n}")
+        raise ValueError(f"no finite peak in the window [{PEAK_DELTA}, 1] at n={mu.n}")
     return xbar
 
 

@@ -397,7 +397,7 @@ def test_c08_supplement_frozen_onsets():
 
 def test_c09_peak_positions(m2_measure_2000, oracle_2000):
     t0 = time.perf_counter()
-    xbar = peak_position(m2_measure_2000, 0.3)
+    xbar = peak_position(m2_measure_2000)
     m2_err = abs(xbar - 1 / S3)
     oracle_xbar = oracle_2000.peak_xbar[-1]
     elapsed = time.perf_counter() - t0

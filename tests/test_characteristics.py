@@ -14,6 +14,7 @@ from stripewalk import (
     trajectory,
 )
 from stripewalk.characteristics import (
+    PEAK_DELTA,
     SUPPORT_THRESHOLDS,
     RunSeries,
     decay_exponent,
@@ -37,7 +38,6 @@ def _synthetic_series(ns, mu_center, peak_val, peak_xbar=0.6, edge_slope=0.5):
     return RunSeries(
         m=2,
         n=int(ns[-1]),
-        delta=0.3,
         ns=ns,
         sum_re=np.ones_like(ns, dtype=float),
         max_abs_im=np.zeros_like(ns, dtype=float),
@@ -69,17 +69,17 @@ def test_n_crit_known_values(hadamard):
 def test_peak_position_definition(hadamard):
     state = evolve(init_product(hadamard, LEFT, 2, 402), 400)
     mu = measure(state)
-    xbar = peak_position(mu, 0.3)
+    xbar = peak_position(mu)
     assert 0.3 <= xbar <= 1.0
     assert abs(xbar - 1 / math.sqrt(3)) < 0.05
 
 
 def test_peak_position_validation(hadamard):
+    # A NaN in the peak window leaves no finite peak to report.
     mu = measure(evolve(init_product(hadamard, LEFT, 2, 12), 10))
-    with pytest.raises(ValueError):
-        peak_position(mu, 0.0)
-    with pytest.raises(ValueError):
-        peak_position(mu, 1.5)
+    mu.values[-2] = math.nan
+    with pytest.raises(ValueError, match="no finite peak"):
+        peak_position(mu)
 
 
 def test_peak_position_tie_breaks_right():
@@ -89,7 +89,7 @@ def test_peak_position_tie_breaks_right():
     values[14] = 0.3  # x = 4
     values[16] = 0.3  # x = 6: tie resolves toward larger x
     mu = ComplexMeasure(n=10, values=values)
-    assert peak_position(mu, 0.3) == 0.6
+    assert peak_position(mu) == 0.6
 
 
 def test_peak_position_scale_invariant(hadamard):
@@ -98,7 +98,7 @@ def test_peak_position_scale_invariant(hadamard):
     state = evolve(init_product(hadamard, LEFT, 2, 202), 200)
     mu = measure(state)
     scaled = ComplexMeasure(n=mu.n, values=3.7 * mu.values)
-    assert peak_position(mu, 0.3) == peak_position(scaled, 0.3)
+    assert peak_position(mu) == peak_position(scaled)
 
 
 def test_height_ratio_parity_factor(hadamard):
@@ -273,23 +273,23 @@ def _assert_series_equal(series, rows):
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
 @pytest.mark.parametrize("g", [PLUS, CIRCULAR], ids=["real", "complex"])
 def test_run_series_matches_mask_oracle(hadamard, m, g):
-    n, delta = 240, 0.3
+    n = 240
     rows = [
-        _oracle_sample(mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n, delta)
+        _oracle_sample(mu.values.real, mu.max_abs_imag(), mu.positions(), mu.n, PEAK_DELTA)
         for mu in map(measure, trajectory(init_product(hadamard, g, m, n), n))
     ]
-    series = run_series(hadamard, m, n, g=g, delta=delta)
-    assert series.m == m and series.delta == delta
+    series = run_series(hadamard, m, n, g=g)
+    assert series.m == m
     _assert_series_equal(series, rows)
 
 
 def test_oracle_series_matches_mask_oracle(hadamard):
-    n, delta = 120, 0.45
+    n = 120
     rows = [
-        _oracle_sample(probs, 0.0, np.arange(-j, j + 1), j, delta)
+        _oracle_sample(probs, 0.0, np.arange(-j, j + 1), j, PEAK_DELTA)
         for j, probs in enumerate(qw1d_trajectory(hadamard, CIRCULAR, n), start=1)
     ]
-    _assert_series_equal(oracle_series(hadamard, CIRCULAR, n, delta=delta), rows)
+    _assert_series_equal(oracle_series(hadamard, CIRCULAR, n), rows)
 
 
 def test_run_series_nan_cell_never_reads_finite(hadamard, monkeypatch):

@@ -601,6 +601,9 @@ def test_engine_records_carry_versions(tmp_path):
                 ("characteristics", "mlist = 0 2\n"),
             )
         ),
+        # A width rejected after an accepted one leaves no partial output.
+        ("sweep", "mlist = 2 0\nsteps = 20\n", "stripe width must be >= 1, got 0"),
+        ("sweep", "init = band\nmlist = 2 3\nband = " + " ".join(["0.5,0"] * 8) + "\n", "needs 12 complex entries, got 8"),
         # Keys that were settable once and are now fixed values.
         *(
             ("simulate", f"steps = 10\n{line}\n", "unknown config key")
@@ -630,7 +633,22 @@ def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, need
     assert rc == 2
     assert err.count("\n") == 1 and needle in err
     assert "Traceback" not in err
-    assert not list(tmp_path.glob("o/*.csv"))
+    assert not list(tmp_path.glob("o/*"))
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_main_passes_on_the_subcommand_status(tmp_path, capsys, monkeypatch, status):
+    # The benchmark's set-up probe replaces every cmd_* with a stub that
+    # returns at once; main must exit with what the subcommand returned
+    # and print nothing of its own.
+    names = [name for name in vars(cli) if name.startswith("cmd_")]
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: status)
+    for name in names:
+        command = name[len("cmd_"):].replace("_", "-")
+        assert main([command, "--out", str(tmp_path / command)]) == status, command
+        assert capsys.readouterr() == ("", ""), command
+        assert not list((tmp_path / command).iterdir()), command
 
 
 def test_library_check_failure_is_one_fail_line_exit_1(tmp_path, capsys, monkeypatch):

@@ -152,10 +152,13 @@ def test_packed_field_is_the_stated_layout(hadamard, complex_coin, m):
     # The packed array equals the dense oracle's field packed by
     # oracles.pack, which states the layout apart from the walker: even
     # rows first, j = (u + center) // 2, one field per sublattice.  At odd
-    # widths the even block has one row more than the odd block.
+    # widths the even block has one row more than the odd block.  The two
+    # guard rows after the blocks stay exactly zero.
+    ne = (m + 1) // 2
     for coin in (hadamard, complex_coin):
         for name, state in _band_starts(coin, m).items():
             for got, dense in zip(trajectory(state, 12), dense_trajectory(state, 12)):
+                assert got.packed.shape[2] == m + 2 and not np.any(got.packed[:, :, [ne, m + 1]])
                 want = pack(dataclasses.replace(got, packed=np.empty(got.packed.shape, dtype=complex)), dense)
                 assert np.max(np.abs(got.packed - want.packed)) <= 1e-14, (name, got.n)
                 assert np.array_equal(pack(dataclasses.replace(got, packed=np.empty_like(got.packed)), got.dense()).packed, got.packed)
