@@ -296,6 +296,13 @@ def _versions() -> dict:
     return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
 
 
+def _status(command: str, failures: list[str]) -> int:
+    """Print one ``FAIL <command>: <message>`` line per failure; the exit status, 1 if any."""
+    for msg in failures:
+        print(f"FAIL {command}: {msg}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def _initial_state(cfg: RunConfig, n_max: int):
     coin = cfg.coin_obj()
     if cfg.init == "product":
@@ -378,9 +385,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         },
         digest,
     )
-    for msg in failures:
-        print(f"FAIL simulate: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _status("simulate", failures)
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
@@ -400,9 +405,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
                 yield cfg.m, k, lam.real, lam.imag, modulus
 
     _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows(), digest)
-    for msg in failures:
-        print(f"FAIL spectrum: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _status("spectrum", failures)
 
 
 def cmd_kato(cfg: RunConfig, out: Path) -> int:
@@ -466,9 +469,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         },
         digest,
     )
-    for msg in failures:
-        print(f"FAIL kato: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _status("kato", failures)
 
 
 def cmd_limits(cfg: RunConfig, out: Path) -> int:
@@ -541,12 +542,10 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
         },
         digest,
     )
-    for msg in failures:
-        print(f"FAIL limits: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _status("limits", failures)
 
 
-def _characteristics_row(cfg: RunConfig, m: int) -> tuple[list, dict]:
+def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict]:
     coin = cfg.coin_obj()
     n = cfg.steps
     nmax = 4 * m + 40
@@ -564,7 +563,7 @@ def _characteristics_row(cfg: RunConfig, m: int) -> tuple[list, dict]:
         r_side = decay_exponent(series, "side", (lo, hi))
     except ValueError as exc:
         raise ValueError(f"M={m}: {exc}") from None
-    row = [m, nc, xmax, ratio, gamma.slope, r_center.slope, r_side.slope]
+    row = (m, nc, xmax, ratio, gamma.slope, r_center.slope, r_side.slope)
     sidecar = {
         "M": m,
         "n": n,
@@ -605,14 +604,10 @@ def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
             results = list(pool.map(_characteristics_row, repeat(cfg), cfg.mlist))
     else:
         results = [_characteristics_row(cfg, m) for m in cfg.mlist]
-    rows = [r for r, _ in results]
     _write_csv(
         out / "characteristics.csv",
         "M,n_crit,xmax,ratio,gamma,r_center,r_side",
-        (
-            (int(r[0]), int(r[1]), *(float(v) for v in r[2:]))
-            for r in rows
-        ),
+        (row for row, _ in results),
         digest,
     )
     _write_json(
@@ -661,9 +656,7 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
         {"command": "oracle-check", **report, "failures": failures},
         digest,
     )
-    for msg in failures:
-        print(f"FAIL oracle-check: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _status("oracle-check", failures)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -753,8 +746,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"stripewalk {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        print(f"FAIL {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return _status(args.command, [str(exc)])
 
 
 if __name__ == "__main__":

@@ -11,17 +11,17 @@ and the four 4x4 tensor blocks A (x) conj(B) for (A, B) in
 throughout, so the tensor blocks are literally ``np.kron(A, B.conj())``.
 
 Each tensor block has a single nonzero column and therefore factors as an
-outer product ``w e_j^T``; the weight vectors ``w_*`` are exposed so the
-evolution kernel can use the cheaper rank-1 form.
+outer product ``w e_j^T``; ``CoinBlocks.weights`` holds the four weight
+vectors w as columns, so the evolution kernel can use the cheaper rank-1
+form.  ``blocks`` builds every matrix of a coin in one pass.
 
-Coins and their blocks are immutable after construction (block caching is
-idempotent), so they are safe to share across threads.
+Coins and their blocks are frozen and never written after construction,
+so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,87 +91,49 @@ def tensor_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex).conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinBlocks:
-    """All matrices derived from one coin.
+    """All matrices derived from one coin, built once by ``blocks``.
 
     Attributes
     ----------
-    p, q : 2x2 column splits H|L><L|, H|R><R| of the coin.
+    coin : the coin H they come from.
     p_row, q_row : 2x2 row splits |L><L|H, |R><R|H.
     pp, qq, pq, qp : the 4x4 blocks P(x)conj(P), Q(x)conj(Q), P(x)conj(Q),
-        Q(x)conj(P) driving the two-coordinate evolution.
-    w_pp, w_qq, w_pq, w_qp : length-4 weight vectors such that e.g.
-        ``pp == outer(w_pp, e_LL)``; the rank-1 factors of the blocks.
-    weights : the (4, 4) matrix with columns w_pp, w_qq, w_pq, w_qp, which
-        the step kernel applies to the four gathered neighbor components;
-        ``real_weights`` is its real part for float64 fields.
+        Q(x)conj(P) driving the two-coordinate evolution, P and Q being the
+        column splits H|L><L|, H|R><R|.
+    weights : the (4, 4) matrix whose columns are the nonzero columns of
+        pp, qq, pq and qp (at LL, RR, LR and RL), so that e.g.
+        ``pp == outer(weights[:, 0], e_LL)``: the rank-1 factors of the
+        blocks.  The step kernel applies it to the four gathered neighbor
+        components (LL at u+1, RR at u-1, LR at v+1, RL at v-1).
+    real_weights : the real part of ``weights``, contiguous so that the
+        product of a float64 field goes through BLAS.
     """
 
     coin: Coin
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        return np.array([[self.coin.a, 0], [self.coin.c, 0]], dtype=complex)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return np.array([[0, self.coin.b], [0, self.coin.d]], dtype=complex)
-
-    @cached_property
-    def p_row(self) -> np.ndarray:
-        return np.array([[self.coin.a, self.coin.b], [0, 0]], dtype=complex)
-
-    @cached_property
-    def q_row(self) -> np.ndarray:
-        return np.array([[0, 0], [self.coin.c, self.coin.d]], dtype=complex)
-
-    @cached_property
-    def pp(self) -> np.ndarray:
-        return tensor_conj(self.p, self.p)
-
-    @cached_property
-    def qq(self) -> np.ndarray:
-        return tensor_conj(self.q, self.q)
-
-    @cached_property
-    def pq(self) -> np.ndarray:
-        return tensor_conj(self.p, self.q)
-
-    @cached_property
-    def qp(self) -> np.ndarray:
-        return tensor_conj(self.q, self.p)
-
-    # Nonzero columns: pp -> LL, qq -> RR, pq -> LR, qp -> RL.
-    @cached_property
-    def w_pp(self) -> np.ndarray:
-        return self.pp[:, LL].copy()
-
-    @cached_property
-    def w_qq(self) -> np.ndarray:
-        return self.qq[:, RR].copy()
-
-    @cached_property
-    def w_pq(self) -> np.ndarray:
-        return self.pq[:, LR].copy()
-
-    @cached_property
-    def w_qp(self) -> np.ndarray:
-        return self.qp[:, RL].copy()
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The (4, 4) matrix whose columns are w_pp, w_qq, w_pq, w_qp: it maps
-        the neighbor components (LL at u+1, RR at u-1, LR at v+1, RL at v-1)
-        to the new 4-vector."""
-        return np.stack([self.w_pp, self.w_qq, self.w_pq, self.w_qp], axis=1)
-
-    @cached_property
-    def real_weights(self) -> np.ndarray:
-        """Real part of ``weights``, contiguous so the product goes through BLAS."""
-        return np.ascontiguousarray(self.weights.real)
+    p_row: np.ndarray = field(repr=False)
+    q_row: np.ndarray = field(repr=False)
+    pp: np.ndarray = field(repr=False)
+    qq: np.ndarray = field(repr=False)
+    pq: np.ndarray = field(repr=False)
+    qp: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    real_weights: np.ndarray = field(repr=False)
 
 
 def blocks(coin: Coin) -> CoinBlocks:
     """All split and tensor blocks of a coin, computed once per run."""
-    return CoinBlocks(coin)
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    p = np.array([[a, 0], [c, 0]], dtype=complex)
+    q = np.array([[0, b], [0, d]], dtype=complex)
+    pp, qq, pq, qp = tensor_conj(p, p), tensor_conj(q, q), tensor_conj(p, q), tensor_conj(q, p)
+    weights = np.stack([pp[:, LL], qq[:, RR], pq[:, LR], qp[:, RL]], axis=1)
+    return CoinBlocks(
+        coin=coin,
+        p_row=np.array([[a, b], [0, 0]], dtype=complex),
+        q_row=np.array([[0, 0], [c, d]], dtype=complex),
+        pp=pp, qq=qq, pq=pq, qp=qp,
+        weights=weights,
+        real_weights=np.ascontiguousarray(weights.real),
+    )

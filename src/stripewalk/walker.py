@@ -202,13 +202,12 @@ class BandState:
     guard column).  No step writes a guard row or column.
 
     ``dense()`` gives the field in the layout (4, M, 2 n_max + 3) with the
-    column u + center; ``plans`` holds the kernel's slices for both
-    parities of n and passes unchanged from a state to the next.  Every
-    field is required: ``init_band_vector`` builds a state from its data,
-    and ``step`` builds the next one from it.
+    column u + center.  ``blocks`` (which holds the coin) and ``plans``
+    (the kernel's slices for both parities of n) pass unchanged from a
+    state to the next.  Every field is required: ``init_band_vector``
+    builds a state from its data, and ``step`` builds the next one from it.
     """
 
-    coin: Coin
     m: int
     n: int
     n_max: int
@@ -298,13 +297,12 @@ def init_band_vector(
     if data.shape != (m, 4):
         raise ValueError(f"band data must have shape ({m}, 4), got {data.shape}")
     b = blocks(coin)
-    inputs = (b.w_pp, b.w_qq, b.w_pq, b.w_qp, data)
-    dtype = complex if any(np.any(x.imag) for x in inputs) else float
+    dtype = complex if any(np.any(x.imag) for x in (b.weights, data)) else float
     occupied = np.any(data != 0, axis=1)  # a NaN row counts as occupied
     sublattices = tuple(sorted({(r + s) % 2 for r in range(m) if occupied[r]}))
     c = n_max + 1
     state = BandState(
-        coin=coin, m=m, n=0, n_max=n_max,
+        m=m, n=0, n_max=n_max,
         packed=np.zeros((len(sublattices), 4, m + 2, n_max + 2), dtype=dtype), blocks=b,
         sublattices=sublattices, live=(c, c + 1) if sublattices else (c, c),
         plans=_plans(m, c, sublattices),
@@ -336,8 +334,8 @@ def _step_kernel_rank1(
     in the column u + center; a block live on column parity q writes packed
     columns (lo - q + 1) // 2 up to (hi - q + 1) // 2 and reads one packed
     column beyond them on one side.  ``weights`` is ``CoinBlocks.weights``
-    (columns w_pp, w_qq, w_pq, w_qp) as a contiguous array in the field's
-    dtype.
+    (the rank-1 columns of PP, QQ, PQ and QP) or its ``real_weights``,
+    whichever is in the field's dtype.
     """
     for f, rows, _, q, up, dn in groups:
         j0, j1 = (lo - q + 1) >> 1, (hi - q + 1) >> 1
@@ -426,7 +424,6 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
     while lo < hi and _drop(dst, columns, hi - 1, tiny):
         hi -= 1
     return BandState(
-        coin=state.coin,
         m=state.m,
         n=n,
         n_max=state.n_max,

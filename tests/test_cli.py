@@ -6,7 +6,7 @@ import platform
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from stripewalk import (
     make_hadamard,
     measure,
     spectral,
+    trajectory,
 )
 from stripewalk.coin import LL, RR, blocks
 from stripewalk.cli import (
@@ -333,6 +334,27 @@ def test_characteristics_command(tmp_path):
     assert -200 <= lo < 0 < hi <= 200
 
 
+def test_characteristics_health_values_match_the_trajectory(tmp_path):
+    # The sidecar's max |Im mu| and max |sum mu_n - sum mu_1| over steps
+    # 1..n, against the same maxima taken from a fresh trajectory.  A
+    # complex spinor at even width gives a large imaginary part, and at
+    # both widths the series runs past n (n_crit horizons 48 and 52 > 40).
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 40\nmlist = 2 3\ng = 0.6,0 0,0.8\n")
+    assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
+    for entry in sidecar["per_m"]:
+        states = trajectory(init_product(make_hadamard(), (0.6, 0.8j), entry["M"], 40), 40)
+        mus = [measure(st) for st in states]
+        imag = np.array([mu.max_abs_imag() for mu in mus])
+        sums = np.array([mu.values.real.sum() for mu in mus])
+        deviation = np.abs(sums - sums[0])
+        assert entry["max_abs_imag"] == imag.max()
+        assert entry["max_sum_deviation"] == deviation.max()
+        # Step 1 alone, or the first half, would read less.
+        assert imag[0] < imag.max() and deviation[:20].max() < deviation.max()
+
+
 def test_simulate_provenance_records_engine(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("steps = 30\nm = 3\ng = 1,0 0,1\n")
@@ -509,7 +531,7 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
     # builds its start with no horizon, so it is rebuilt with horizon n.
     def real_space(state, n):
         data = state.dense()[:, :, state.center].T  # each row's 4-vector at u = 0
-        return measure(evolve(init_band_vector(state.coin, data, state.m, n), n))
+        return measure(evolve(init_band_vector(state.blocks.coin, data, state.m, n), n))
 
     monkeypatch.setattr(cli, "snapshot_measure", real_space)
     assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
@@ -680,6 +702,10 @@ def _scaled_spectrum(monkeypatch):
     monkeypatch.setattr(cli, "spectrum_grid", scaled)
 
 
+# Each forcing below returns the checks it must fail, as message prefixes
+# in the order the subcommand records them.
+
+
 def _failed_polynomial(monkeypatch):
     residuals = cli.poly_residuals
     monkeypatch.setattr(
@@ -687,28 +713,87 @@ def _failed_polynomial(monkeypatch):
         "poly_residuals",
         lambda w: {**residuals(w), "minimal_poly_residual": 1.0, "minimality_witness": 0.0},
     )
+    return ["minimal polynomial residual", "minimality witness"]
+
+
+def _corrupted_reduction(monkeypatch, name, change):
+    """Make ``kato_reduction`` return one field replaced by change(field)."""
+    reduction = cli.kato_reduction
+
+    def corrupted(coin, m):
+        red = reduction(coin, m)
+        return replace(red, **{name: change(getattr(red, name))})
+
+    monkeypatch.setattr(cli, "kato_reduction", corrupted)
+
+
+def _doubled_projection(monkeypatch):
+    _corrupted_reduction(monkeypatch, "pi", lambda pi: 2.0 * pi)
+    return ["projection is not an orthogonal projection", "projection rank"]
+
+
+def _shifted_generator(monkeypatch):
+    # A skew-Hermitian r plus a real shift is not skew-Hermitian.
+    _corrupted_reduction(monkeypatch, "r", lambda r: r + 1e-9 * np.eye(len(r)))
+    return ["reduced generator is not skew-Hermitian", "reduced eigenpair residual"]
+
+
+def _mirrored_coefficients(monkeypatch):
+    coefficients = cli.limit_coefficients
+    monkeypatch.setattr(cli, "limit_coefficients", lambda spinor: coefficients(spinor)[::-1])
+    return ["left mass", "right mass"]
 
 
 def _shifted_oqrw(monkeypatch):
     reference = cli.oqrw_reference
     monkeypatch.setattr(cli, "oqrw_reference", lambda coin, g, n: reference(coin, g, n) + 1e-6)
+    return ["classical-limit oracle deviation"]
+
+
+def _shifted_qw1d(monkeypatch):
+    reference = cli.qw1d_trajectory
+    monkeypatch.setattr(cli, "qw1d_trajectory", lambda coin, g, n: (p + 1e-6 for p in reference(coin, g, n)))
+    return ["unitary-limit oracle deviation"]
+
+
+def _scaled_width_one(monkeypatch):
+    # The width-1 measure off by a factor 1 + 1e-6: its sum is no longer 1.
+    evolve = cli.evolve
+
+    def scaled(state, steps):
+        state = evolve(state, steps)
+        state.packed *= 1.0 + 1e-6
+        return state
+
+    monkeypatch.setattr(cli, "evolve", scaled)
+    return ["classical-limit oracle deviation", "classical-limit positivity/normalization"]
 
 
 @pytest.mark.parametrize(
     "command, text, report, force",
     [
-        ("simulate", "m = 3\nsteps = 20\n", "provenance.json", lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0)),
+        (
+            "simulate", "m = 3\nsteps = 20\n", "provenance.json",
+            lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["odd-width imaginary residue"],
+        ),
         ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.csv", _scaled_spectrum),
         ("kato", "m = 2\n", "kato.json", _failed_polynomial),
+        ("kato", "m = 2\n", "kato.json", _doubled_projection),
+        ("kato", "m = 2\n", "kato.json", _shifted_generator),
+        ("limits", "m = 2\nsteps = 600\n", "limits.json", _mirrored_coefficients),
         ("oracle-check", "", "oracle_check.json", _shifted_oqrw),
+        ("oracle-check", "", "oracle_check.json", _shifted_qw1d),
+        ("oracle-check", "", "oracle_check.json", _scaled_width_one),
     ],
 )
 def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
     tmp_path, capsys, monkeypatch, command, text, report, force
 ):
     # Each subcommand's own checks, forced to fail: every recorded failure
-    # prints one FAIL line, and the run exits 1 with no traceback.
-    force(monkeypatch)
+    # prints one FAIL line, and the run exits 1 with no traceback.  A JSON
+    # report records exactly the checks the forcing must fail, so a check
+    # that no longer fails is caught too.
+    expected = force(monkeypatch)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -719,12 +804,40 @@ def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
     if report.endswith(".json"):
         failures = json.loads((tmp_path / "o" / report).read_text())["failures"]
         assert lines == [f"FAIL {command}: {msg}" for msg in failures]
+        assert len(failures) == len(expected)
+        assert all(msg.startswith(start) for msg, start in zip(failures, expected)), failures
     else:  # spectrum records its failures only as the |lambda| column
         _, _, rows = _read_csv(tmp_path / "o" / report)
         failures = [r for r in rows if float(r[4]) > 1.0 + 1e-10]
         assert len(lines) == len(failures)
         assert all(line.startswith("FAIL spectrum: |lambda| = ") for line in lines)
     assert failures
+
+
+def test_simulate_odd_width_imaginary_residue_fails(tmp_path, capsys, monkeypatch):
+    # An imaginary residue of 1e-9 at every step, +1e-9j and -1e-9j in two
+    # cells so that the measure sum does not drift: at odd width that
+    # exceeds IMAG_TOL and is the one failure.
+    exact = cli.measure
+
+    def tilted(state):
+        mu = exact(state)
+        if mu.n < 1:
+            return mu
+        values = mu.values.copy()
+        values[0] += 1e-9j
+        values[-1] -= 1e-9j
+        return replace(mu, values=values)
+
+    monkeypatch.setattr(cli, "measure", tilted)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("m = 3\nsteps = 20\nsnapshots = 10 20\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "FAIL simulate: odd-width imaginary residue 1.000e-09\n"
+    prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
+    assert prov["max_abs_imag"] == 1e-9
+    assert prov["measure_sum_drift"] <= prov["measure_sum_tol"]
 
 
 def test_snapshot_range_is_checked_on_load(tmp_path):

@@ -60,9 +60,11 @@ def test_make_coin_rejects_non_unitary():
 
 
 def test_column_splits_sum_to_coin():
+    # P + Q = H, so PP + QQ + PQ + QP = (P + Q) (x) conj(P + Q) = H (x) conj(H).
+    h = make_hadamard().matrix
     b = blocks(make_hadamard())
-    assert np.allclose(b.p + b.q, make_hadamard().matrix)
-    assert np.allclose(b.p_row + b.q_row, make_hadamard().matrix)
+    assert np.allclose(b.pp + b.qq + b.pq + b.qp, np.kron(h, h.conj()))
+    assert np.allclose(b.p_row + b.q_row, h)
 
 
 def test_hadamard_pp_block():
@@ -104,12 +106,13 @@ def test_pq_row_sum_vanishes(coin):
 @settings(max_examples=40, deadline=None)
 @given(unitary_coin_strategy())
 def test_tensor_conj_multiplicative(coin):
-    b = blocks(coin)
+    p = coin.matrix @ np.diag([1, 0])  # H|L><L|
+    q = coin.matrix @ np.diag([0, 1])  # H|R><R|
     rng = np.random.default_rng(7)
     x = rng.normal(size=2) + 1j * rng.normal(size=2)
     y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    left = tensor_conj(b.p, b.q) @ np.kron(x, y.conj())
-    right = np.kron(b.p @ x, (b.q @ y).conj())
+    left = tensor_conj(p, q) @ np.kron(x, y.conj())
+    right = np.kron(p @ x, (q @ y).conj())
     assert np.allclose(left, right, atol=1e-12)
 
 
@@ -118,7 +121,7 @@ def test_tensor_conj_multiplicative(coin):
 def test_coin_invariants(coin):
     assert unitarity_residual(coin.matrix) < 1e-12
     b = blocks(coin)
-    assert np.allclose(b.pp, np.outer(b.w_pp, E_LL), atol=1e-15)
-    assert np.allclose(b.qq, np.outer(b.w_qq, E_RR), atol=1e-15)
-    assert np.allclose(b.pq, np.outer(b.w_pq, E_LR), atol=1e-15)
-    assert np.allclose(b.qp, np.outer(b.w_qp, E_RL), atol=1e-15)
+    assert np.allclose(b.pp, np.outer(b.weights[:, 0], E_LL), atol=1e-15)
+    assert np.allclose(b.qq, np.outer(b.weights[:, 1], E_RR), atol=1e-15)
+    assert np.allclose(b.pq, np.outer(b.weights[:, 2], E_LR), atol=1e-15)
+    assert np.allclose(b.qp, np.outer(b.weights[:, 3], E_RL), atol=1e-15)

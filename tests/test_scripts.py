@@ -61,3 +61,13 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_mutants_name_library_text_once():
+    # Each mutant of scripts/mutants.py names one exact text of its file
+    # and changes it, so the list cannot rot silently when the code moves.
+    mutants = runpy.run_path(str(SCRIPTS / "mutants.py"))["MUTANTS"]
+    assert len(mutants) >= 20
+    for mutant in mutants:
+        assert (SCRIPTS.parent / mutant.file).read_text().count(mutant.old) == 1, mutant
+        assert mutant.new != mutant.old, mutant
