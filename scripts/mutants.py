@@ -64,10 +64,25 @@ MUTANTS = (
         "np.stack([pp[:, LL], qq[:, RR], qp[:, RL], pq[:, LR]], axis=1)",
     ),
     Mutant(_COIN, "q_row=np.array([[0, 0], [c, d]], dtype=complex)", "q_row=np.array([[0, 0], [d, c]], dtype=complex)"),
-    # The kernel's gathers.
-    Mutant(_WALKER, "gathered[:, 0] = a[LL, rows, j0 + q : j1 + q]", "gathered[:, 0] = a[LL, rows, j0 + q - 1 : j1 + q - 1]"),
-    Mutant(_WALKER, "gathered[:, 1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]", "gathered[:, 1] = a[RR, rows, j0 + q : j1 + q]"),
+    # The coin's realness: a complex coin must not take the real product.
+    Mutant(
+        _COIN,
+        "real_weights=None if np.any(weights.imag) else np.ascontiguousarray(weights.real),",
+        "real_weights=np.ascontiguousarray(weights.real),",
+    ),
+    # The kernel's gathers, and the column doubling of a complex field's float64 view.
+    Mutant(
+        _WALKER,
+        "gathered[:, 0] = a[LL, rows, j0 + k * q : j1 + k * q]",
+        "gathered[:, 0] = a[LL, rows, j0 + k * (q - 1) : j1 + k * (q - 1)]",
+    ),
+    Mutant(
+        _WALKER,
+        "gathered[:, 1] = a[RR, rows, j0 + k * (q - 1) : j1 + k * (q - 1)]",
+        "gathered[:, 1] = a[RR, rows, j0 + k * q : j1 + k * q]",
+    ),
     Mutant(_WALKER, "gathered[:, 2] = a[LR, up, j0:j1]", "gathered[:, 2] = a[LR, dn, j0:j1]"),
+    Mutant(_WALKER, "k = src.itemsize // weights.itemsize", "k = 1"),
     # The cut: the rows read across the stripe edge are the zero guards.
     Mutant(
         _WALKER,

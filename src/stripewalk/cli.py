@@ -473,6 +473,9 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_limits(cfg: RunConfig, out: Path) -> int:
+    if cfg.m == 1:
+        # Width 1 has the centre mode alone; m < 1 meets the library's width check.
+        raise ValueError("m = 1: limits compares the side modes, which width 1 lacks; set m >= 2")
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     n = cfg.steps

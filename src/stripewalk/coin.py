@@ -108,7 +108,9 @@ class CoinBlocks:
         blocks.  The step kernel applies it to the four gathered neighbor
         components (LL at u+1, RR at u-1, LR at v+1, RL at v-1).
     real_weights : the real part of ``weights``, contiguous so that the
-        product of a float64 field goes through BLAS.
+        real product goes through BLAS, or None when any weight has a
+        nonzero imaginary part (a complex coin): the one record of whether
+        the coin is real, whose real products step every field.
     """
 
     coin: Coin
@@ -119,7 +121,7 @@ class CoinBlocks:
     pq: np.ndarray = field(repr=False)
     qp: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    real_weights: np.ndarray = field(repr=False)
+    real_weights: np.ndarray | None = field(repr=False)
 
 
 def blocks(coin: Coin) -> CoinBlocks:
@@ -135,5 +137,5 @@ def blocks(coin: Coin) -> CoinBlocks:
         q_row=np.array([[0, 0], [c, d]], dtype=complex),
         pp=pp, qq=qq, pq=pq, qp=qp,
         weights=weights,
-        real_weights=np.ascontiguousarray(weights.real),
+        real_weights=None if np.any(weights.imag) else np.ascontiguousarray(weights.real),
     )

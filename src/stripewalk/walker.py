@@ -27,17 +27,22 @@ walk.
 
 The step kernel computes only cells that can be nonzero and visible:
 
-* dtype: float64 when the coin's rank-1 weights and the initial band data
-  are exactly real (Hadamard from a real spinor, the mixed start),
-  complex128 otherwise.  The kernel's product rounds differently in the
-  two dtypes, so the contract is a bound, not bit equality: the float64
-  path stays within 1e-14 per cell of the exact integer Hadamard walk for
-  n <= 200, a real state stepped as complex128 agrees with it within
-  1e-15 per cell, and a rerun of the same code gives the same bytes
-  whatever the BLAS thread count.  ``measure`` and ``band_field``
-  return complex values either way; ``diagonal`` keeps the field's dtype
-  for consumers that reduce every step, and ``BandState.dense`` for
-  consumers of the whole field.
+* dtype and kernel: the field is float64 when the coin is real
+  (``CoinBlocks.real_weights`` is not None) and the initial band data are
+  exactly real (Hadamard from a real spinor, the mixed start), complex128
+  otherwise.  A real coin steps either dtype through real products: a
+  real (4, 4) matrix acts on the real and imaginary parts apart, so a
+  complex128 field goes through its float64 view with every column slice
+  doubled.  Only a complex coin runs the complex product.  Products round
+  differently with their dtype and shape, so the contract is a bound, not
+  bit equality: the float64 path stays within 1e-14 per cell of the exact
+  integer Hadamard walk for n <= 200, a real state stepped as complex128
+  and a complex field stepped with the complex product agree with the
+  real products within 1e-15 per cell, and a rerun of the same code gives
+  the same bytes whatever the BLAS thread count.  ``measure`` and
+  ``band_field`` return complex values either way; ``diagonal`` keeps the
+  field's dtype for consumers that reduce every step, and
+  ``BandState.dense`` for consumers of the whole field.
 * sublattices: a step moves every cell from u+v even to u+v odd or back,
   so the two parity classes of u+v evolve independently, and at time n a
   class holds only the cells with u + v = n + sigma (mod 2), sigma being
@@ -245,12 +250,15 @@ class BandState:
     def engine(self) -> dict:
         """The stepping choices behind this state, for provenance records.
 
+        ``kernel`` is the step kernel's product: "real" for a real coin,
+        whatever the field's dtype, "complex" for a complex coin.
         ``live_u`` is the inclusive u-range of the live window (None when
         the field is zero).
         """
         lo, hi = self.live
         return {
             "dtype": self.packed.dtype.name,
+            "kernel": "complex" if self.blocks.real_weights is None else "real",
             "sublattices": list(self.sublattices),
             "live_u": [lo - self.center, hi - 1 - self.center] if lo < hi else None,
         }
@@ -289,15 +297,15 @@ def init_band_vector(
     matching the block order of the momentum-space operator (a flat 4M
     vector from the spectral module reshapes to (M, 4) directly).  The
     data and the coin choose the engine: float64 when both are exactly
-    real, and the u+v parities of the nonzero rows as the sublattices to
-    step.
+    real (the coin when its ``real_weights`` is not None), and the u+v
+    parities of the nonzero rows as the sublattices to step.
     """
     s, _ = stripe_for_width(m)
     data = np.asarray(data, dtype=complex)
     if data.shape != (m, 4):
         raise ValueError(f"band data must have shape ({m}, 4), got {data.shape}")
     b = blocks(coin)
-    dtype = complex if any(np.any(x.imag) for x in (b.weights, data)) else float
+    dtype = complex if b.real_weights is None or np.any(data.imag) else float
     occupied = np.any(data != 0, axis=1)  # a NaN row counts as occupied
     sublattices = tuple(sorted({(r + s) % 2 for r in range(m) if occupied[r]}))
     c = n_max + 1
@@ -333,16 +341,21 @@ def _step_kernel_rank1(
     (4, 4) by (4, cols) product per row mixes them into dst.  [lo, hi) is
     in the column u + center; a block live on column parity q writes packed
     columns (lo - q + 1) // 2 up to (hi - q + 1) // 2 and reads one packed
-    column beyond them on one side.  ``weights`` is ``CoinBlocks.weights``
-    (the rank-1 columns of PP, QQ, PQ and QP) or its ``real_weights``,
-    whichever is in the field's dtype.
+    column beyond them on one side.  ``weights`` is ``CoinBlocks.real_weights``
+    for a real coin and ``CoinBlocks.weights`` (the rank-1 columns of PP,
+    QQ, PQ and QP) for a complex one.  Real weights step a complex field
+    through its float64 view, where each cell is k = 2 adjacent floats
+    (real, imaginary), so every packed column index and offset is scaled
+    by k; for a field in the weights' dtype, k = 1.
     """
+    k = src.itemsize // weights.itemsize
+    src, dst = src.view(weights.dtype), dst.view(weights.dtype)
     for f, rows, _, q, up, dn in groups:
-        j0, j1 = (lo - q + 1) >> 1, (hi - q + 1) >> 1
+        j0, j1 = k * ((lo - q + 1) >> 1), k * ((hi - q + 1) >> 1)
         a = src[f]
         gathered = np.empty((rows.stop - rows.start, 4, j1 - j0), dtype=src.dtype)
-        gathered[:, 0] = a[LL, rows, j0 + q : j1 + q]
-        gathered[:, 1] = a[RR, rows, j0 + q - 1 : j1 + q - 1]
+        gathered[:, 0] = a[LL, rows, j0 + k * q : j1 + k * q]
+        gathered[:, 1] = a[RR, rows, j0 + k * (q - 1) : j1 + k * (q - 1)]
         gathered[:, 2] = a[LR, up, j0:j1]
         gathered[:, 3] = a[RL, dn, j0:j1]
         # One (4, 4) product per row, written straight into the field.
@@ -416,7 +429,7 @@ def step(state: BandState, out: BandState | None = None) -> BandState:
                     dst[f, :, rows, (c0 - q + 1) >> 1 : (c1 - q + 1) >> 1] = 0
     if lo < hi:
         b = state.blocks
-        weights = b.real_weights if src.dtype.kind == "f" else b.weights  # in the field's dtype
+        weights = b.weights if b.real_weights is None else b.real_weights
         _step_kernel_rank1(src, dst, weights, groups, lo, hi)
     tiny = np.finfo(dst.dtype).tiny
     while lo < hi and _drop(dst, columns, lo, tiny):

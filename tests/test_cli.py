@@ -360,11 +360,11 @@ def test_simulate_provenance_records_engine(tmp_path):
     cfg.write_text("steps = 30\nm = 3\ng = 1,0 0,1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
-    assert prov["engine"] == {"dtype": "complex128", "sublattices": [0], "live_u": [-30, 30]}
+    assert prov["engine"] == {"dtype": "complex128", "kernel": "real", "sublattices": [0], "live_u": [-30, 30]}
     cfg.write_text("steps = 30\nm = 3\ninit = mixed\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
-    assert prov["engine"] == {"dtype": "float64", "sublattices": [0], "live_u": [-30, 30]}
+    assert prov["engine"] == {"dtype": "float64", "kernel": "real", "sublattices": [0], "live_u": [-30, 30]}
 
 
 def test_characteristics_workers_are_checked_and_capped(tmp_path, capsys, monkeypatch):
@@ -424,23 +424,26 @@ def test_reruns_do_not_depend_on_blas_threads(tmp_path):
     # files: the step kernel's products and the norm trace.  The M = 10
     # band start steps both sublattices, so late steps multiply over more
     # than 16k cells at once, where a threaded BLAS splits the work.  The
-    # kato report's eigenvectors come from LAPACK with their phase fixed
-    # by one rule, so it must rerun byte for byte as well.
+    # M = 10 complex spinor steps a complex field through its float64 view
+    # under the real Hadamard coin.  The kato report's eigenvectors come
+    # from LAPACK with their phase fixed by one rule, so it must rerun byte
+    # for byte as well.
     band = " ".join(f"{(7 * k) % 11 - 5},0" for k in range(40))
+    wide = "m = 10\nsteps = 1000\nsnapshots = 500 1000\nemit_band_field = true\n"
     runs = [
-        ("simulate", f"m = 10\ninit = band\nband = {band}\nsteps = 1000\n"
-         "snapshots = 500 1000\nemit_band_field = true\n", "band_n1000.csv"),
+        ("simulate", f"{wide}init = band\nband = {band}\n", "band_n1000.csv"),
+        ("simulate", f"{wide}g = 0.6,0 0,0.8\n", "band_n1000.csv"),
         ("characteristics", "steps = 300\nmlist = 2 3\n", "characteristics.csv"),
         ("kato", "", "kato.json"),
     ]
     src = Path(cli.__file__).resolve().parents[1]
     run_main = "import sys; from stripewalk.cli import main; sys.exit(main(sys.argv[1:]))"
-    for command, text, table in runs:
-        cfg = tmp_path / f"{command}.txt"
+    for i, (command, text, table) in enumerate(runs):
+        cfg = tmp_path / f"{i}-{command}.txt"
         cfg.write_text(text)
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"{command}-{threads}"
+            out = tmp_path / f"{i}-{command}-{threads}"
             env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
                    "OMP_NUM_THREADS": threads}
             subprocess.run(
@@ -449,7 +452,7 @@ def test_reruns_do_not_depend_on_blas_threads(tmp_path):
             )
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert table in outputs[0]
-        assert outputs[0] == outputs[1], command
+        assert outputs[0] == outputs[1], (i, command)
 
 
 def test_oracle_check_command(tmp_path):
@@ -594,6 +597,7 @@ def test_engine_records_carry_versions(tmp_path):
         ("simulate", "steps = 10\nsnapshots = 0 5\n", "snapshots must lie in [1, steps]"),
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
+        ("limits", "m = 1\n", "stripewalk limits: error: m = 1: limits compares the side modes, which width 1 lacks; set m >= 2\n"),
         ("kato", "m = 3\n", "kato checks the width-2 statements; got width 3"),
         ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\nm = 3\n", "width-2"),
         ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0.8,0\ncoin_c = 0.8,0\ncoin_d = -0.6,0\nm = 2\n", "Hadamard"),
