@@ -110,6 +110,24 @@ MUTANTS = (
         "chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()",
         "chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1)",
     ),
+    # The real gauge and the split of W_R(k) into two real blocks.
+    Mutant(
+        _SPECTRAL,
+        "np.exp(1j * self.chi * np.array([0, 1, -1, 0]))",
+        "np.exp(1j * self.chi * np.array([0, -1, 1, 0]))",
+    ),
+    Mutant(
+        _SPECTRAL,
+        "rows = np.exp(-1j * self.phi * np.arange(m))[:, None]",
+        "rows = np.exp(-1j * 0.0 * np.arange(m))[:, None]",
+    ),
+    Mutant(_SPECTRAL, "lifts = [gauge.phases(m)[:, None] * s for s in bases]", "lifts = [s for s in bases]"),
+    Mutant(_SPECTRAL, "        [0, 1j, 0, 0],\n", "        [0, -1j, 0, 0],\n"),
+    Mutant(
+        _SPECTRAL,
+        "w_real = w_stack(real, m, ks[rows[: fill.shape[1]]])",
+        "w_real = w_stack(b, m, ks[rows[: fill.shape[1]]])",
+    ),
     # The snapshot's residue checks.
     Mutant(_SPECTRAL, "    if not worst <= tol:", "    if not worst <= 1e6 * tol:"),
     Mutant(_SPECTRAL, "        off[:] = 0", "        off[:] *= 1"),
@@ -117,7 +135,7 @@ MUTANTS = (
     # The CLI's checks.
     Mutant(_CLI, "CONSERVATION_TOL = 1e-10", "CONSERVATION_TOL = 1e-3"),
     Mutant(_CLI, "IMAG_TOL = 1e-12", "IMAG_TOL = 1e-6"),
-    Mutant(_CLI, "if not modulus <= 1.0 + 1e-10:", "if not modulus <= 2.0:"),
+    Mutant(_CLI, "MODULUS_TOL = 1e-10", "MODULUS_TOL = 1.0"),
     Mutant(_CLI, 'if not (checks["pi_idempotent"] <= 1e-12', 'if not (checks["pi_idempotent"] <= 1e3'),
     Mutant(_CLI, 'if not abs(checks["pi_rank"] - 3.0) <= 1e-10:', 'if not abs(checks["pi_rank"] - 3.0) <= 1e3:'),
     Mutant(_CLI, 'if not checks["r_skew_hermitian"] <= 1e-12:', 'if not checks["r_skew_hermitian"] <= 1e-6:'),

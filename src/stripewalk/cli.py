@@ -46,6 +46,7 @@ from .spectral import (
     perturbed_projection_check,
     poly_residuals,
     snapshot_measure,
+    spectrum_engine,
     spectrum_grid,
 )
 from .limits import (
@@ -76,6 +77,8 @@ CONSERVATION_TOL = 1e-10
 IMAG_TOL = 1e-12
 #: The onset of negativity is the first min Re mu below -NCRIT_TOL.
 NCRIT_TOL = 1e-12
+#: Bound on |lambda| - 1 of every eigenvalue that ``spectrum`` writes.
+MODULUS_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -395,16 +398,29 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         raise ValueError("kgrid must be >= 2")
     ks, values = spectrum_grid(coin, cfg.m, cfg.kgrid)
     failures = []
+    bound = 1.0 + MODULUS_TOL
 
     def rows():
         for k, lams in zip(ks.tolist(), values):
             for lam in sorted(lams.tolist(), key=lambda z: (-abs(z), z.real, z.imag)):
                 modulus = abs(lam)
-                if not modulus <= 1.0 + 1e-10:
-                    failures.append(f"|lambda| = {modulus} > 1 + 1e-10 at k={k}")
+                if not modulus <= bound:
+                    failures.append(f"|lambda| = {modulus} > 1 + {MODULUS_TOL:.0e} at k={k}")
                 yield cfg.m, k, lam.real, lam.imag, modulus
 
     _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows(), digest)
+    _write_json(
+        out / "spectrum.json",
+        {
+            "command": "spectrum",
+            "engine": spectrum_engine(coin, cfg.m, cfg.kgrid),
+            "max_abs_lambda": float(np.max(np.abs(values))),
+            "max_abs_lambda_bound": bound,
+            "versions": _versions(),
+            "failures": failures,
+        },
+        digest,
+    )
     return _status("spectrum", failures)
 
 

@@ -27,6 +27,16 @@ W(k + pi) = -D W(k) D with D = diag((-1)^v) (``shift_signs``).
 ``spectrum_grid`` solves one momentum per orbit of the two, about a
 quarter of its grid, and derives the other rows' eigenpairs.
 
+Every coin H = [[a, b], [c, d]] is gauge-equivalent to the real coin
+R = [[|a|, |b|], [|b|, -|a|]]: W_H(k) = T W_R(k) T^H with a diagonal T of
+closed-form phases (``real_gauge``), so the spectrum of W(k) depends on
+the coin only through |a|.  W_R(k) commutes with Pi and with the
+antiunitary K = F conj, F swapping LL <-> RR and negating LR and RL on
+every row.  A fixed basis of Pi-eigenvectors that K fixes (``split_basis``)
+turns W_R(k) into two real blocks, of sizes 2M and 2M at even M and
+2M + 1 and 2M - 1 at odd M, and those are what ``spectrum_grid`` hands to
+LAPACK.
+
 It also holds the spectral snapshot engine: ``snapshot_measure`` reads
 one late measure mu_n off W(k)^n on 2n + 1 momenta and one FFT, with no
 stepping.
@@ -39,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks
+from .coin import LL, LR, RL, RR, Coin, CoinBlocks, blocks, make_coin
 from .walker import BandState, ComplexMeasure, stripe_for_width
 
 __all__ = [
@@ -51,6 +61,10 @@ __all__ = [
     "t1_block",
     "t1_matrix",
     "eig",
+    "RealGauge",
+    "real_gauge",
+    "split_basis",
+    "spectrum_engine",
     "spectrum_grid",
     "lambda1_expansion",
     "lambda2_expansion",
@@ -82,6 +96,7 @@ PHASE_ENTRY_TOL = 1e-8
 #: that ``snapshot_measure`` may round to exactly 0, times max(1, |phi|).
 #: Measured residues stay below 1e-14 (M <= 10, n <= 5e4).
 SNAPSHOT_RESIDUE_TOL = 1e-12
+_R2 = float(np.sqrt(0.5))  # 1/sqrt2, correctly rounded
 
 
 def v_block(b: CoinBlocks, k: float) -> np.ndarray:
@@ -181,30 +196,87 @@ def eig(w: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     return values[0], vectors[0]
 
 
-def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of W(k) of the width-m stripe at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
+#: One row's orthonormal basis of C^4 whose columns x all satisfy
+#: F conj(x) = x, F the flip that swaps LL <-> RR and negates LR and RL:
+#: (LL + RR)/sqrt2, i LR, i RL and i (LL - RR)/sqrt2.  Column j sits at
+#: basis index j, so the reflection maps column j of row v onto column
+#: ``reflection(m)[j]`` of row m - 1 - v, as it maps the unit vectors.
+FLIP_BASIS = np.array(
+    [
+        [_R2, 0, 0, 1j * _R2],
+        [0, 1j, 0, 0],
+        [0, 0, 1j, 0],
+        [_R2, 0, 0, -1j * _R2],
+    ]
+)
 
-    Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M) in LAPACK
-    order.  The reflection k -> -k (``reflection``) and the shift
-    k -> k + pi (``shift_signs``) split the grid into orbits of 1, 2 or 4
-    momenta (the shift only where kgrid is even), and only the first k_i of
-    each orbit, about kgrid/4 of them, goes to the eigensolver.  A solved
-    pair (lambda, x) gives row kgrid - i the pair (conj lambda, Pi conj x),
-    row i + kgrid/2 the pair (-lambda, D x) and row kgrid/2 - i the pair
-    (-conj lambda, D Pi conj x); each row is filled once.  Every pair,
-    solved or derived, passes the residual check of ``eig`` against W built
-    at its own k, with the ||W||_2 of its orbit: Pi, D and conjugation are
-    isometries.  The grid is built in chunks of at most ``GRID_CHUNK_BYTES``
-    of matrices.
+
+@dataclass(frozen=True)
+class RealGauge:
+    """The real coin R = [[|a|, |b|], [|b|, -|a|]] of a coin H and its gauge.
+
+    W_H(k) = T W_R(k) T^H for every k and width, with T diagonal:
+    e^{-i phi v} (1, e^{i chi}, e^{-i chi}, 1) on row v over (LL, LR, RL,
+    RR), the diagonal that ``phases`` returns.  So the spectrum of W(k)
+    depends on the coin only through |a|.
     """
-    stripe_for_width(m)  # rejects m < 1
-    _check_size(4 * m)
-    b = blocks(coin)
-    perm, signs = reflection(m), shift_signs(m)[:, None]
-    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
-    values = np.empty((kgrid, 4 * m), dtype=complex)
-    # Twice the grid index of k_i, -k_i, k_i + pi and pi - k_i; an odd one
-    # falls between the momenta of an odd grid and is marked kgrid.
+
+    chi: float
+    phi: float
+    real: Coin
+
+    def phases(self, m: int) -> np.ndarray:
+        """Diagonal of T for the width-m stripe, one entry per basis index."""
+        rows = np.exp(-1j * self.phi * np.arange(m))[:, None]
+        return (rows * np.exp(1j * self.chi * np.array([0, 1, -1, 0]))).ravel()
+
+
+def real_gauge(coin: Coin) -> RealGauge:
+    """The gauge of ``RealGauge`` for a coin H = [[a, b], [c, d]], in closed form.
+
+    chi = arg a - arg c and phi = 2 arg a - arg b - arg c; the entries of
+    W_H and W_R then agree up to T, given the unitarity of H.  A zero entry
+    has no phase: with a = 0 (so d = 0), chi = phi = arg b - arg c, and
+    with b = 0 (so c = 0), chi = phi = arg a - arg(-d).
+    """
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    if a == 0:
+        chi = phi = float(np.angle(b) - np.angle(c))
+    elif b == 0:
+        chi = phi = float(np.angle(a) - np.angle(-d))
+    else:
+        chi = float(np.angle(a) - np.angle(c))
+        phi = float(2 * np.angle(a) - np.angle(b) - np.angle(c))
+    return RealGauge(chi=chi, phi=phi, real=make_coin(abs(a), abs(b), abs(b), -abs(a)))
+
+
+def split_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases S+ and S- of the eigenspaces +1 and -1 of Pi, as (4M, n) columns.
+
+    Both Pi (``reflection``) and the antiunitary K = F conj, F the flip of
+    ``FLIP_BASIS`` on every row, commute with W_R(k) of a real coin and
+    with each other.  Each column is (e_j +- Pi e_j)/sqrt2 over the flip
+    basis e, or e_j itself where Pi fixes it, so K fixes it too and the
+    blocks S+^H W_R(k) S+ and S-^H W_R(k) S- are real.  Their sizes are
+    (2M, 2M) for even M and (2M + 1, 2M - 1) for odd M.
+    """
+    perm = reflection(m)
+    e = np.kron(np.eye(m), FLIP_BASIS)
+    j = np.arange(4 * m)
+    pair, fixed = j < perm, j == perm
+    plus = np.concatenate([(e[:, pair] + e[:, perm[pair]]) * _R2, e[:, fixed]], axis=1)
+    return plus, (e[:, pair] - e[:, perm[pair]]) * _R2
+
+
+def _orbits(kgrid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's orbits under k -> -k and k -> k + pi, one column each.
+
+    Row 0 holds the solved index i of each orbit, rows 1-3 the indices of
+    -k_i, k_i + pi and pi - k_i (kgrid where one falls between the momenta
+    of an odd grid).  The second array marks the one entry of each grid
+    row that fills it.
+    """
+    # Twice the grid index of each image; an odd one is off the grid.
     doubled = 2 * np.arange(kgrid)
     images = np.stack([doubled, -doubled, doubled + kgrid, kgrid - doubled]) % (2 * kgrid)
     images = np.where(images % 2 == 0, images // 2, kgrid)
@@ -213,16 +285,71 @@ def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarra
     orbits = images[:, images.min(axis=0) == images[0]]
     fills = np.zeros(orbits.size, dtype=bool)
     fills[np.unique(orbits, return_index=True)[1]] = True
-    fills = fills.reshape(orbits.shape) & (orbits < kgrid)
+    return orbits, fills.reshape(orbits.shape) & (orbits < kgrid)
+
+
+def spectrum_engine(coin: Coin, m: int, kgrid: int) -> dict:
+    """The engine record of ``spectrum_grid(coin, m, kgrid)``.
+
+    The solver, the sizes of the two real blocks, the counts of solved and
+    derived momenta, and the gauge: |a|, chi and phi of ``real_gauge``.
+    """
+    gauge = real_gauge(coin)
+    solved = _orbits(kgrid)[0].shape[1]
+    return {
+        "solver": "dgeev",
+        "blocks": [s.shape[1] for s in split_basis(m)],
+        "solved_k": solved,
+        "derived_k": kgrid - solved,
+        "gauge": {"abs_a": abs(coin.a), "chi": gauge.chi, "phi": gauge.phi},
+    }
+
+
+def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of W(k) of the width-m stripe at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
+
+    Returns the momenta (kgrid,) and the eigenvalues (kgrid, 4M), those of
+    the block S+ first.  The reflection k -> -k (``reflection``) and the
+    shift k -> k + pi (``shift_signs``) split the grid into orbits of 1, 2
+    or 4 momenta (the shift only where kgrid is even), and only the first
+    k_i of each orbit, about kgrid/4 of them, is solved.  It is solved in
+    the real gauge (``real_gauge``): W(k) = T W_R(k) T^H, and W_R(k) splits
+    into the two real blocks of ``split_basis``, which go to the eigensolver
+    as float64 matrices; an eigenvector y of a block gives x = T S y.  A
+    solved pair (lambda, x) gives row kgrid - i the pair (conj lambda,
+    Pi conj x), row i + kgrid/2 the pair (-lambda, D x) and row kgrid/2 - i
+    the pair (-conj lambda, D Pi conj x); each row is filled once.  Every
+    pair, solved or derived, passes the residual check of ``eig`` against
+    W of the given coin built at its own k, which proves the gauge and the
+    split as well as the symmetries; ||W(k)||_2 is the same at every k.
+    The grid is built in chunks of at most ``GRID_CHUNK_BYTES`` of
+    matrices.
+    """
+    stripe_for_width(m)  # rejects m < 1
+    _check_size(4 * m)
+    b = blocks(coin)
+    gauge = real_gauge(coin)
+    real = blocks(gauge.real)
+    perm, signs = reflection(m), shift_signs(m)[:, None]
+    bases = split_basis(m)
+    lifts = [gauge.phases(m)[:, None] * s for s in bases]  # T S+ and T S-
+    # W(k) = W(0) diag(e^{-ik}, 1, 1, e^{ik}) on every row: PP and QQ act
+    # only on LL and RR, so ||W(k)||_2 = ||W(0)||_2 on the whole grid.
+    scale = np.linalg.norm(w_stack(b, m, [0.0])[0], 2)
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    values = np.empty((kgrid, 4 * m), dtype=complex)
+    orbits, fills = _orbits(kgrid)
     # Each solved k brings at most three images into the chunk.
     step = max(1, GRID_CHUNK_BYTES // (4 * 16 * (4 * m) ** 2))
     for lo in range(0, orbits.shape[1], step):
         fill = fills[:, lo : lo + step]
         rows = orbits[:, lo : lo + step][fill]  # the solved k first
         w = w_stack(b, m, ks[rows])
-        solved = w[: fill.shape[1]]
-        vals, vecs = _solve(solved)
-        scale = np.broadcast_to(np.linalg.norm(solved, 2, axis=(-2, -1)), fill.shape)[fill]
+        w_real = w_stack(real, m, ks[rows[: fill.shape[1]]])
+        parts = [(s.conj().T @ w_real @ s).real for s in bases]
+        pairs = [_solve(p) for p in parts]
+        vals = np.concatenate([v for v, _ in pairs], axis=-1)
+        vecs = np.concatenate([lift @ y for lift, (_, y) in zip(lifts, pairs)], axis=-1)
         vals = np.stack([vals, vals.conj()])
         vecs = np.stack([vecs, vecs.conj()[:, perm, :]])
         vals = np.concatenate([vals, -vals])[fill]

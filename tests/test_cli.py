@@ -268,6 +268,39 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, phased_coin):
     assert (tmp_path / "a" / "spectrum.csv").read_bytes() == (tmp_path / "b" / "spectrum.csv").read_bytes()
 
 
+def test_spectrum_json_records_the_engine_and_the_bound(tmp_path, phased_coin):
+    # The gauge phases are those of the phased coin's closed form:
+    # chi = p1 + p2 - pi and phi = 2 p1 - pi (mod 2 pi), |a| = 0.6.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_coin_config(phased_coin) + "m = 3\nkgrid = 16\n")
+    for out, extra in (("a", []), ("b", ["--seedless"]), ("c", [])):
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / out), *extra]) == 0
+    text = (tmp_path / "a" / "spectrum.json").read_bytes()
+    assert (tmp_path / "b" / "spectrum.json").read_bytes() == text == (tmp_path / "c" / "spectrum.json").read_bytes()
+    report = json.loads(text)
+    engine = report["engine"]
+    gauge = engine.pop("gauge")
+    assert engine == {"solver": "dgeev", "blocks": [7, 5], "solved_k": 5, "derived_k": 11}
+    assert gauge["abs_a"] == pytest.approx(0.6, abs=1e-15)
+    p1, p2 = 0.7, -1.1
+    assert abs(np.exp(1j * gauge["chi"]) - np.exp(1j * (p1 + p2 - math.pi))) < 1e-14
+    assert abs(np.exp(1j * gauge["phi"]) - np.exp(1j * (2 * p1 - math.pi))) < 1e-14
+    _, _, rows = _read_csv(tmp_path / "a" / "spectrum.csv")
+    assert report["max_abs_lambda"] == max(float(r[4]) for r in rows)
+    assert report["max_abs_lambda"] <= report["max_abs_lambda_bound"] == 1.0 + 1e-10
+    assert report["failures"] == [] and set(report["versions"]) == {"python", "numpy"}
+
+
+def test_spectrum_json_records_each_failure(tmp_path, capsys, monkeypatch):
+    _scaled_spectrum(monkeypatch)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("m = 2\nkgrid = 8\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+    assert capsys.readouterr().err.splitlines() == [f"FAIL spectrum: {msg}" for msg in report["failures"]]
+    assert report["failures"] and report["max_abs_lambda"] > report["max_abs_lambda_bound"]
+
+
 def test_kato_command(tmp_path):
     rc = main(["kato", "--out", str(tmp_path / "o")])
     assert rc == 0

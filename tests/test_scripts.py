@@ -53,6 +53,18 @@ def test_side_mode_convergence(monkeypatch, capsys):
         assert all(abs(v) < 0.02 for v in values[4:])
 
 
+def test_spectrum_timing(monkeypatch, capsys):
+    _run(monkeypatch, "spectrum_timing.py", "--widths", "2", "3", "--kgrid", "16", "--repeats", "2")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "coin,M,kgrid,spectrum_grid_s,eig_s"
+    assert [r.split(",")[:3] for r in rows] == [
+        [coin, m, "16"] for coin in ("hadamard", "complex") for m in ("2", "3")
+    ]
+    for row in rows:
+        wall, eig = (float(v) for v in row.split(",")[3:])
+        assert 0.0 < eig <= wall
+
+
 def test_readme_python_blocks_run():
     # Every ```python block of the README, in order and in one namespace,
     # as a reader would paste them: a stale example fails here.

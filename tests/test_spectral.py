@@ -3,6 +3,7 @@ import functools
 import importlib
 import inspect
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,12 @@ from stripewalk.spectral import (
     lambda2_expansion,
     perturbed_projection_check,
     poly_residuals,
+    real_gauge,
     reflection,
     shift_signs,
     snapshot_measure,
     spectrum_grid,
+    split_basis,
     t1_matrix,
     v_block,
     w_stack,
@@ -211,19 +214,145 @@ def _orbit_count(kgrid):
 
 @pytest.mark.parametrize("kgrid", [2, 4, 6, 7, 16, 1024])
 def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
+    # Each solved momentum reaches LAPACK as two float64 blocks, of sizes
+    # (2M, 2M) at even M and (2M + 1, 2M - 1) at odd M, one call per block.
     solve = np.linalg.eig
-    solved = []
+    calls = []
 
     def counting(mats):
-        solved.append(len(mats))
+        calls.append((mats.dtype, mats.shape))
         return solve(mats)
 
     monkeypatch.setattr(np.linalg, "eig", counting)
-    _, values = spectrum_grid(phased_coin, 10, kgrid)
-    assert values.shape == (kgrid, 40)
-    assert sum(solved) == _orbit_count(kgrid)
-    if kgrid == 1024:
-        assert sum(solved) == 257
+    for m in (10, 3):
+        calls.clear()
+        _, values = spectrum_grid(phased_coin, m, kgrid)
+        assert values.shape == (kgrid, 4 * m)
+        sizes = (2 * m, 2 * m) if m % 2 == 0 else (2 * m + 1, 2 * m - 1)
+        plus, minus = calls[0::2], calls[1::2]
+        assert len(plus) == len(minus)
+        for (dtype_p, shape_p), (dtype_m, shape_m) in zip(plus, minus):
+            assert dtype_p == dtype_m == np.float64
+            assert shape_p == (shape_m[0], sizes[0], sizes[0])
+            assert shape_m[1:] == (sizes[1], sizes[1])
+        solved = sum(shape[0] for _, shape in plus)
+        assert solved == _orbit_count(kgrid)
+        if kgrid == 1024:
+            assert solved == 257
+
+
+def _haar_coin(variant):
+    """The Haar coin of the benchmark's spectrum-grid variant, in the closed form of its draw."""
+    rng = random.Random(f"stripewalk-bench:spectrum-grid:{variant}")
+    cos_t = math.sqrt(rng.random())
+    sin_t = math.sqrt(1.0 - cos_t * cos_t)
+    alpha, psi, chi = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(3))
+
+    def e(phi):
+        return complex(math.cos(phi), math.sin(phi))
+
+    return make_coin(
+        e(alpha + psi) * cos_t, e(alpha + chi) * sin_t, -e(alpha - chi) * sin_t, e(alpha - psi) * cos_t
+    )
+
+
+def _gauge_coins(hadamard, phased_coin):
+    """Hadamard, the phased coin, the 8 benchmark Haar coins, and a = 0 and b = 0 coins with phases."""
+    anti = make_coin(0, np.exp(0.4j), np.exp(-1.3j), 0)
+    diagonal = make_coin(np.exp(2.2j), 0, 0, np.exp(-0.7j))
+    return [hadamard, phased_coin, *(_haar_coin(v) for v in range(8)), anti, diagonal]
+
+
+#: The flip F of every row: LL <-> RR, and LR and RL negated.
+FLIP = np.array([[0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 20])
+def test_real_gauge_maps_every_coin_onto_its_real_coin(hadamard, phased_coin, m):
+    # W_H(k) = T W_R(k) T^H, and the reflection Pi and the antiunitary
+    # K = F conj commute with W_R(k) and with each other.
+    ks = np.array([0.0, 0.3, 1.1, math.pi / 2, 2.0, math.pi, 4.4])
+    p = reflection(m)
+    flip = np.kron(np.eye(m), FLIP)
+    assert np.array_equal(flip[p][:, p], flip)
+    for coin in _gauge_coins(hadamard, phased_coin):
+        gauge = real_gauge(coin)
+        assert gauge.real.a == abs(coin.a) and gauge.real.matrix.imag.tolist() == [[0, 0], [0, 0]]
+        w = w_stack(blocks(coin), m, ks)
+        w_real = w_stack(blocks(gauge.real), m, ks)
+        t = gauge.phases(m)
+        assert np.max(np.abs(w - t[:, None] * w_real * t.conj())) <= 1e-13
+        assert np.max(np.abs(w_real[:, p][:, :, p] - w_real)) <= 1e-15
+        assert np.max(np.abs(flip @ w_real.conj() @ flip.T - w_real)) <= 1e-15
+        # W(k) = W(0) diag(e^{-ik}, 1, 1, e^{ik}) per row, so ||W(k)||_2 is constant.
+        cols = np.exp(1j * ks[:, None, None] * np.tile([-1, 0, 0, 1], m))
+        assert np.max(np.abs(w - w[0] * cols)) <= 1e-15
+    assert np.array_equal(real_gauge(hadamard).phases(m), np.ones(4 * m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 20])
+def test_split_blocks_are_real(hadamard, phased_coin, m):
+    # S+ and S- are orthonormal, together unitary, fixed by K and by +-Pi,
+    # and the blocks S^H W_R(k) S are real.
+    ks = np.array([0.0, 0.3, 1.1, 2.0, math.pi, 4.4])
+    p = reflection(m)
+    plus, minus = split_basis(m)
+    sizes = (2 * m, 2 * m) if m % 2 == 0 else (2 * m + 1, 2 * m - 1)
+    assert (plus.shape, minus.shape) == ((4 * m, sizes[0]), (4 * m, sizes[1]))
+    both = np.concatenate([plus, minus], axis=1)
+    assert np.max(np.abs(both.conj().T @ both - np.eye(4 * m))) <= 1e-15
+    flip = np.kron(np.eye(m), FLIP)
+    for s, sign in ((plus, 1), (minus, -1)):
+        assert np.array_equal(s[p], sign * s)
+        assert np.array_equal(flip @ s.conj(), s)
+        entries = np.abs(s[s != 0])
+        assert np.all(np.minimum(np.abs(entries - 0.5), np.abs(entries - math.sqrt(0.5))) <= 2e-16)
+    for coin in _gauge_coins(hadamard, phased_coin):
+        w_real = w_stack(blocks(real_gauge(coin).real), m, ks)
+        for s in (plus, minus):
+            assert np.max(np.abs((s.conj().T @ w_real @ s).imag)) <= 1e-15
+
+
+def _eigvals_per_k(coin, m, kgrid):
+    ks = 2.0 * np.pi * np.arange(kgrid) / kgrid
+    return np.linalg.eigvals(w_stack(blocks(coin), m, ks))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 10])
+def test_spectrum_grid_matches_brute_force(hadamard, phased_coin, m):
+    # Every row, solved or derived, against eigvals of W(k) of the coin
+    # itself, degenerate coins included.  Both grids leave k = pi/2 out: at
+    # width 1 the Hadamard W(pi/2) is nilpotent with a Jordan block, where
+    # eigvals scatters by about sqrt(eps) (6e-9); the next test pins it.
+    for coin in _gauge_coins(hadamard, phased_coin):
+        for kgrid in (7, 18):
+            _, values = spectrum_grid(coin, m, kgrid)
+            for got, want in zip(values, _eigvals_per_k(coin, m, kgrid)):
+                assert _multiset_distance(got, want) <= 1e-12
+
+
+def test_spectrum_grid_width_one_closed_form(hadamard):
+    # At width 1 the Hadamard W(k) has eigenvalues 0, 0, 0 and cos k, all
+    # four 0 at k = pi/2.
+    ks, values = spectrum_grid(hadamard, 1, 16)
+    for k, got in zip(ks, values):
+        assert _multiset_distance(got, [0, 0, 0, math.cos(k)]) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_spectrum_depends_on_the_modulus_of_a_only(phased_coin, m):
+    # A coin with the same |a| and other phases, and the real coin itself,
+    # give W(k) the same eigenvalues.
+    c, s = 0.6, 0.8
+    other = make_coin(c * np.exp(2.5j), s * np.exp(-0.2j), -s * np.exp(1.9j), c * np.exp(-0.8j))
+    real = real_gauge(phased_coin).real
+    assert abs(other.a) == pytest.approx(abs(phased_coin.a), abs=1e-15)
+    base = _eigvals_per_k(phased_coin, m, 16)
+    for coin in (other, real):
+        for got, want in zip(_eigvals_per_k(coin, m, 16), base):
+            assert _multiset_distance(got, want) <= 1e-12
+        for got, want in zip(spectrum_grid(coin, m, 16)[1], base):
+            assert _multiset_distance(got, want) <= 1e-12
 
 
 def test_residual_check_catches_nan(phased_coin, monkeypatch):
