@@ -132,29 +132,29 @@ MUTANTS = (
     Mutant(_SPECTRAL, "    if not worst <= tol:", "    if not worst <= 1e6 * tol:"),
     Mutant(_SPECTRAL, "        off[:] = 0", "        off[:] *= 1"),
     Mutant(_SPECTRAL, "values = values.real.astype(complex)", "values = values.astype(complex)"),
-    # The CLI's checks.
+    # The CLI's checks: the one comparison of every record, and each record's bound.
+    Mutant(_CLI, "self.value >= self.bound if self.floor", "self.value <= self.bound if self.floor"),
+    Mutant(_CLI, "else self.value <= self.bound)", "else not self.value > self.bound)"),
     Mutant(_CLI, "CONSERVATION_TOL = 1e-10", "CONSERVATION_TOL = 1e-3"),
     Mutant(_CLI, "IMAG_TOL = 1e-12", "IMAG_TOL = 1e-6"),
     Mutant(_CLI, "MODULUS_TOL = 1e-10", "MODULUS_TOL = 1.0"),
-    Mutant(_CLI, 'if not (checks["pi_idempotent"] <= 1e-12', 'if not (checks["pi_idempotent"] <= 1e3'),
-    Mutant(_CLI, 'if not abs(checks["pi_rank"] - 3.0) <= 1e-10:', 'if not abs(checks["pi_rank"] - 3.0) <= 1e3:'),
-    Mutant(_CLI, 'if not checks["r_skew_hermitian"] <= 1e-12:', 'if not checks["r_skew_hermitian"] <= 1e-6:'),
-    Mutant(_CLI, 'if not checks["minimal_poly_residual"] <= 1e-12:', 'if not checks["minimal_poly_residual"] <= 1e3:'),
-    Mutant(_CLI, 'if not checks["minimality_witness"] >= 0.1:', 'if not checks["minimality_witness"] >= 0.0:'),
-    Mutant(_CLI, 'if not np.max(checks["eigvec_residuals"]) <= 1e-12:', 'if not np.max(checks["eigvec_residuals"]) <= 1e-6:'),
-    Mutant(_CLI, "if not abs(got - want) <= 0.02:", "if not abs(got - want) <= 1.0:"),
-    Mutant(
-        _CLI,
-        '    if not drift <= sum_tol:\n        failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e}")\n',
-        '    if False:\n        failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e}")\n',
-    ),
-    Mutant(_CLI, "if not worst_qw <= 1e-12:", "if not worst_qw <= 1e-3:"),
-    Mutant(_CLI, "if not worst_cl <= 1e-12:", "if not worst_cl <= 1e-3:"),
-    Mutant(_CLI, "worst_sum <= 1e-12):", "worst_sum <= 1e-3):"),
+    Mutant(_CLI, "orthogonality, 1e-12)", "orthogonality, 1e3)"),
+    Mutant(_CLI, 'abs(measured["pi_rank"] - 3.0), 1e-10)', 'abs(measured["pi_rank"] - 3.0), 1e3)'),
+    Mutant(_CLI, 'measured["r_skew_hermitian"], 1e-12)', 'measured["r_skew_hermitian"], 1e-6)'),
+    Mutant(_CLI, 'measured["minimal_poly_residual"], 1e-12)', 'measured["minimal_poly_residual"], 1e3)'),
+    Mutant(_CLI, 'measured["minimality_witness"], 0.1, floor=True)', 'measured["minimality_witness"], 0.0, floor=True)'),
+    Mutant(_CLI, 'np.max(measured["eigvec_residuals"]), 1e-12)', 'np.max(measured["eigvec_residuals"]), 1e-6)'),
+    Mutant(_CLI, "abs(got - want), 0.02,", "abs(got - want), 1.0,"),
+    Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol))', 'Check("measure sum drift", drift, math.inf))'),
+    Mutant(_CLI, "worst_qw, 1e-12)", "worst_qw, 1e-3)"),
+    Mutant(_CLI, "worst_cl, 1e-12)", "worst_cl, 1e-3)"),
+    Mutant(_CLI, "worst_neg, -1e-12, floor=True)", "worst_neg, -1.0, floor=True)"),
+    Mutant(_CLI, "worst_sum, 1e-12)", "worst_sum, 1e-3)"),
     Mutant(_CLI, "return _status(args.command, [str(exc)])", "return _status(args.command, [])"),
     # The characteristics sidecar's health values.
     Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
     Mutant(_CLI, "series.sum_re[:n] - series.sum_re[0]", "series.sum_re[: n // 2] - series.sum_re[0]"),
+    Mutant(_CLI, "_sum_tol(series.sum_re[0])", "1e6 * _sum_tol(series.sum_re[0])"),
     Mutant(
         _CLI,
         "NCRIT_TOL = 1e-12",

@@ -7,10 +7,12 @@ echo, and re-running a config reproduces byte-identical numeric payloads
 (the pipeline is deterministic; no randomness is used anywhere).
 
 Subcommands: simulate | spectrum | kato | limits | characteristics |
-oracle-check | sweep.  Exit status is 0 exactly when every check requested
-by the subcommand passes its stated tolerance (a non-finite value never
-passes), 1 when a check fails, and 2 when the configuration or the input
-is rejected, with a one-line message on stderr.
+oracle-check | sweep.  Each lists its verdicts as ``Check`` records, which
+``_report`` writes to its JSON report as ``checks`` and ``failures`` and
+prints as ``FAIL <command>: <name> <value> > tol <bound><where>`` lines.
+Exit status is 0 exactly when every check passes (a NaN never passes), 1
+when a check fails, and 2 when the configuration or the input is rejected,
+with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +124,12 @@ class RunConfig:
 
     def snapshot_times(self) -> tuple[int, ...]:
         return self.snapshots if self.snapshots else (self.steps,)
+
+    def widths(self) -> tuple[int, ...]:
+        """mlist, the widths of characteristics and sweep; an empty list is rejected."""
+        if not self.mlist:
+            raise ValueError("mlist is empty; list at least one width")
+        return self.mlist
 
     def spinor(self) -> np.ndarray:
         """g scaled to unit length, the one place it is normalized; zero or non-finite g is rejected."""
@@ -306,6 +315,37 @@ def _status(command: str, failures: list[str]) -> int:
     return 1 if failures else 0
 
 
+class Check(NamedTuple):
+    """One verdict: a measured value against its bound, a floor when ``floor`` is set."""
+
+    name: str
+    value: float
+    bound: float
+    floor: bool = False
+    where: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """value <= bound (value >= bound for a floor); a NaN never passes."""
+        return bool(self.value >= self.bound if self.floor else self.value <= self.bound)
+
+    def message(self) -> str:
+        return f"{self.name} {self.value:.3e} {'<' if self.floor else '>'} tol {self.bound:.3e}{self.where}"
+
+
+def _sum_tol(total0) -> float:
+    """The drift bound, relative to a total above 1: a band start's total scales with its norm squared."""
+    return CONSERVATION_TOL * max(1.0, abs(total0))
+
+
+def _report(out: Path, file: str, command: str, payload: dict, checks: list[Check], digest: str) -> int:
+    """Write the JSON report with its check records and failures; print the FAIL lines; the exit status."""
+    failures = [c.message() for c in checks if not c.ok]
+    records = [{**c._asdict(), "ok": c.ok} for c in checks]
+    _write_json(out / file, {"command": command, **payload, "checks": records, "failures": failures}, digest)
+    return _status(command, failures)
+
+
 def _initial_state(cfg: RunConfig, n_max: int):
     coin = cfg.coin_obj()
     if cfg.init == "product":
@@ -330,11 +370,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     snapshots = sorted(set(cfg.snapshot_times()))
     state = _initial_state(cfg, cfg.steps)
     total0 = measure(state).total()
-    # Drift is held relative to the initial total when that exceeds 1:
-    # a band start's total scales with the square of its norm.
-    sum_tol = CONSERVATION_TOL * max(1.0, abs(total0))
-    failures: list[str] = []
-    sum_drift = 0.0
+    sum_tol = _sum_tol(total0)
+    checks = []
     max_imag = 0.0
     norm_trace = []
     for state in trajectory(state, snapshots[-1]):
@@ -358,23 +395,20 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 ),
                 digest,
             )
-        drift = abs(mu.total() - total0)
-        # np.maximum keeps a NaN, where max(0.0, nan) would drop it.
-        sum_drift = float(np.maximum(sum_drift, drift))
+        # np.maximum and np.max keep a NaN, where max(0.0, nan) would drop it.
         max_imag = float(np.maximum(max_imag, mu.max_abs_imag()))
         norm_trace.append([n_snap, state.norm()])
-        if not drift <= sum_tol:
-            failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e} at n={n_snap}")
+        checks.append(Check("measure sum drift", abs(mu.total() - total0), sum_tol, where=f" at n={n_snap}"))
+    sum_drift = float(np.max([c.value for c in checks]))
     # The conjugate-mirror symmetry forcing a real measure on symmetric
     # stripes holds for product and mixed starts; arbitrary band vectors
     # may legitimately carry imaginary parts, which are only recorded.
-    if cfg.m % 2 == 1 and cfg.init != "band" and not max_imag <= IMAG_TOL:
-        failures.append(f"odd-width imaginary residue {max_imag:.3e}")
-    _write_json(
-        out / "provenance.json",
+    if cfg.m % 2 == 1 and cfg.init != "band":
+        checks.append(Check("odd-width imaginary residue", max_imag, IMAG_TOL))
+    return _report(
+        out, "provenance.json", "simulate",
         {
             "config": config_to_text(cfg),
-            "command": "simulate",
             "stripe": list(stripe_for_width(cfg.m)),
             "initial_measure_total": _complex_pairs(total0),
             "max_abs_imag": max_imag,
@@ -383,12 +417,11 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "norm_trace": norm_trace,
             "engine": state.engine(),
             "versions": _versions(),
-            "failures": failures,
             "deterministic": True,
         },
+        checks,
         digest,
     )
-    return _status("simulate", failures)
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
@@ -397,31 +430,28 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
     ks, values = spectrum_grid(coin, cfg.m, cfg.kgrid)
-    failures = []
-    bound = 1.0 + MODULUS_TOL
 
     def rows():
         for k, lams in zip(ks.tolist(), values):
             for lam in sorted(lams.tolist(), key=lambda z: (-abs(z), z.real, z.imag)):
-                modulus = abs(lam)
-                if not modulus <= bound:
-                    failures.append(f"|lambda| = {modulus} > 1 + {MODULUS_TOL:.0e} at k={k}")
-                yield cfg.m, k, lam.real, lam.imag, modulus
+                yield cfg.m, k, lam.real, lam.imag, abs(lam)
 
     _write_csv(out / "spectrum.csv", "M,k,re_lambda,im_lambda,abs_lambda", rows(), digest)
-    _write_json(
-        out / "spectrum.json",
+    moduli = np.abs(values)
+    max_abs = float(np.max(moduli))
+    above = int(np.count_nonzero(~(moduli - 1.0 <= MODULUS_TOL)))  # a NaN counts as above
+    check = Check("max |lambda| - 1", max_abs - 1.0, MODULUS_TOL, where=f" at {above} of {moduli.size} eigenvalues")
+    return _report(
+        out, "spectrum.json", "spectrum",
         {
-            "command": "spectrum",
             "engine": spectrum_engine(coin, cfg.m, cfg.kgrid),
-            "max_abs_lambda": float(np.max(np.abs(values))),
-            "max_abs_lambda_bound": bound,
+            "max_abs_lambda": max_abs,
+            "max_abs_lambda_bound": 1.0 + MODULUS_TOL,
             "versions": _versions(),
-            "failures": failures,
         },
+        [check],
         digest,
     )
-    return _status("spectrum", failures)
 
 
 def cmd_kato(cfg: RunConfig, out: Path) -> int:
@@ -434,7 +464,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     if cfg.coin != "hadamard":
         raise ValueError("kato checks the Hadamard statements; set coin = hadamard")
     red = kato_reduction(coin, cfg.m)
-    checks = {
+    measured = {
         "pi_idempotent": float(np.max(np.abs(red.pi @ red.pi - red.pi))),
         "pi_hermitian": float(np.max(np.abs(red.pi - red.pi.conj().T))),
         "pi_rank": float(np.trace(red.pi).real),
@@ -455,23 +485,19 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
                 "residuals": rep["residuals"],
             }
         )
-    failures = []
-    if not (checks["pi_idempotent"] <= 1e-12 and checks["pi_hermitian"] <= 1e-12):
-        failures.append("projection is not an orthogonal projection to 1e-12")
-    if not abs(checks["pi_rank"] - 3.0) <= 1e-10:
-        failures.append(f"projection rank {checks['pi_rank']} != 3")
-    if not checks["r_skew_hermitian"] <= 1e-12:
-        failures.append("reduced generator is not skew-Hermitian to 1e-12")
-    if not checks["minimal_poly_residual"] <= 1e-12:
-        failures.append("minimal polynomial residual above 1e-12")
-    if not checks["minimality_witness"] >= 0.1:
-        failures.append("minimality witness below 0.1")
-    if not np.max(checks["eigvec_residuals"]) <= 1e-12:
-        failures.append("reduced eigenpair residual above 1e-12")
-    _write_json(
-        out / "kato.json",
+    # np.maximum and np.max keep a NaN, where max() may drop it.
+    orthogonality = np.maximum(measured["pi_idempotent"], measured["pi_hermitian"])
+    checks = [
+        Check("projection is not an orthogonal projection", orthogonality, 1e-12),
+        Check("projection rank error", abs(measured["pi_rank"] - 3.0), 1e-10),
+        Check("reduced generator is not skew-Hermitian", measured["r_skew_hermitian"], 1e-12),
+        Check("minimal polynomial residual", measured["minimal_poly_residual"], 1e-12),
+        Check("minimality witness", measured["minimality_witness"], 0.1, floor=True),
+        Check("reduced eigenpair residual", np.max(measured["eigvec_residuals"]), 1e-12),
+    ]
+    return _report(
+        out, "kato.json", "kato",
         {
-            "command": "kato",
             "stripe": list(stripe_for_width(cfg.m)),
             "pi": _complex_pairs(red.pi),
             "t1": _complex_pairs(red.t1),
@@ -479,13 +505,12 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
             "onb": _complex_pairs(red.onb),
             "eigenvalues": _complex_pairs(red.eigenvalues),
             "eigenvectors": _complex_pairs(red.vectors),
-            "checks": checks,
+            "measured": measured,
             "perturbed_projections": projections,
-            "failures": failures,
         },
+        checks,
         digest,
     )
-    return _status("kato", failures)
 
 
 def cmd_limits(cfg: RunConfig, out: Path) -> int:
@@ -509,7 +534,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     total0 = measure(state).total()
     mu = snapshot_measure(state, n)
     drift = abs(mu.total() - total0)
-    sum_tol = CONSERVATION_TOL * max(1.0, abs(total0))
+    sum_tol = _sum_tol(total0)
     masses = mode_masses(mu)
     profiles = limit_profiles(cell_spinor)
     distances = {}
@@ -521,17 +546,15 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
         distances_cumulant[p.mode] = scaled_cdf_distance(mu, q)
     windows = mode_windows(n)
     expected = (c_minus.real, c_zero.real, c_plus.real)
-    failures = []
-    for name, got, want in zip(("left", "center", "right"), masses, expected):
-        if not abs(got - want) <= 0.02:
-            failures.append(f"{name} mass {got:.4f} vs {want:.4f} (tol 0.02)")
-    if not drift <= sum_tol:
-        failures.append(f"measure sum drift {drift:.3e} > tol {sum_tol:.3e}")
+    checks = [
+        Check(f"{name} mass error", abs(got - want), 0.02, where=f" ({got:.4f} vs {want:.4f})")
+        for name, got, want in zip(("left", "center", "right"), masses, expected)
+    ]
+    checks.append(Check("measure sum drift", drift, sum_tol))
     nonreal = abs(np.conj(cell_spinor[0]) * cell_spinor[1] - (np.conj(cell_spinor[0]) * cell_spinor[1]).real) > 1e-14
-    _write_json(
-        out / "limits.json",
+    return _report(
+        out, "limits.json", "limits",
         {
-            "command": "limits",
             "n": n,
             "coefficients": {
                 "c_minus": _complex_pairs(c_minus),
@@ -557,14 +580,13 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             "measure_sum_tol": sum_tol,
             "engine": {"momenta": 2 * n + 1},
             "versions": _versions(),
-            "failures": failures,
         },
+        checks,
         digest,
     )
-    return _status("limits", failures)
 
 
-def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict]:
+def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict, list[Check]]:
     coin = cfg.coin_obj()
     n = cfg.steps
     nmax = 4 * m + 40
@@ -583,6 +605,12 @@ def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict]:
     except ValueError as exc:
         raise ValueError(f"M={m}: {exc}") from None
     row = (m, nc, xmax, ratio, gamma.slope, r_center.slope, r_side.slope)
+    deviation = float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0])))
+    imag = float(np.max(series.max_abs_im[:n]))
+    # The run is a product start, real at every odd width.
+    checks = [Check(f"M={m} measure sum drift", deviation, _sum_tol(series.sum_re[0]))]
+    if m % 2 == 1:
+        checks.append(Check(f"M={m} odd-width imaginary residue", imag, IMAG_TOL))
     sidecar = {
         "M": m,
         "n": n,
@@ -600,48 +628,40 @@ def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict]:
         },
         "r_center": {"slope": r_center.slope, "rms_residual": r_center.rms_residual},
         "r_side": {"slope": r_side.slope, "rms_residual": r_side.rms_residual},
-        "max_sum_deviation": float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0]))),
-        "max_abs_imag": float(np.max(series.max_abs_im[:n])),
+        "max_sum_deviation": deviation,
+        "max_abs_imag": imag,
         "engine": series.engine,
         "versions": _versions(),
     }
-    return row, sidecar
+    return row, sidecar, checks
 
 
 def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     digest = config_hash(cfg)
+    mlist = cfg.widths()
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
     # The pool starts all its processes at once, so it gets no more than
     # there are widths.
-    workers = min(workers, len(cfg.mlist))
+    workers = min(workers, len(mlist))
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which no other run needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_characteristics_row, repeat(cfg), cfg.mlist))
+            results = list(pool.map(_characteristics_row, repeat(cfg), mlist))
     else:
-        results = [_characteristics_row(cfg, m) for m in cfg.mlist]
-    _write_csv(
-        out / "characteristics.csv",
-        "M,n_crit,xmax,ratio,gamma,r_center,r_side",
-        (row for row, _ in results),
-        digest,
-    )
-    _write_json(
-        out / "characteristics.json",
-        {"command": "characteristics", "per_m": [sc for _, sc in results]},
-        digest,
-    )
-    return 0
+        results = [_characteristics_row(cfg, m) for m in mlist]
+    rows, sidecars, checks = zip(*results)
+    _write_csv(out / "characteristics.csv", "M,n_crit,xmax,ratio,gamma,r_center,r_side", rows, digest)
+    checks = [c for width_checks in checks for c in width_checks]
+    return _report(out, "characteristics.json", "characteristics", {"per_m": list(sidecars)}, checks, digest)
 
 
 def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     report = {}
-    failures = []
     # Unitary-limit suite: untouched stripe reproduces the plain walk.
     n = 50
     worst_qw = 0.0
@@ -650,8 +670,6 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
         for state, ref in zip(band, qw1d_trajectory(coin, g, n)):
             worst_qw = float(np.maximum(worst_qw, np.max(np.abs(measure(state).values - ref))))
     report["unitary_limit_max_abs_diff"] = worst_qw
-    if not worst_qw <= 1e-12:
-        failures.append(f"unitary-limit oracle deviation {worst_qw:.3e}")
     # Classical-limit suite: width 1 reproduces the dissipative recursion.
     n = 500
     worst_cl = 0.0
@@ -666,26 +684,23 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     report["classical_limit_max_abs_diff"] = worst_cl
     report["classical_limit_min_value"] = worst_neg
     report["classical_limit_sum_deviation"] = worst_sum
-    if not worst_cl <= 1e-12:
-        failures.append(f"classical-limit oracle deviation {worst_cl:.3e}")
-    if not (worst_neg >= -1e-12 and worst_sum <= 1e-12):
-        failures.append("classical-limit positivity/normalization violated")
-    _write_json(
-        out / "oracle_check.json",
-        {"command": "oracle-check", **report, "failures": failures},
-        digest,
-    )
-    return _status("oracle-check", failures)
+    checks = [
+        Check("unitary-limit oracle deviation", worst_qw, 1e-12),
+        Check("classical-limit oracle deviation", worst_cl, 1e-12),
+        Check("classical-limit positivity/normalization: min value", worst_neg, -1e-12, floor=True),
+        Check("classical-limit positivity/normalization: sum deviation", worst_sum, 1e-12),
+    ]
+    return _report(out, "oracle_check.json", "oracle-check", report, checks, digest)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     digest = config_hash(cfg)
     n = cfg.steps
-    starts = [_initial_state(replace(cfg, m=m), n) for m in cfg.mlist]  # reject before any write
-    for m, state in zip(cfg.mlist, starts):
+    mlist = cfg.widths()
+    starts = [_initial_state(replace(cfg, m=m), n) for m in mlist]  # reject before any write
+    for m, state in zip(mlist, starts):
         _write_measure(out, f"M{m}_n{n}", measure(evolve(state, n)), digest)
-    _write_json(out / "provenance.json", {"command": "sweep", "config": config_to_text(cfg)}, digest)
-    return 0
+    return _report(out, "provenance.json", "sweep", {"config": config_to_text(cfg)}, [], digest)
 
 
 # --------------------------------------------------------------------------

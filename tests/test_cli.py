@@ -24,6 +24,7 @@ from stripewalk import (
 )
 from stripewalk.coin import LL, RR, blocks
 from stripewalk.cli import (
+    Check,
     RunConfig,
     _NoRandomGuard,
     _write_csv,
@@ -306,8 +307,8 @@ def test_kato_command(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o" / "kato.json").read_text())
     assert report["failures"] == []
-    assert report["checks"]["pi_rank"] == pytest.approx(3.0, abs=1e-12)
-    assert report["checks"]["minimality_witness"] >= 0.1
+    assert report["measured"]["pi_rank"] == pytest.approx(3.0, abs=1e-12)
+    assert report["measured"]["minimality_witness"] >= 0.1
     pi = np.array([[complex(re, im) for re, im in row] for row in report["pi"]])
     assert abs(pi[0, 0] - 7 / 12) < 1e-14
     assert abs(pi[0, 7] + 1 / 12) < 1e-14
@@ -647,6 +648,9 @@ def test_engine_records_carry_versions(tmp_path):
         # An integer key names itself and the form it expects.
         ("simulate", "steps = 1e3\n", "steps: expected an integer, got '1e3'"),
         ("sweep", "mlist = 2 x\n", "mlist: expected an integer, got 'x'"),
+        # An empty width list names itself.
+        ("characteristics", "mlist =\n", "mlist is empty"),
+        ("sweep", "mlist =\n", "mlist is empty"),
         ("spectrum", "kgrid = 8.5\n", "kgrid: expected an integer, got '8.5'"),
         # Every width that reaches the library is checked there.
         *(
@@ -737,6 +741,80 @@ def _scaled_spectrum(monkeypatch):
         return ks, 1.5 * values
 
     monkeypatch.setattr(cli, "spectrum_grid", scaled)
+    return ["max |lambda| - 1"]
+
+
+def _assert_records(report):
+    """Each check record is complete, and failures are the messages of the records that fail."""
+    for r in report["checks"]:
+        assert set(r) == {"name", "value", "bound", "floor", "where", "ok"}, r
+        assert r["ok"] is (r["value"] >= r["bound"] if r["floor"] else r["value"] <= r["bound"]), r
+    assert report["failures"] == [
+        f"{r['name']} {r['value']:.3e} {'<' if r['floor'] else '>'} tol {r['bound']:.3e}{r['where']}"
+        for r in report["checks"]
+        if not r["ok"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, text, report, names",
+    [
+        (
+            "simulate", "m = 3\nsteps = 20\nsnapshots = 10 20\n", "provenance.json",
+            ["measure sum drift", "measure sum drift", "odd-width imaginary residue"],
+        ),
+        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", ["max |lambda| - 1"]),
+        (
+            "kato", "", "kato.json",
+            [
+                "projection is not an orthogonal projection",
+                "projection rank error",
+                "reduced generator is not skew-Hermitian",
+                "minimal polynomial residual",
+                "minimality witness",
+                "reduced eigenpair residual",
+            ],
+        ),
+        (
+            "limits", "m = 2\nsteps = 600\n", "limits.json",
+            ["left mass error", "center mass error", "right mass error", "measure sum drift"],
+        ),
+        (
+            "characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json",
+            ["M=2 measure sum drift", "M=3 measure sum drift", "M=3 odd-width imaginary residue"],
+        ),
+        (
+            "oracle-check", "", "oracle_check.json",
+            [
+                "unitary-limit oracle deviation",
+                "classical-limit oracle deviation",
+                "classical-limit positivity/normalization: min value",
+                "classical-limit positivity/normalization: sum deviation",
+            ],
+        ),
+        ("sweep", "steps = 20\nmlist = 2 3\n", "provenance.json", []),
+    ],
+)
+def test_every_report_lists_its_check_records(tmp_path, command, text, report, names):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    recorded = json.loads((tmp_path / "o" / report).read_text())
+    assert recorded["command"] == command
+    assert [r["name"] for r in recorded["checks"]] == names
+    assert all(r["ok"] for r in recorded["checks"]) and recorded["failures"] == []
+    _assert_records(recorded)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_a_nan_fails_its_check(floor):
+    # The bound itself passes; past it fails, on the side the relation names.
+    assert Check("x", 0.5, 0.5, floor).ok
+    assert Check("x", 0.6, 0.5, floor).ok is floor
+    assert Check("x", 0.4, 0.5, floor).ok is not floor
+    nan = Check("x", math.nan, 0.5, floor)
+    assert nan.ok is False
+    assert nan.message() == f"x nan {'<' if floor else '>'} tol 5.000e-01"
 
 
 # Each forcing below returns the checks it must fail, as message prefixes
@@ -806,6 +884,41 @@ def _scaled_width_one(monkeypatch):
     return ["classical-limit oracle deviation", "classical-limit positivity/normalization"]
 
 
+def _dented_width_one(monkeypatch):
+    # The width-1 measure's leftmost cell, of order 2^-500, pushed to -1e-6:
+    # no longer positive, nor of sum 1.
+    exact = cli.measure
+
+    def dented(state):
+        mu = exact(state)
+        if state.m != 1:
+            return mu
+        values = mu.values.copy()
+        values[0] -= 1e-6
+        return replace(mu, values=values)
+
+    monkeypatch.setattr(cli, "measure", dented)
+    return [
+        "classical-limit oracle deviation",
+        "classical-limit positivity/normalization: min value",
+        "classical-limit positivity/normalization: sum deviation",
+    ]
+
+
+def _drifting_series(monkeypatch):
+    # Each width's measure sum off by 1e-9 at its last step: ten times the
+    # bound, yet far inside a bound a million times too loose.
+    series_of = cli.run_series
+
+    def drifting(coin, m, n, g):
+        series = series_of(coin, m, n, g=g)
+        series.sum_re[-1] += 1e-9
+        return series
+
+    monkeypatch.setattr(cli, "run_series", drifting)
+    return ["M=2 measure sum drift", "M=3 measure sum drift"]
+
+
 @pytest.mark.parametrize(
     "command, text, report, force",
     [
@@ -813,7 +926,7 @@ def _scaled_width_one(monkeypatch):
             "simulate", "m = 3\nsteps = 20\n", "provenance.json",
             lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["odd-width imaginary residue"],
         ),
-        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.csv", _scaled_spectrum),
+        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", _scaled_spectrum),
         ("kato", "m = 2\n", "kato.json", _failed_polynomial),
         ("kato", "m = 2\n", "kato.json", _doubled_projection),
         ("kato", "m = 2\n", "kato.json", _shifted_generator),
@@ -821,6 +934,12 @@ def _scaled_width_one(monkeypatch):
         ("oracle-check", "", "oracle_check.json", _shifted_oqrw),
         ("oracle-check", "", "oracle_check.json", _shifted_qw1d),
         ("oracle-check", "", "oracle_check.json", _scaled_width_one),
+        ("oracle-check", "", "oracle_check.json", _dented_width_one),
+        (
+            "characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json",
+            lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["M=3 odd-width imaginary residue"],
+        ),
+        ("characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json", _drifting_series),
     ],
 )
 def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
@@ -838,17 +957,17 @@ def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
     assert rc == 1
     assert "Traceback" not in err
     lines = err.splitlines()
-    if report.endswith(".json"):
-        failures = json.loads((tmp_path / "o" / report).read_text())["failures"]
-        assert lines == [f"FAIL {command}: {msg}" for msg in failures]
-        assert len(failures) == len(expected)
-        assert all(msg.startswith(start) for msg, start in zip(failures, expected)), failures
-    else:  # spectrum records its failures only as the |lambda| column
-        _, _, rows = _read_csv(tmp_path / "o" / report)
-        failures = [r for r in rows if float(r[4]) > 1.0 + 1e-10]
-        assert len(lines) == len(failures)
-        assert all(line.startswith("FAIL spectrum: |lambda| = ") for line in lines)
+    recorded = json.loads((tmp_path / "o" / report).read_text())
+    _assert_records(recorded)
+    failures = recorded["failures"]
+    assert lines == [f"FAIL {command}: {msg}" for msg in failures]
+    assert len(failures) == len(expected)
+    assert all(msg.startswith(start) for msg, start in zip(failures, expected)), failures
     assert failures
+    if command == "spectrum":  # one line for all eigenvalues above the bound, with their count
+        _, _, rows = _read_csv(tmp_path / "o" / "spectrum.csv")
+        above = sum(float(r[4]) > 1.0 + 1e-10 for r in rows)
+        assert 0 < above < len(rows) and lines[0].endswith(f" at {above} of {len(rows)} eigenvalues")
 
 
 def test_simulate_odd_width_imaginary_residue_fails(tmp_path, capsys, monkeypatch):
@@ -871,7 +990,7 @@ def test_simulate_odd_width_imaginary_residue_fails(tmp_path, capsys, monkeypatc
     cfg.write_text("m = 3\nsteps = 20\nsnapshots = 10 20\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert capsys.readouterr().err == "FAIL simulate: odd-width imaginary residue 1.000e-09\n"
+    assert capsys.readouterr().err == "FAIL simulate: odd-width imaginary residue 1.000e-09 > tol 1.000e-12\n"
     prov = json.loads((tmp_path / "o" / "provenance.json").read_text())
     assert prov["max_abs_imag"] == 1e-9
     assert prov["measure_sum_drift"] <= prov["measure_sum_tol"]
