@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(_SPECTRAL, "vals = np.concatenate([vals, -vals])[fill]", "vals = np.concatenate([vals, vals])[fill]"),
     Mutant(
         _SPECTRAL,
-        "chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()",
-        "chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1)",
+        "chi[mirror[mirrored]] = y[mirrored][:, perm[q], 1].sum(axis=1).conj()",
+        "chi[mirror[mirrored]] = y[mirrored][:, perm[q], 1].sum(axis=1)",
     ),
     # The real gauge and the split of W_R(k) into two real blocks.
     Mutant(
@@ -139,11 +139,18 @@ MUTANTS = (
     Mutant(_CLI, "IMAG_TOL = 1e-12", "IMAG_TOL = 1e-6"),
     Mutant(_CLI, "MODULUS_TOL = 1e-10", "MODULUS_TOL = 1.0"),
     Mutant(_CLI, "orthogonality, 1e-12)", "orthogonality, 1e3)"),
-    Mutant(_CLI, 'abs(measured["pi_rank"] - 3.0), 1e-10)', 'abs(measured["pi_rank"] - 3.0), 1e3)'),
+    Mutant(_CLI, 'abs(measured["pi_rank"] - (2 * cfg.m - 1)), 1e-10)', 'abs(measured["pi_rank"] - 3.0), 1e-10)'),
+    Mutant(_CLI, 'abs(measured["pi_rank"] - (2 * cfg.m - 1)), 1e-10)', 'abs(measured["pi_rank"] - (2 * cfg.m - 1)), 1e3)'),
+    Mutant(_CLI, "np.max(np.abs(red.w0 @ red.pi - red.pi))", "np.max(np.abs(red.pi @ red.pi - red.pi))"),
+    Mutant(_CLI, 'measured["w0_pi_residual"], 1e-12)', 'measured["w0_pi_residual"], 1e3)'),
     Mutant(_CLI, 'measured["r_skew_hermitian"], 1e-12)', 'measured["r_skew_hermitian"], 1e-6)'),
-    Mutant(_CLI, 'measured["minimal_poly_residual"], 1e-12)', 'measured["minimal_poly_residual"], 1e3)'),
-    Mutant(_CLI, 'measured["minimality_witness"], 0.1, floor=True)', 'measured["minimality_witness"], 0.0, floor=True)'),
     Mutant(_CLI, 'np.max(measured["eigvec_residuals"]), 1e-12)', 'np.max(measured["eigvec_residuals"]), 1e-6)'),
+    # The first-order match: its gate on the rank, its prediction, its bounds.
+    Mutant(_CLI, "    if rank.ok:", "    if True:"),
+    Mutant(_SPECTRAL, "(1.0 + k * red.eigenvalues)", "(1.0 - k * red.eigenvalues)"),
+    Mutant(_SPECTRAL, "MATCH_AMBIGUITY_TOL = 1e-6", "MATCH_AMBIGUITY_TOL = 0.0"),
+    Mutant(_CLI, "np.min(errors[:-1] / errors[1:]), 30.0, floor=True)", "np.min(errors[:-1] / errors[1:]), 0.0, floor=True)"),
+    Mutant(_CLI, "np.max(distances[1:] / distances[:-1]), 0.5)", "np.max(distances[1:] / distances[:-1]), 1e3)"),
     Mutant(_CLI, "abs(got - want), 0.02,", "abs(got - want), 1.0,"),
     Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol))', 'Check("measure sum drift", drift, math.inf))'),
     Mutant(_CLI, "worst_qw, 1e-12)", "worst_qw, 1e-3)"),
@@ -151,6 +158,19 @@ MUTANTS = (
     Mutant(_CLI, "worst_neg, -1e-12, floor=True)", "worst_neg, -1.0, floor=True)"),
     Mutant(_CLI, "worst_sum, 1e-12)", "worst_sum, 1e-3)"),
     Mutant(_CLI, "return _status(args.command, [str(exc)])", "return _status(args.command, [])"),
+    # The input checks that exit 2.
+    Mutant(_CLI, "    if not np.isfinite(norm):", "    if np.isnan(norm):"),
+    Mutant(
+        _CLI,
+        "if g.shape != (2,) or not (np.isfinite(norm) and norm > 0):",
+        "if g.shape != (2,) or not np.isfinite(norm):",
+    ),
+    Mutant(_CLI, "if not self.mlist:", "if self.mlist is None:"),
+    Mutant(_CLI, "if min(times) < 1 or max(times) > cfg.steps:", "if min(times) < 0 or max(times) > cfg.steps:"),
+    Mutant(_CLI, "if min(times) < 1 or max(times) > cfg.steps:", "if min(times) < 1 or max(times) > cfg.steps + 1:"),
+    Mutant(_CLI, "if workers < 1:", "if workers < 0:"),
+    Mutant(_CLI, "if cfg.kgrid < 2:", "if cfg.kgrid < 1:"),
+    Mutant(_CLI, "if cfg.m == 1:", "if cfg.m == 0:"),
     # The characteristics sidecar's health values.
     Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
     Mutant(_CLI, "series.sum_re[:n] - series.sum_re[0]", "series.sum_re[: n // 2] - series.sum_re[0]"),

@@ -12,14 +12,16 @@ superdiagonal PQ couples row v to v+1, the subdiagonal QP to v-1.  W(k) is
 a non-normal contraction; its spectrum near the unit circle controls the
 long-time measure.
 
-Near k = 0 the eigenvalue 1 of W(0) (triple for the Hadamard coin at
-M = 2) splits according to the reduced generator R = Pi T1 Pi on the
-unperturbed eigenspace, where Pi is the (orthogonal) eigenprojection of 1
-and T1 = dW/dk(0).  ``kato_reduction`` computes both numerically, by one
-path for every coin and width; the width-2 polynomial and perturbation
-checks of ``kato`` build on it.  The closed forms of the Hadamard M = 2
-case (its two cubics and the paper's basis) are test oracles, not
-library code.
+Near k = 0 the eigenvalue 1 of W(0), of multiplicity 2M - 1 for a
+coin with no zero entry, splits according to the reduced generator
+R = Pi T1 Pi on the unperturbed eigenspace, where Pi is the (orthogonal)
+eigenprojection of 1 and T1 = dW/dk(0) (Kato, *Perturbation Theory for
+Linear Operators*, 1966).  ``kato_reduction`` computes both numerically,
+by one path for every coin and width, and ``first_order_match`` checks
+the eigenvalues 1 + k rho_j it predicts against those of W(k).  The
+closed forms of the Hadamard M = 2 case (its two cubics, its delta
+expansions and polynomials, and the paper's basis) are test oracles,
+not library code.
 
 Two exact symmetries hold for every coin: the reflection
 W(-k) = Pi conj(W(k)) Pi^T (``reflection``) and the pi-shift
@@ -66,13 +68,8 @@ __all__ = [
     "split_basis",
     "spectrum_engine",
     "spectrum_grid",
-    "lambda1_expansion",
-    "lambda2_expansion",
-    "delta_of_k",
-    "k_of_delta",
     "kato_reduction",
-    "poly_residuals",
-    "perturbed_projection_check",
+    "first_order_match",
     "apply_power",
     "snapshot_measure",
 ]
@@ -359,32 +356,6 @@ def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarra
     return ks, values
 
 
-def delta_of_k(k: float) -> float:
-    """Expansion parameter delta with delta^2 / 2 = 1 - cos k."""
-    return float(np.sqrt(2.0 * (1.0 - np.cos(k))))
-
-
-def k_of_delta(delta: float) -> float:
-    """Inverse of ``delta_of_k`` on [0, pi]."""
-    if not 0.0 <= delta <= 2.0:
-        raise ValueError("delta must lie in [0, 2]")
-    return float(np.arccos(1.0 - delta * delta / 2.0))
-
-
-def lambda1_expansion(k: float) -> complex:
-    """Diffusive-mode eigenvalue prediction 1 - delta^2/4 (valid |k| <~ 0.3)."""
-    d = delta_of_k(k)
-    return complex(1.0 - d * d / 4.0)
-
-
-def lambda2_expansion(k: float) -> tuple[complex, complex]:
-    """Ballistic-mode predictions 1 +- (i/sqrt3) delta - (2/9) delta^2."""
-    d = delta_of_k(k)
-    base = 1.0 - 2.0 * d * d / 9.0
-    shift = 1j * d / np.sqrt(3.0)
-    return complex(base + shift), complex(base - shift)
-
-
 @dataclass(frozen=True)
 class KatoReduction:
     """Reduction of the perturbed eigenproblem at the eigenvalue 1 of W(0).
@@ -448,56 +419,38 @@ def _reduced_eigensystem(t1: np.ndarray, onb: np.ndarray) -> tuple[np.ndarray, n
     return vals, full
 
 
-def poly_residuals(w0: np.ndarray) -> dict[str, float]:
-    """Frobenius norms of the width-2 Hadamard polynomials at W(0).
+def first_order_match(red: KatoReduction, k: float) -> dict:
+    """Each reduced mode j against the eigenvalue of W(k) nearest 1 + k rho_j, rho_j = ``red.eigenvalues``.
 
-    ``minimal_poly_residual`` is that of the minimal polynomial
-    W(W - I)(2W^2 + W + I)(2W + I), ``minimality_witness`` that of the same
-    product without (2W + I) (large when the polynomial is minimal), and
-    ``char_poly_residual`` that of the characteristic polynomial
-    W^2 (W - I)^3 (2W^2 + W + I)(2W + I).
+    Returns ``eigenvalues`` (the matched ones), ``errors`` (|lambda_j - 1 -
+    k rho_j|, O(k^2)), ``distances`` (the 2-norm ||P_j(k) - v_j v_j*||,
+    O(k), v_j the vectors of ``red``) and ``margin``, the least gap between
+    the distances of a mode's nearest and second-nearest eigenvalue.  P_j
+    is the outer product of the right eigenvector with its row of the
+    inverse eigenvector matrix, which bakes in the biorthogonal
+    normalization <l_j, r_j> = 1.  W(k) is solved once.  Raises when a
+    margin is below ``MATCH_AMBIGUITY_TOL``: at tiny k, or when two rho_j
+    coincide, the predictions cannot tell the eigenvalues apart.
     """
-    eye = np.eye(w0.shape[0])
-    witness = w0 @ (w0 - eye) @ (2.0 * w0 @ w0 + w0 + eye)
-    char = w0 @ w0 @ np.linalg.matrix_power(w0 - eye, 3) @ (2.0 * w0 @ w0 + w0 + eye) @ (2.0 * w0 + eye)
-    return {
-        "minimal_poly_residual": float(np.linalg.norm(witness @ (2.0 * w0 + eye), "fro")),
-        "char_poly_residual": float(np.linalg.norm(char, "fro")),
-        "minimality_witness": float(np.linalg.norm(witness, "fro")),
-    }
-
-
-def perturbed_projection_check(red: KatoReduction, delta: float) -> dict:
-    """Distance of the three perturbed eigenprojections from v_j v_j*.
-
-    For each prediction (1 - delta^2/4, 1 +- (i/sqrt3) delta - (2/9) delta^2)
-    the nearest eigenvalue of W(k(delta)) is matched and the 2-norm
-    ||P_j(delta) - v_j v_j*|| reported, v_j the vectors of ``red``.  P_j is
-    the outer product of the right eigenvector with row j of the inverse
-    eigenvector matrix, which bakes in the biorthogonal normalization
-    <l_j, r_j> = 1.  Raises when two eigenvalues are within the matching
-    ambiguity tolerance of one prediction.  delta = 0 is out of range: the
-    triple eigenvalue 1 of W(0) makes every match there ambiguous.
-    """
-    if not 0.0 < delta <= 0.3:
-        raise ValueError("delta must lie in (0, 0.3]")
-    k = k_of_delta(delta)
     values, vectors = eig(w_stack(blocks(red.coin), red.m, [k])[0], k)
-    left = np.linalg.inv(vectors)
-    matched = []
-    residuals = []
-    for pred, v in zip((lambda1_expansion(k), *lambda2_expansion(k)), red.vectors):
-        dist = np.abs(values - pred)
-        order = np.argsort(dist)
-        if dist[order[1]] - dist[order[0]] < MATCH_AMBIGUITY_TOL:
-            raise RuntimeError(
-                f"eigenvalue matching ambiguous at delta={delta}: "
-                f"{values[order[0]]} vs {values[order[1]]} for prediction {pred}"
-            )
-        j = int(order[0])
-        matched.append(complex(values[j]))
-        residuals.append(float(np.linalg.norm(np.outer(vectors[:, j], left[j]) - np.outer(v, v.conj()), 2)))
-    return {"delta": float(delta), "eigenvalues": matched, "residuals": residuals}
+    dist = np.abs(values - (1.0 + k * red.eigenvalues)[:, None])  # (modes, 4M)
+    order = np.argsort(dist, axis=1)
+    nearest = np.take_along_axis(dist, order[:, :2], axis=1)
+    margins = nearest[:, 1] - nearest[:, 0]
+    if not np.all(margins >= MATCH_AMBIGUITY_TOL):  # a NaN is ambiguous too
+        raise RuntimeError(
+            f"eigenvalue matching ambiguous at k={k}: margin {np.min(margins):.3e} "
+            f"< {MATCH_AMBIGUITY_TOL:.1e} between the two eigenvalues nearest a prediction"
+        )
+    j = order[:, 0]
+    projections = vectors.T[j][:, :, None] * np.linalg.inv(vectors)[j][:, None, :]
+    modes = red.vectors[:, :, None] * red.vectors.conj()[:, None, :]
+    return {
+        "eigenvalues": values[j],
+        "errors": nearest[:, 0],
+        "distances": np.linalg.norm(projections - modes, 2, axis=(1, 2)),
+        "margin": float(np.min(margins)),
+    }
 
 
 def apply_power(w: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -544,18 +497,20 @@ def snapshot_measure(state: BandState, n: int) -> ComplexMeasure:
     real = state.packed.dtype.kind == "f"
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
     q = 4 * (m // 2) + np.array([LL, RR])
-    q_mirror = perm[q]  # (Pi^T q)^T y = y[perm[q]].sum()
     size = 2 * n + 1
-    ks = 2.0 * np.pi * np.arange(n + 1) / size
+    ks = 2.0 * np.pi * np.arange(size) / size
     chi = np.empty(size, dtype=complex)
+    # On the odd grid the orbits are the reflection pairs: row 0 holds
+    # i = 0..n, row 1 the index K - i that each i > 0 fills.
+    orbits, fills = _orbits(size)
     step = max(1, GRID_CHUNK_BYTES // (16 * (4 * m) ** 2))
     for lo in range(0, n + 1, step):
-        own = np.arange(lo, min(lo + step, n + 1))
+        own, mirror = orbits[:2, lo : lo + step]
+        mirrored = fills[1, lo : lo + step]
         x = np.broadcast_to(vecs, (len(own), 4 * m, 2))
         y = apply_power(w_stack(state.blocks, m, ks[own]), n, x)
         chi[own] = y[:, q, 0].sum(axis=1)
-        mirrored = own > 0
-        chi[size - own[mirrored]] = y[mirrored][:, q_mirror, 1].sum(axis=1).conj()
+        chi[mirror[mirrored]] = y[mirrored][:, perm[q], 1].sum(axis=1).conj()  # (Pi^T q)^T y
     values = np.roll(np.fft.fft(chi) / size, n)  # index x + n holds mu(x mod K)
     tol = SNAPSHOT_RESIDUE_TOL * max(1.0, float(np.linalg.norm(phi)))  # |chi| <= sqrt(2) |phi|
     if len(state.sublattices) == 1:

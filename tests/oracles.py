@@ -24,9 +24,11 @@ only the tests compare against.
 
 The Hadamard M = 2 closed forms judge the numerical spectral code: the
 two cubics that carry the nonzero spectrum of W(k), their radical
-forms, the characteristic function by direct powering, and the paper's
+forms, the characteristic function by direct powering, the paper's
 literal basis of the eigenspace of W(0) at 1 with the eigenvectors of
-the reduced generator on it.
+the reduced generator on it, the delta expansions of the three
+eigenvalues near 1 with the perturbed projections they match, and the
+minimal and characteristic polynomials of W(0).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from stripewalk.characteristics import (
     n_crit_of_trace,
 )
 from stripewalk.coin import LL, RR, Coin, blocks
-from stripewalk.spectral import apply_power, w_stack
+from stripewalk.spectral import MATCH_AMBIGUITY_TOL, KatoReduction, apply_power, eig, w_stack
 from stripewalk.walker import diagonal, unit_spinor
 
 #: sqrt(2) times the Hadamard coin, and its column splits sqrt(2) P, sqrt(2) Q.
@@ -400,3 +402,81 @@ def char_function(
     vec[:, 4 * i0 : 4 * i0 + 4, 0] = np.kron(hg, hg.conj())
     vec = apply_power(w, n, vec)
     return vec[:, 4 * i0 + LL, 0] + vec[:, 4 * i0 + RR, 0]
+
+
+def delta_of_k(k: float) -> float:
+    """Expansion parameter delta with delta^2 / 2 = 1 - cos k."""
+    return float(np.sqrt(2.0 * (1.0 - np.cos(k))))
+
+
+def k_of_delta(delta: float) -> float:
+    """Inverse of ``delta_of_k`` on [0, pi]."""
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError("delta must lie in [0, 2]")
+    return float(np.arccos(1.0 - delta * delta / 2.0))
+
+
+def lambda1_expansion(k: float) -> complex:
+    """Diffusive-mode eigenvalue prediction 1 - delta^2/4 (valid |k| <~ 0.3)."""
+    d = delta_of_k(k)
+    return complex(1.0 - d * d / 4.0)
+
+
+def lambda2_expansion(k: float) -> tuple[complex, complex]:
+    """Ballistic-mode predictions 1 +- (i/sqrt3) delta - (2/9) delta^2."""
+    d = delta_of_k(k)
+    base = 1.0 - 2.0 * d * d / 9.0
+    shift = 1j * d / np.sqrt(3.0)
+    return complex(base + shift), complex(base - shift)
+
+
+def poly_residuals(w0: np.ndarray) -> dict[str, float]:
+    """Frobenius norms of the width-2 Hadamard polynomials at W(0).
+
+    ``minimal_poly_residual`` is that of the minimal polynomial
+    W(W - I)(2W^2 + W + I)(2W + I), ``minimality_witness`` that of the same
+    product without (2W + I) (large when the polynomial is minimal), and
+    ``char_poly_residual`` that of the characteristic polynomial
+    W^2 (W - I)^3 (2W^2 + W + I)(2W + I).
+    """
+    eye = np.eye(w0.shape[0])
+    witness = w0 @ (w0 - eye) @ (2.0 * w0 @ w0 + w0 + eye)
+    char = w0 @ w0 @ np.linalg.matrix_power(w0 - eye, 3) @ (2.0 * w0 @ w0 + w0 + eye) @ (2.0 * w0 + eye)
+    return {
+        "minimal_poly_residual": float(np.linalg.norm(witness @ (2.0 * w0 + eye), "fro")),
+        "char_poly_residual": float(np.linalg.norm(char, "fro")),
+        "minimality_witness": float(np.linalg.norm(witness, "fro")),
+    }
+
+
+def perturbed_projection_check(red: KatoReduction, delta: float) -> dict:
+    """Distance of the three perturbed eigenprojections from v_j v_j*.
+
+    For each prediction (1 - delta^2/4, 1 +- (i/sqrt3) delta - (2/9) delta^2)
+    the nearest eigenvalue of W(k(delta)) is matched and the 2-norm
+    ||P_j(delta) - v_j v_j*|| reported, v_j the vectors of ``red``.  P_j is
+    the outer product of the right eigenvector with row j of the inverse
+    eigenvector matrix, which bakes in the biorthogonal normalization
+    <l_j, r_j> = 1.  Raises when two eigenvalues are within the matching
+    ambiguity tolerance of one prediction.  delta = 0 is out of range: the
+    triple eigenvalue 1 of W(0) makes every match there ambiguous.
+    """
+    if not 0.0 < delta <= 0.3:
+        raise ValueError("delta must lie in (0, 0.3]")
+    k = k_of_delta(delta)
+    values, vectors = eig(w_stack(blocks(red.coin), red.m, [k])[0], k)
+    left = np.linalg.inv(vectors)
+    matched = []
+    residuals = []
+    for pred, v in zip((lambda1_expansion(k), *lambda2_expansion(k)), red.vectors):
+        dist = np.abs(values - pred)
+        order = np.argsort(dist)
+        if dist[order[1]] - dist[order[0]] < MATCH_AMBIGUITY_TOL:
+            raise RuntimeError(
+                f"eigenvalue matching ambiguous at delta={delta}: "
+                f"{values[order[0]]} vs {values[order[1]]} for prediction {pred}"
+            )
+        j = int(order[0])
+        matched.append(complex(values[j]))
+        residuals.append(float(np.linalg.norm(np.outer(vectors[:, j], left[j]) - np.outer(v, v.conj()), 2)))
+    return {"delta": float(delta), "eigenvalues": matched, "residuals": residuals}

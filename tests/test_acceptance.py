@@ -50,25 +50,21 @@ from stripewalk.limits import (
     mode_masses,
     scaled_cdf_distance,
 )
-from stripewalk.spectral import (
-    eig,
-    k_of_delta,
-    kato_reduction,
-    lambda1_expansion,
-    lambda2_expansion,
-    perturbed_projection_check,
-    poly_residuals,
-    w_stack,
-)
+from stripewalk.spectral import eig, kato_reduction, w_stack
 
 from oracles import (
     KATO_PI,
     char_function,
     cubic_spectrum_m2,
     exact_onset,
+    k_of_delta,
+    lambda1_expansion,
+    lambda2_expansion,
     n_crit,
     oracle_series,
     peak_position,
+    perturbed_projection_check,
+    poly_residuals,
     qw1d_reference,
 )
 

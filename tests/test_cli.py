@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -308,18 +309,25 @@ def test_kato_command(tmp_path):
     report = json.loads((tmp_path / "o" / "kato.json").read_text())
     assert report["failures"] == []
     assert report["measured"]["pi_rank"] == pytest.approx(3.0, abs=1e-12)
-    assert report["measured"]["minimality_witness"] >= 0.1
+    assert report["measured"]["w0_pi_residual"] < 1e-15
     pi = np.array([[complex(re, im) for re, im in row] for row in report["pi"]])
     assert abs(pi[0, 0] - 7 / 12) < 1e-14
     assert abs(pi[0, 7] + 1 / 12) < 1e-14
     res = report["perturbed_projections"][1]
-    assert res["delta"] == 1e-2
-    assert max(res["residuals"]) < 5e-2
+    assert res["k"] == 1e-2
+    assert max(res["projection_distances"]) < 5e-2
+    # The first-order error is O(k^2): the centre mode's 1 - k^2/4 and the
+    # side modes' -(2/9) k^2 of the width-2 Hadamard expansions.
+    assert res["first_order_errors"] == pytest.approx([0.25e-4, 2 / 9 * 1e-4, 2 / 9 * 1e-4], rel=1e-3)
+
+
+#: The 0.6/0.8i coin, whose entries are all nonzero and not all real.
+COIN_68 = "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\n"
 
 
 def test_kato_solves_w0_once(tmp_path, monkeypatch):
     # One reduction serves every check: W(0) and the reduced generator are
-    # solved once, W(k(delta)) once per delta; no check re-runs the reduction.
+    # solved once, W(k) once per k; no check re-runs the reduction.
     solve = np.linalg.eig
     sizes = []
 
@@ -328,8 +336,35 @@ def test_kato_solves_w0_once(tmp_path, monkeypatch):
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting)
-    assert main(["kato", "--out", str(tmp_path / "o")]) == 0
-    assert sorted(sizes) == [3, 8, 8, 8, 8]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(COIN_68 + "m = 3\n")
+    assert main(["kato", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(sizes) == [5, 12, 12, 12, 12]
+
+
+def _spectrum_grid_coins():
+    """The coin lines of the 8 ``spectrum-grid`` benchmark configs, read from the benchmark's generator."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    config_text = runpy.run_path(str(workloads))["config_text"]
+    return [
+        "".join(f"{line}\n" for line in config_text("spectrum-grid", v).splitlines() if line.startswith("coin"))
+        for v in range(8)
+    ]
+
+
+@pytest.mark.parametrize("coin", ["", COIN_68, *_spectrum_grid_coins()])
+def test_kato_passes_at_every_width(tmp_path, capsys, coin):
+    # The reduction's checks hold for every coin with no zero entry: the
+    # unit group has rank 2M - 1, and each eigenvalue of W(k) near 1 follows
+    # 1 + k rho_j to first order, with its projection O(k) from v_j v_j*.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(coin)
+    for m in (2, 3, 5, 10):
+        out = tmp_path / f"m{m}"
+        assert main(["kato", "--config", str(cfg), "--m", str(m), "--out", str(out)]) == 0, capsys.readouterr().err
+        report = json.loads((out / "kato.json").read_text())
+        assert report["measured"]["pi_rank"] == pytest.approx(2 * m - 1, abs=1e-10)
+        assert [len(p["matched_eigenvalues"]) for p in report["perturbed_projections"]] == [2 * m - 1] * 3
 
 
 def test_limits_command(tmp_path):
@@ -632,9 +667,6 @@ def test_engine_records_carry_versions(tmp_path):
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
         ("limits", "m = 1\n", "stripewalk limits: error: m = 1: limits compares the side modes, which width 1 lacks; set m >= 2\n"),
-        ("kato", "m = 3\n", "kato checks the width-2 statements; got width 3"),
-        ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0,0.8\ncoin_c = 0,0.8\ncoin_d = 0.6,0\nm = 3\n", "width-2"),
-        ("kato", "coin = custom\ncoin_a = 0.6,0\ncoin_b = 0.8,0\ncoin_c = 0.8,0\ncoin_d = -0.6,0\nm = 2\n", "Hadamard"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
         ("simulate", "steps = 10\ng = 1 0\n", "g: expected a complex number written re,im"),
         ("simulate", "steps = 10\ncoin_a = 1\n", "coin_a: expected a complex number written re,im"),
@@ -652,6 +684,7 @@ def test_engine_records_carry_versions(tmp_path):
         ("characteristics", "mlist =\n", "mlist is empty"),
         ("sweep", "mlist =\n", "mlist is empty"),
         ("spectrum", "kgrid = 8.5\n", "kgrid: expected an integer, got '8.5'"),
+        ("spectrum", "kgrid = 1\n", "kgrid must be >= 2"),
         # Every width that reaches the library is checked there.
         *(
             (command, text, "stripe width must be >= 1")
@@ -733,6 +766,18 @@ def test_library_check_failure_is_one_fail_line_exit_1(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o" / "spectrum.csv").exists()
 
 
+def test_kato_ambiguous_match_is_one_fail_line_exit_1(tmp_path, capsys):
+    # With a = 0 every rho_j is 0, so the 2M - 1 eigenvalues of W(k) near 1
+    # are equally near every prediction.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("coin = custom\ncoin_b = 1,0\ncoin_c = 1,0\nm = 3\n")
+    rc = main(["kato", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("FAIL kato: eigenvalue matching ambiguous at k=0.1")
+    assert "Traceback" not in err
+
+
 def _scaled_spectrum(monkeypatch):
     grid = cli.spectrum_grid
 
@@ -769,10 +814,11 @@ def _assert_records(report):
             [
                 "projection is not an orthogonal projection",
                 "projection rank error",
+                "projection is not fixed by W(0)",
                 "reduced generator is not skew-Hermitian",
-                "minimal polynomial residual",
-                "minimality witness",
                 "reduced eigenpair residual",
+                "first-order error decay per decade",
+                "projection distance ratio per decade",
             ],
         ),
         (
@@ -821,16 +867,6 @@ def test_a_nan_fails_its_check(floor):
 # in the order the subcommand records them.
 
 
-def _failed_polynomial(monkeypatch):
-    residuals = cli.poly_residuals
-    monkeypatch.setattr(
-        cli,
-        "poly_residuals",
-        lambda w: {**residuals(w), "minimal_poly_residual": 1.0, "minimality_witness": 0.0},
-    )
-    return ["minimal polynomial residual", "minimality witness"]
-
-
 def _corrupted_reduction(monkeypatch, name, change):
     """Make ``kato_reduction`` return one field replaced by change(field)."""
     reduction = cli.kato_reduction
@@ -845,6 +881,30 @@ def _corrupted_reduction(monkeypatch, name, change):
 def _doubled_projection(monkeypatch):
     _corrupted_reduction(monkeypatch, "pi", lambda pi: 2.0 * pi)
     return ["projection is not an orthogonal projection", "projection rank"]
+
+
+def _moved_w0(monkeypatch):
+    # W(0) scaled by 1/2 no longer fixes its unit group; nothing else reads it.
+    _corrupted_reduction(monkeypatch, "w0", lambda w0: 0.5 * w0)
+    return ["projection is not fixed by W(0)"]
+
+
+def _scaled_speeds(monkeypatch):
+    # rho_j off by 1 %: the first-order error falls only like k, and r v_j
+    # no longer equals rho_j v_j.
+    _corrupted_reduction(monkeypatch, "eigenvalues", lambda rho: 1.01 * rho)
+    return ["reduced eigenpair residual", "first-order error decay per decade"]
+
+
+def _tilted_vectors(monkeypatch):
+    # Each v_j off by 1e-2 in its first entry: ||P_j(k) - v_j v_j*|| stalls near 1e-2.
+    def tilt(vectors):
+        vectors = vectors.copy()
+        vectors[:, 0] += 1e-2
+        return vectors
+
+    _corrupted_reduction(monkeypatch, "vectors", tilt)
+    return ["reduced eigenpair residual", "projection distance ratio per decade"]
 
 
 def _shifted_generator(monkeypatch):
@@ -927,9 +987,13 @@ def _drifting_series(monkeypatch):
             lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["odd-width imaginary residue"],
         ),
         ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", _scaled_spectrum),
-        ("kato", "m = 2\n", "kato.json", _failed_polynomial),
+        ("kato", "m = 2\n", "kato.json", _moved_w0),
         ("kato", "m = 2\n", "kato.json", _doubled_projection),
         ("kato", "m = 2\n", "kato.json", _shifted_generator),
+        ("kato", COIN_68 + "m = 3\n", "kato.json", _scaled_speeds),
+        ("kato", COIN_68 + "m = 3\n", "kato.json", _tilted_vectors),
+        # With b = 0 the unit group of W(0) has rank 2M, and no mode is matched.
+        ("kato", "coin = custom\ncoin_a = 1,0\ncoin_d = -1,0\nm = 3\n", "kato.json", lambda mp: ["projection rank error"]),
         ("limits", "m = 2\nsteps = 600\n", "limits.json", _mirrored_coefficients),
         ("oracle-check", "", "oracle_check.json", _shifted_oqrw),
         ("oracle-check", "", "oracle_check.json", _shifted_qw1d),

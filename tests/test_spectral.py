@@ -17,14 +17,9 @@ from stripewalk import spectral
 from stripewalk.limits import SPEED, limit_coefficients
 from stripewalk.spectral import (
     apply_power,
-    delta_of_k,
     eig,
-    k_of_delta,
+    first_order_match,
     kato_reduction,
-    lambda1_expansion,
-    lambda2_expansion,
-    perturbed_projection_check,
-    poly_residuals,
     real_gauge,
     reflection,
     shift_signs,
@@ -47,7 +42,13 @@ from oracles import (
     char_function,
     cubic_roots,
     cubic_spectrum_m2,
+    delta_of_k,
     eig_multiplicities,
+    k_of_delta,
+    lambda1_expansion,
+    lambda2_expansion,
+    perturbed_projection_check,
+    poly_residuals,
 )
 
 S2, S3, S7 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(7.0)
@@ -659,6 +660,30 @@ def test_perturbed_projection_ambiguity_reported(hadamard):
         perturbed_projection_check(kato_reduction(hadamard, 2), 1e-7)
 
 
+def test_first_order_match_is_the_width2_hadamard_oracle(hadamard):
+    # At M = 2 the generic match pairs each mode with the eigenvalue the
+    # delta expansions pick, and measures the same projection distance.
+    red = kato_reduction(hadamard, 2)
+    for d in (1e-1, 1e-2, 1e-3):
+        k = k_of_delta(d)
+        rep = perturbed_projection_check(red, d)
+        got = first_order_match(red, k)
+        assert np.array_equal(got["eigenvalues"], rep["eigenvalues"])
+        assert np.max(np.abs(got["distances"] - rep["residuals"])) < 1e-15
+        # The first-order error is what the second-order terms of the
+        # expansions predict: -delta^2 / 4 and -(2/9) delta^2.
+        assert np.max(np.abs(got["errors"] / d**2 - [0.25, 2 / 9, 2 / 9])) < 0.1 * d
+
+
+def test_first_order_match_ambiguity_reported(phased_coin):
+    # At tiny k the 2M - 1 eigenvalues near 1 crowd within the matching
+    # tolerance of each prediction.
+    red = kato_reduction(phased_coin, 3)
+    first_order_match(red, 1e-3)
+    with pytest.raises(RuntimeError, match="ambiguous at k=1e-07"):
+        first_order_match(red, 1e-7)
+
+
 def test_char_function_matches_engine(hadamard):
     ks = 2 * math.pi * np.arange(16) / 16
     for m in (1, 2, 3):
@@ -749,6 +774,23 @@ def test_snapshot_measure_needs_the_initial_state(hadamard):
         snapshot_measure(evolve(state, 1), 3)
     with pytest.raises(ValueError, match="non-negative"):
         snapshot_measure(state, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 500])
+def test_snapshot_measure_powers_one_k_per_orbit(phased_coin, monkeypatch, n):
+    # On the odd grid of 2n + 1 momenta the orbits are the reflection
+    # pairs, so n + 1 momenta are powered, each once.
+    power = spectral.apply_power
+    powered = []
+
+    def counting(w, n, x):
+        powered.append(len(w))
+        return power(w, n, x)
+
+    monkeypatch.setattr(spectral, "apply_power", counting)
+    state = init_product(phased_coin, np.array([0.6, 0.8j]), 10, 0)
+    snapshot_measure(state, n)
+    assert sum(powered) == _orbit_count(2 * n + 1) == n + 1
 
 
 @pytest.mark.parametrize("sublattices, columns, needle", [(1, [0, 1], "off-sublattice"), (2, [0], "Im mu")])
