@@ -128,8 +128,20 @@ MUTANTS = (
         "w_real = w_stack(real, m, ks[rows[: fill.shape[1]]])",
         "w_real = w_stack(b, m, ks[rows[: fill.shape[1]]])",
     ),
-    # The snapshot's residue checks.
-    Mutant(_SPECTRAL, "    if not worst <= tol:", "    if not worst <= 1e6 * tol:"),
+    # The measured values the CLI judges: each eigenpair residual, the
+    # snapshot's residues, and the bounds they are held to.
+    Mutant(_SPECTRAL, "    return residual / np.maximum(scale, 1.0)", "    return 0.0 * residual"),
+    Mutant(_CLI, "EIG_RESIDUAL_TOL = 1e-10", "EIG_RESIDUAL_TOL = 1e3"),
+    Mutant(
+        _SPECTRAL,
+        """        residues["off_sublattice"] = float(np.max(np.abs(off), initial=0.0)) / scale
+        off[:] = 0
+""",
+        """        off[:] = 0
+        residues["off_sublattice"] = float(np.max(np.abs(off), initial=0.0)) / scale
+""",
+    ),
+    Mutant(_CLI, "SNAPSHOT_RESIDUE_TOL = 1e-12", "SNAPSHOT_RESIDUE_TOL = 1e-6"),
     Mutant(_SPECTRAL, "        off[:] = 0", "        off[:] *= 1"),
     Mutant(_SPECTRAL, "values = values.real.astype(complex)", "values = values.astype(complex)"),
     # The CLI's checks: the one comparison of every record, and each record's bound.
@@ -148,11 +160,12 @@ MUTANTS = (
     # The first-order match: its gate on the rank, its prediction, its bounds.
     Mutant(_CLI, "    if rank.ok:", "    if True:"),
     Mutant(_SPECTRAL, "(1.0 + k * red.eigenvalues)", "(1.0 - k * red.eigenvalues)"),
-    Mutant(_SPECTRAL, "MATCH_AMBIGUITY_TOL = 1e-6", "MATCH_AMBIGUITY_TOL = 0.0"),
+    Mutant(_CLI, "MATCH_AMBIGUITY_TOL = 1e-6", "MATCH_AMBIGUITY_TOL = 0.0"),
+    Mutant(_SPECTRAL, '"margin": float(np.min(nearest[:, 1] - nearest[:, 0])),', '"margin": float(np.max(nearest[:, 1] - nearest[:, 0])),'),
     Mutant(_CLI, "np.min(errors[:-1] / errors[1:]), 30.0, floor=True)", "np.min(errors[:-1] / errors[1:]), 0.0, floor=True)"),
     Mutant(_CLI, "np.max(distances[1:] / distances[:-1]), 0.5)", "np.max(distances[1:] / distances[:-1]), 1e3)"),
     Mutant(_CLI, "abs(got - want), 0.02,", "abs(got - want), 1.0,"),
-    Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol))', 'Check("measure sum drift", drift, math.inf))'),
+    Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol),', 'Check("measure sum drift", drift, math.inf),'),
     Mutant(_CLI, "worst_qw, 1e-12)", "worst_qw, 1e-3)"),
     Mutant(_CLI, "worst_cl, 1e-12)", "worst_cl, 1e-3)"),
     Mutant(_CLI, "worst_neg, -1e-12, floor=True)", "worst_neg, -1.0, floor=True)"),
@@ -171,6 +184,11 @@ MUTANTS = (
     Mutant(_CLI, "if workers < 1:", "if workers < 0:"),
     Mutant(_CLI, "if cfg.kgrid < 2:", "if cfg.kgrid < 1:"),
     Mutant(_CLI, "if cfg.m == 1:", "if cfg.m == 0:"),
+    Mutant(
+        _CLI,
+        'if cfg.init != "product":\n        raise ValueError("characteristics',
+        'if False:\n        raise ValueError("characteristics',
+    ),
     # The characteristics sidecar's health values.
     Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
     Mutant(_CLI, "series.sum_re[:n] - series.sum_re[0]", "series.sum_re[: n // 2] - series.sum_re[0]"),

@@ -81,6 +81,13 @@ IMAG_TOL = 1e-12
 NCRIT_TOL = 1e-12
 #: Bound on |lambda| - 1 of every eigenvalue that ``spectrum`` writes.
 MODULUS_TOL = 1e-10
+#: Bound on an eigenpair residual ||W x - lambda x|| / max(||W||_2, 1).
+EIG_RESIDUAL_TOL = 1e-10
+#: Floor on the margin of ``first_order_match`` at every k of ``kato``.
+MATCH_AMBIGUITY_TOL = 1e-6
+#: Bound on each residue of ``snapshot_measure``; measured residues stay
+#: below 1e-14 (M <= 10, n <= 5e4).
+SNAPSHOT_RESIDUE_TOL = 1e-12
 #: The momenta at which ``kato`` matches W(k) against the first-order
 #: prediction, one decade apart.
 KATO_MOMENTA = (1e-1, 1e-2, 1e-3)
@@ -431,7 +438,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     coin = cfg.coin_obj()
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
-    ks, values = spectrum_grid(coin, cfg.m, cfg.kgrid)
+    ks, values, residuals = spectrum_grid(coin, cfg.m, cfg.kgrid)
 
     def rows():
         for k, lams in zip(ks.tolist(), values):
@@ -442,16 +449,22 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     moduli = np.abs(values)
     max_abs = float(np.max(moduli))
     above = int(np.count_nonzero(~(moduli - 1.0 <= MODULUS_TOL)))  # a NaN counts as above
-    check = Check("max |lambda| - 1", max_abs - 1.0, MODULUS_TOL, where=f" at {above} of {moduli.size} eigenvalues")
+    residual = float(np.max(residuals))
+    bad = int(np.count_nonzero(~(residuals <= EIG_RESIDUAL_TOL)))
+    checks = [
+        Check("max |lambda| - 1", max_abs - 1.0, MODULUS_TOL, where=f" at {above} of {moduli.size} eigenvalues"),
+        Check("eigenpair residual", residual, EIG_RESIDUAL_TOL, where=f" at {bad} of {len(ks)} momenta"),
+    ]
     return _report(
         out, "spectrum.json", "spectrum",
         {
             "engine": spectrum_engine(coin, cfg.m, cfg.kgrid),
             "max_abs_lambda": max_abs,
             "max_abs_lambda_bound": 1.0 + MODULUS_TOL,
+            "max_eigenpair_residual": residual,
             "versions": _versions(),
         },
-        [check],
+        checks,
         digest,
     )
 
@@ -463,6 +476,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         "pi_idempotent": float(np.max(np.abs(red.pi @ red.pi - red.pi))),
         "pi_hermitian": float(np.max(np.abs(red.pi - red.pi.conj().T))),
         "pi_rank": float(np.trace(red.pi).real),
+        "w0_eigenpair_residual": red.w0_residual,
         "w0_pi_residual": float(np.max(np.abs(red.w0 @ red.pi - red.pi))),
         "r_skew_hermitian": float(np.max(np.abs(red.r + red.r.conj().T))),
         "eigvec_residuals": [
@@ -474,6 +488,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     orthogonality = np.maximum(measured["pi_idempotent"], measured["pi_hermitian"])
     rank = Check("projection rank error", abs(measured["pi_rank"] - (2 * cfg.m - 1)), 1e-10)
     checks = [
+        Check("W(0) eigenpair residual", red.w0_residual, EIG_RESIDUAL_TOL),
         Check("projection is not an orthogonal projection", orthogonality, 1e-12),
         rank,
         Check("projection is not fixed by W(0)", measured["w0_pi_residual"], 1e-12),
@@ -487,7 +502,10 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         matches = [first_order_match(red, k) for k in KATO_MOMENTA]
         errors = np.array([match["errors"] for match in matches])
         distances = np.array([match["distances"] for match in matches])
+        margin = np.min([match["margin"] for match in matches])
         checks += [
+            Check("W(k) eigenpair residual", np.max([match["residual"] for match in matches]), EIG_RESIDUAL_TOL),
+            Check("first-order match margin", margin, MATCH_AMBIGUITY_TOL, floor=True),
             Check("first-order error decay per decade", np.min(errors[:-1] / errors[1:]), 30.0, floor=True),
             Check("projection distance ratio per decade", np.max(distances[1:] / distances[:-1]), 0.5),
         ]
@@ -498,6 +516,7 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
                 "first_order_errors": match["errors"].tolist(),
                 "projection_distances": match["distances"].tolist(),
                 "match_margin": match["margin"],
+                "eigenpair_residual": match["residual"],
             }
             for k, match in zip(KATO_MOMENTA, matches)
         ]
@@ -527,10 +546,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     coin = cfg.coin_obj()
     n = cfg.steps
     if cfg.init != "product":
-        raise ValueError(
-            "the limits command compares against product-start mode weights; "
-            "set init = product"
-        )
+        raise ValueError("limits runs only the product start from g; set init = product")
     g = cfg.spinor()
     cell_spinor = coin.matrix @ g
     cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
@@ -538,7 +554,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     # snapshot_measure never steps, so the start needs no horizon.
     state = init_product(coin, g, cfg.m, 0)
     total0 = measure(state).total()
-    mu = snapshot_measure(state, n)
+    mu, residues = snapshot_measure(state, n)
     drift = abs(mu.total() - total0)
     sum_tol = _sum_tol(total0)
     masses = mode_masses(mu)
@@ -556,7 +572,11 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
         Check(f"{name} mass error", abs(got - want), 0.02, where=f" ({got:.4f} vs {want:.4f})")
         for name, got, want in zip(("left", "center", "right"), masses, expected)
     ]
-    checks.append(Check("measure sum drift", drift, sum_tol))
+    checks += [
+        Check("measure sum drift", drift, sum_tol),
+        Check("snapshot off-sublattice residue", residues["off_sublattice"], SNAPSHOT_RESIDUE_TOL),
+        Check("snapshot imaginary residue", residues["imag"], SNAPSHOT_RESIDUE_TOL),
+    ]
     nonreal = abs(np.conj(cell_spinor[0]) * cell_spinor[1] - (np.conj(cell_spinor[0]) * cell_spinor[1]).real) > 1e-14
     return _report(
         out, "limits.json", "limits",
@@ -584,6 +604,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             "max_abs_imag": mu.max_abs_imag(),
             "measure_sum_drift": drift,
             "measure_sum_tol": sum_tol,
+            "snapshot_residues": residues,
             "engine": {"momenta": 2 * n + 1},
             "versions": _versions(),
         },
@@ -644,6 +665,8 @@ def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict, list[Chec
 
 def cmd_characteristics(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     digest = config_hash(cfg)
+    if cfg.init != "product":
+        raise ValueError("characteristics runs only the product start from g; set init = product")
     mlist = cfg.widths()
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
@@ -762,9 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; a rejected configuration or input exits 2 with one line.
 
-    A check inside the library that fails (an eigenpair residual, a solver
-    that does not converge, an ambiguous projection) raises RuntimeError,
-    which exits 1 with one ``FAIL`` line like the subcommands' own checks.
+    A run that cannot finish (LAPACK does not converge, a ``--seedless``
+    run draws randomness, a walk outruns its horizon) exits 1 with one
+    ``FAIL`` line and no report.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -48,7 +48,8 @@ from stripewalk.characteristics import (
     n_crit_of_trace,
 )
 from stripewalk.coin import LL, RR, Coin, blocks
-from stripewalk.spectral import MATCH_AMBIGUITY_TOL, KatoReduction, apply_power, eig, w_stack
+from stripewalk.cli import MATCH_AMBIGUITY_TOL
+from stripewalk.spectral import KatoReduction, apply_power, eig, w_stack
 from stripewalk.walker import diagonal, unit_spinor
 
 #: sqrt(2) times the Hadamard coin, and its column splits sqrt(2) P, sqrt(2) Q.
@@ -464,7 +465,7 @@ def perturbed_projection_check(red: KatoReduction, delta: float) -> dict:
     if not 0.0 < delta <= 0.3:
         raise ValueError("delta must lie in (0, 0.3]")
     k = k_of_delta(delta)
-    values, vectors = eig(w_stack(blocks(red.coin), red.m, [k])[0], k)
+    values, vectors, _ = eig(w_stack(blocks(red.coin), red.m, [k])[0])
     left = np.linalg.inv(vectors)
     matched = []
     residuals = []

@@ -192,7 +192,7 @@ def test_c04_operator_algebra():
     w = w_stack(blocks(HAD), 2, [0.0])[0]
     w_err = float(np.max(np.abs(w - W0_EXPECTED)))
     expected_eigs = [0, 0, 1, 1, 1, -0.5, (-1 + 1j * S7) / 4, (-1 - 1j * S7) / 4]
-    got = list(eig(w, 0.0)[0])
+    got = list(eig(w)[0])
     eig_err = 0.0
     for z in expected_eigs:
         i = int(np.argmin(np.abs(np.array(got) - z)))

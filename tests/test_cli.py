@@ -256,7 +256,7 @@ def test_spectrum_rows_match_per_k_eig(tmp_path, phased_coin, kgrid):
         assert all(r[0] == str(m) and float(r[1]) == k for r in group)
         got = [complex(float(r[2]), float(r[3])) for r in group]
         assert all(float(r[4]) == abs(z) for r, z in zip(group, got))
-        remaining = list(spectral.eig(spectral.w_stack(blocks(phased_coin), m, [k])[0], k)[0])
+        remaining = list(spectral.eig(spectral.w_stack(blocks(phased_coin), m, [k])[0])[0])
         for z in got:
             j = int(np.argmin(np.abs(np.array(remaining) - z)))
             assert abs(remaining.pop(j) - z) < 1e-12
@@ -603,7 +603,8 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
     # builds its start with no horizon, so it is rebuilt with horizon n.
     def real_space(state, n):
         data = state.dense()[:, :, state.center].T  # each row's 4-vector at u = 0
-        return measure(evolve(init_band_vector(state.blocks.coin, data, state.m, n), n))
+        mu = measure(evolve(init_band_vector(state.blocks.coin, data, state.m, n), n))
+        return mu, {"off_sublattice": 0.0, "imag": 0.0}
 
     monkeypatch.setattr(cli, "snapshot_measure", real_space)
     assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "r")]) == rc
@@ -618,6 +619,7 @@ def test_limits_spectral_report_matches_real_space(tmp_path, monkeypatch, text):
         # chi(0) alone is off by 5e-10: sum mu_n drifts past 1e-10 while
         # each cell moves by 5e-10 / 1201, under the residue tolerance.
         (5e-10, "measure sum drift"),
+        # Off by 1e-6, the drift and the off-sublattice residue both fail.
         (1e-6, "snapshot off-sublattice"),
     ],
 )
@@ -633,14 +635,13 @@ def test_limits_snapshot_checks_are_one_fail_line(tmp_path, capsys, monkeypatch,
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("steps = 600\nm = 2\n")
     rc = main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
     assert rc == 1
-    assert err.count("\n") == 1 and err.startswith(f"FAIL limits: {needle}")
-    assert "Traceback" not in err
-    if needle == "measure sum drift":
-        report = json.loads((tmp_path / "o" / "limits.json").read_text())
-        assert report["measure_sum_drift"] > report["measure_sum_tol"]
-        assert report["failures"] == [err[len("FAIL limits: ") : -1]]
+    assert lines[0].startswith("FAIL limits: measure sum drift") and lines[-1].startswith(f"FAIL limits: {needle}")
+    assert len(lines) == (1 if needle == "measure sum drift" else 2)
+    report = json.loads((tmp_path / "o" / "limits.json").read_text())
+    assert report["measure_sum_drift"] > report["measure_sum_tol"]
+    assert lines == [f"FAIL limits: {msg}" for msg in report["failures"]]
 
 
 def test_engine_records_carry_versions(tmp_path):
@@ -666,6 +667,7 @@ def test_engine_records_carry_versions(tmp_path):
         ("simulate", "steps = 10\nsnapshots = 0 5\n", "snapshots must lie in [1, steps]"),
         ("simulate", "steps = 10\nnonsense = 1\n", "unknown config key"),
         ("limits", "steps = 300\ninit = mixed\n", "init = product"),
+        ("characteristics", "mlist = 2\nsteps = 200\ninit = mixed\n", "init = product"),
         ("limits", "m = 1\n", "stripewalk limits: error: m = 1: limits compares the side modes, which width 1 lacks; set m >= 2\n"),
         ("simulate", "coin = custom\ncoin_a = nan,0\ncoin_d = 1,0\n", "not unitary"),
         ("simulate", "steps = 10\ng = 1 0\n", "g: expected a complex number written re,im"),
@@ -748,42 +750,46 @@ def test_main_passes_on_the_subcommand_status(tmp_path, capsys, monkeypatch, sta
 
 
 def test_library_check_failure_is_one_fail_line_exit_1(tmp_path, capsys, monkeypatch):
-    solve = np.linalg.eig
+    # LAPACK not converging is the one failure left in the library: the
+    # run cannot finish, so it writes no output.
+    def diverging(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def corrupted(mats):
-        values, vectors = solve(mats)
-        vectors[0, :, 0] = 0.5  # a wrong first eigenvector at k = 0
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    monkeypatch.setattr(np.linalg, "eig", diverging)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("m = 2\nkgrid = 8\n")
     rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
     assert rc == 1
-    assert err.count("\n") == 1 and err.startswith("FAIL spectrum: eigenpair residual")
-    assert "Traceback" not in err
-    assert not (tmp_path / "o" / "spectrum.csv").exists()
+    assert capsys.readouterr().err == "FAIL spectrum: eigensolver did not converge: Eigenvalues did not converge\n"
+    assert not list((tmp_path / "o").iterdir())
 
 
+#: With a = 0 every rho_j is 0, so the 2M - 1 eigenvalues of W(k) near 1
+#: are equally near every prediction.
+COIN_A0 = "coin = custom\ncoin_b = 1,0\ncoin_c = 1,0\n"
+
+
+@pytest.mark.filterwarnings("error")
 def test_kato_ambiguous_match_is_one_fail_line_exit_1(tmp_path, capsys):
-    # With a = 0 every rho_j is 0, so the 2M - 1 eigenvalues of W(k) near 1
-    # are equally near every prediction.
+    # The reduction's own records pass and are written next to the failing margin.
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("coin = custom\ncoin_b = 1,0\ncoin_c = 1,0\nm = 3\n")
+    cfg.write_text(COIN_A0 + "m = 3\n")
     rc = main(["kato", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "kato.json").read_text())
     assert rc == 1
-    assert err.count("\n") == 1 and err.startswith("FAIL kato: eigenvalue matching ambiguous at k=0.1")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err.splitlines() == [f"FAIL kato: {msg}" for msg in report["failures"]]
+    ok = {r["name"]: r["ok"] for r in report["checks"]}
+    assert ok["projection rank error"] and ok["projection is not an orthogonal projection"]
+    assert ok["reduced generator is not skew-Hermitian"] and not ok["first-order match margin"]
+    assert report["failures"][0].startswith("first-order match margin")
 
 
 def _scaled_spectrum(monkeypatch):
     grid = cli.spectrum_grid
 
     def scaled(*args):
-        ks, values = grid(*args)
-        return ks, 1.5 * values
+        ks, values, residuals = grid(*args)
+        return ks, 1.5 * values, residuals
 
     monkeypatch.setattr(cli, "spectrum_grid", scaled)
     return ["max |lambda| - 1"]
@@ -808,22 +814,32 @@ def _assert_records(report):
             "simulate", "m = 3\nsteps = 20\nsnapshots = 10 20\n", "provenance.json",
             ["measure sum drift", "measure sum drift", "odd-width imaginary residue"],
         ),
-        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", ["max |lambda| - 1"]),
+        ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", ["max |lambda| - 1", "eigenpair residual"]),
         (
             "kato", "", "kato.json",
             [
+                "W(0) eigenpair residual",
                 "projection is not an orthogonal projection",
                 "projection rank error",
                 "projection is not fixed by W(0)",
                 "reduced generator is not skew-Hermitian",
                 "reduced eigenpair residual",
+                "W(k) eigenpair residual",
+                "first-order match margin",
                 "first-order error decay per decade",
                 "projection distance ratio per decade",
             ],
         ),
         (
             "limits", "m = 2\nsteps = 600\n", "limits.json",
-            ["left mass error", "center mass error", "right mass error", "measure sum drift"],
+            [
+                "left mass error",
+                "center mass error",
+                "right mass error",
+                "measure sum drift",
+                "snapshot off-sublattice residue",
+                "snapshot imaginary residue",
+            ],
         ),
         (
             "characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json",
@@ -919,6 +935,27 @@ def _mirrored_coefficients(monkeypatch):
     return ["left mass", "right mass"]
 
 
+def _mirrorless_spectrum(monkeypatch):
+    # With the reflection replaced by the identity, the eigenvalues stay
+    # right, and the pairs of the 7 reflected rows of 16 do not.
+    monkeypatch.setattr(spectral, "reflection", lambda m: np.arange(4 * m))
+    return ["eigenpair residual"]
+
+
+def _wrong_chi_off_k0(monkeypatch):
+    # chi off by 1e-8 at k_1 and its mirror alike: the measure stays real,
+    # and zeroing its off-sublattice cells moves sum mu_n by only 3e-12.
+    power = spectral.apply_power
+
+    def corrupted(w, n, x):
+        y = power(w, n, x).copy()
+        y[1] *= 1.0 + 1e-8
+        return y
+
+    monkeypatch.setattr(spectral, "apply_power", corrupted)
+    return ["snapshot off-sublattice residue"]
+
+
 def _shifted_oqrw(monkeypatch):
     reference = cli.oqrw_reference
     monkeypatch.setattr(cli, "oqrw_reference", lambda coin, g, n: reference(coin, g, n) + 1e-6)
@@ -987,6 +1024,7 @@ def _drifting_series(monkeypatch):
             lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["odd-width imaginary residue"],
         ),
         ("spectrum", "m = 2\nkgrid = 8\n", "spectrum.json", _scaled_spectrum),
+        ("spectrum", COIN_68 + "m = 3\nkgrid = 16\n", "spectrum.json", _mirrorless_spectrum),
         ("kato", "m = 2\n", "kato.json", _moved_w0),
         ("kato", "m = 2\n", "kato.json", _doubled_projection),
         ("kato", "m = 2\n", "kato.json", _shifted_generator),
@@ -994,7 +1032,12 @@ def _drifting_series(monkeypatch):
         ("kato", COIN_68 + "m = 3\n", "kato.json", _tilted_vectors),
         # With b = 0 the unit group of W(0) has rank 2M, and no mode is matched.
         ("kato", "coin = custom\ncoin_a = 1,0\ncoin_d = -1,0\nm = 3\n", "kato.json", lambda mp: ["projection rank error"]),
+        (
+            "kato", COIN_A0 + "m = 3\n", "kato.json",
+            lambda mp: ["first-order match margin", "first-order error decay", "projection distance ratio"],
+        ),
         ("limits", "m = 2\nsteps = 600\n", "limits.json", _mirrored_coefficients),
+        ("limits", "m = 2\nsteps = 600\n", "limits.json", _wrong_chi_off_k0),
         ("oracle-check", "", "oracle_check.json", _shifted_oqrw),
         ("oracle-check", "", "oracle_check.json", _shifted_qw1d),
         ("oracle-check", "", "oracle_check.json", _scaled_width_one),
@@ -1028,10 +1071,11 @@ def test_subcommand_check_failure_is_one_fail_line_each_exit_1(
     assert len(failures) == len(expected)
     assert all(msg.startswith(start) for msg, start in zip(failures, expected)), failures
     assert failures
-    if command == "spectrum":  # one line for all eigenvalues above the bound, with their count
+    if command == "spectrum":  # one line per check, with the count of eigenvalues or momenta past its bound
         _, _, rows = _read_csv(tmp_path / "o" / "spectrum.csv")
         above = sum(float(r[4]) > 1.0 + 1e-10 for r in rows)
-        assert 0 < above < len(rows) and lines[0].endswith(f" at {above} of {len(rows)} eigenvalues")
+        where = f" at {above} of {len(rows)} eigenvalues" if above else " at 7 of 16 momenta"
+        assert above < len(rows) and lines[0].endswith(where)
 
 
 def test_simulate_odd_width_imaginary_residue_fails(tmp_path, capsys, monkeypatch):
@@ -1137,7 +1181,8 @@ def test_sweep_rows_match_simulate(tmp_path):
 
 def test_band_count_is_checked_per_width(tmp_path, capsys):
     # The band's 4M count is checked against the width each state is built
-    # for: sweep builds one per width in mlist, characteristics none.
+    # for: sweep builds one per width in mlist.  characteristics runs only
+    # the product start, so it rejects a band start by its init.
     cfg = tmp_path / "cfg.txt"
     pairs = " ".join(["0.5,0"] * 12)
     cfg.write_text(f"steps = 20\nmlist = 3\ninit = band\nband = {pairs}\n")
@@ -1147,7 +1192,8 @@ def test_band_count_is_checked_per_width(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 2
     assert "needs 8 complex entries" in capsys.readouterr().err
     cfg.write_text(f"steps = 200\nmlist = 2\ninit = band\nband = {pairs}\n")
-    assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "ch")]) == 0
+    assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "ch")]) == 2
+    assert "set init = product" in capsys.readouterr().err
 
 
 def test_simulate_complex_band_init_odd_width(tmp_path):

@@ -168,7 +168,7 @@ def test_complex_window_sums_match_coefficients(hadamard):
     # A complex cross term makes the side weights complex; the complex
     # window sums of the late measure carry the same imaginary parts.
     g = np.array([0.6, 0.8j])
-    mu = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
+    mu, _ = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
     xs = mu.positions()
     sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, 4.0)]
     cell = hadamard.matrix @ g

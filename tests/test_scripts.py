@@ -7,15 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from stripewalk import cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 README = SCRIPTS.parent / "README.md"
 
 
-def _run(monkeypatch, name, *args):
+def _run(monkeypatch, name, *args, status=0):
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert exc.value.code == 0
+    assert exc.value.code == status
 
 
 def _rows(path):
@@ -45,12 +47,17 @@ def test_side_mode_convergence(monkeypatch, capsys):
     _run(monkeypatch, "side_mode_convergence.py", "--steps", "300", "600")
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split(",")[:2] == ["n", "ks_left_1/9"]
+    assert header.split(",")[-2:] == ["residue_off_sublattice", "residue_imag"]
     assert [int(r.split(",")[0]) for r in rows] == [300, 600]
     for row in rows:
         values = [float(v) for v in row.split(",")[1:]]
-        assert len(values) == 7
+        assert len(values) == 9
         assert all(0.0 <= v < 1.0 for v in values[:4])
-        assert all(abs(v) < 0.02 for v in values[4:])
+        assert all(abs(v) < 0.02 for v in values[4:7])
+        assert all(0.0 <= v <= 1e-12 for v in values[7:])
+    # A residue above the bound (here: any residue, with the bound below 0) exits 1.
+    monkeypatch.setattr(cli, "SNAPSHOT_RESIDUE_TOL", -1.0)
+    _run(monkeypatch, "side_mode_convergence.py", "--steps", "300", status=1)
 
 
 def test_spectrum_timing(monkeypatch, capsys):
