@@ -50,6 +50,7 @@ _COIN = "src/stripewalk/coin.py"
 _WALKER = "src/stripewalk/walker.py"
 _SPECTRAL = "src/stripewalk/spectral.py"
 _CLI = "src/stripewalk/cli.py"
+_LIMITS = "src/stripewalk/limits.py"
 
 MUTANTS = (
     # The coin's blocks.
@@ -142,6 +143,7 @@ MUTANTS = (
 """,
     ),
     Mutant(_CLI, "SNAPSHOT_RESIDUE_TOL = 1e-12", "SNAPSHOT_RESIDUE_TOL = 1e-6"),
+    Mutant(_CLI, "SNAPSHOT_RESIDUE_TOL = 1e-12", "SNAPSHOT_RESIDUE_TOL = 1e-11"),
     Mutant(_SPECTRAL, "        off[:] = 0", "        off[:] *= 1"),
     Mutant(_SPECTRAL, "values = values.real.astype(complex)", "values = values.astype(complex)"),
     # The CLI's checks: the one comparison of every record, and each record's bound.
@@ -157,15 +159,36 @@ MUTANTS = (
     Mutant(_CLI, 'measured["w0_pi_residual"], 1e-12)', 'measured["w0_pi_residual"], 1e3)'),
     Mutant(_CLI, 'measured["r_skew_hermitian"], 1e-12)', 'measured["r_skew_hermitian"], 1e-6)'),
     Mutant(_CLI, 'np.max(measured["eigvec_residuals"]), 1e-12)', 'np.max(measured["eigvec_residuals"]), 1e-6)'),
-    # The first-order match: its gate on the rank, its prediction, its bounds.
+    # The first-order match: its gates on the rank and the margin, its prediction, its bounds.
     Mutant(_CLI, "    if rank.ok:", "    if True:"),
+    Mutant(_CLI, "        if margin.ok:", "        if True:"),
     Mutant(_SPECTRAL, "(1.0 + k * red.eigenvalues)", "(1.0 - k * red.eigenvalues)"),
     Mutant(_CLI, "MATCH_AMBIGUITY_TOL = 1e-6", "MATCH_AMBIGUITY_TOL = 0.0"),
     Mutant(_SPECTRAL, '"margin": float(np.min(nearest[:, 1] - nearest[:, 0])),', '"margin": float(np.max(nearest[:, 1] - nearest[:, 0])),'),
     Mutant(_CLI, "np.min(errors[:-1] / errors[1:]), 30.0, floor=True)", "np.min(errors[:-1] / errors[1:]), 0.0, floor=True)"),
     Mutant(_CLI, "np.max(distances[1:] / distances[:-1]), 0.5)", "np.max(distances[1:] / distances[:-1]), 1e3)"),
-    Mutant(_CLI, "abs(got - want), 0.02,", "abs(got - want), 1.0,"),
+    # The mode table: the second-order coefficient, the widths, the masses.
+    Mutant(_SPECTRAL, "t2 / 2 - t1 @ s @ t1", "t2 / 2 + t1 @ s @ t1"),
+    Mutant(
+        _SPECTRAL,
+        "s = c @ np.linalg.solve(c.conj().T @ (w0 - np.eye(4 * m)) @ c, c.conj().T)",
+        "s = np.linalg.pinv(w0 - np.eye(4 * m))",
+    ),
+    Mutant(_SPECTRAL, "return -2.0 * self.tau.real - self.speeds**2", "return -2.0 * self.tau.real"),
+    Mutant(_SPECTRAL, "self.vectors[:, _origin_rows(self.m)]", "self.vectors[:, _origin_rows(self.m - 1)]"),
+    # limits: its speeds, windows, mass checks, null distances, W(0) solve and drift.
+    Mutant(_CLI, "if np.any(np.diff(speeds) <= SPEED_GAP_TOL):", "if False:"),
+    Mutant(
+        _CLI,
+        'red.w0_residual, EIG_RESIDUAL_TOL),\n        Check("measure sum drift"',
+        'red.w0_residual, 1e3),\n        Check("measure sum drift"',
+    ),
+    Mutant(_LIMITS, "if below[1] >= above[0]:", "if False:"),
+    Mutant(_LIMITS, "math.ceil(round(c * n - half, 9))", "math.ceil(c * n - half)"),
+    Mutant(_CLI, "massless = abs(c) <= ZERO_MASS_TOL", "massless = False"),
+    Mutant(_CLI, "abs(got - want.real), 0.02,", "abs(got - want.real), 1.0,"),
     Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol),', 'Check("measure sum drift", drift, math.inf),'),
+    Mutant(_CLI, "drift = abs(chi0 - total0)", "drift = abs(mu.total() - total0)"),
     Mutant(_CLI, "worst_qw, 1e-12)", "worst_qw, 1e-3)"),
     Mutant(_CLI, "worst_cl, 1e-12)", "worst_cl, 1e-3)"),
     Mutant(_CLI, "worst_neg, -1e-12, floor=True)", "worst_neg, -1.0, floor=True)"),
@@ -183,7 +206,6 @@ MUTANTS = (
     Mutant(_CLI, "if min(times) < 1 or max(times) > cfg.steps:", "if min(times) < 1 or max(times) > cfg.steps + 1:"),
     Mutant(_CLI, "if workers < 1:", "if workers < 0:"),
     Mutant(_CLI, "if cfg.kgrid < 2:", "if cfg.kgrid < 1:"),
-    Mutant(_CLI, "if cfg.m == 1:", "if cfg.m == 0:"),
     Mutant(
         _CLI,
         'if cfg.init != "product":\n        raise ValueError("characteristics',

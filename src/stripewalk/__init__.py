@@ -4,8 +4,9 @@ The model interpolates between an open quantum random walk (stripe width
 M = 1) and the unitary coined walk (M -> infinity) by zeroing the walker's
 two-coordinate amplitudes outside a diagonal stripe after every step.  The
 package provides the real-space evolution engine, the momentum-space
-operator and its perturbation theory, closed-form limit profiles, and the
-quantitative observables used to characterize the crossover.
+operator and its perturbation theory with the table of limit modes at
+every width, limit profiles, and the quantitative observables used to
+characterize the crossover.
 """
 
 from .coin import Coin, CoinBlocks, blocks, make_coin, make_hadamard

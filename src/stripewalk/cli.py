@@ -50,17 +50,9 @@ from .spectral import (
     snapshot_measure,
     spectrum_engine,
     spectrum_grid,
+    start_vector,
 )
-from .limits import (
-    SIDE_VARIANCE,
-    SIDE_VARIANCE_CUMULANT,
-    LimitProfile,
-    limit_coefficients,
-    limit_profiles,
-    mode_masses,
-    mode_windows,
-    scaled_cdf_distance,
-)
+from .limits import mode_masses, mode_windows, scaled_cdf_distance
 from .characteristics import (
     PEAK_DELTA,
     SUPPORT_THRESHOLDS,
@@ -91,6 +83,11 @@ SNAPSHOT_RESIDUE_TOL = 1e-12
 #: The momenta at which ``kato`` matches W(k) against the first-order
 #: prediction, one decade apart.
 KATO_MOMENTA = (1e-1, 1e-2, 1e-3)
+#: A mode of mass |c_j| within this has no profile: ``limits`` writes its CDF
+#: distances as null.  The product start's zero masses (M = 3) measure 1e-30.
+ZERO_MASS_TOL = 1e-12
+#: Two mode speeds within this are one speed to ``limits``: no n parts their windows.
+SPEED_GAP_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -502,13 +499,20 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
         matches = [first_order_match(red, k) for k in KATO_MOMENTA]
         errors = np.array([match["errors"] for match in matches])
         distances = np.array([match["distances"] for match in matches])
-        margin = np.min([match["margin"] for match in matches])
+        margin = Check(
+            "first-order match margin", np.min([match["margin"] for match in matches]), MATCH_AMBIGUITY_TOL, floor=True
+        )
         checks += [
             Check("W(k) eigenpair residual", np.max([match["residual"] for match in matches]), EIG_RESIDUAL_TOL),
-            Check("first-order match margin", margin, MATCH_AMBIGUITY_TOL, floor=True),
-            Check("first-order error decay per decade", np.min(errors[:-1] / errors[1:]), 30.0, floor=True),
-            Check("projection distance ratio per decade", np.max(distances[1:] / distances[:-1]), 0.5),
+            margin,
         ]
+        # An ambiguous match pairs modes with arbitrary eigenvalues, whose
+        # errors and distances say nothing more.
+        if margin.ok:
+            checks += [
+                Check("first-order error decay per decade", np.min(errors[:-1] / errors[1:]), 30.0, floor=True),
+                Check("projection distance ratio per decade", np.max(distances[1:] / distances[:-1]), 0.5),
+            ]
         projections = [
             {
                 "k": k,
@@ -538,79 +542,85 @@ def cmd_kato(cfg: RunConfig, out: Path) -> int:
     )
 
 
+def _mode_keys(offset: int) -> tuple[str, str]:
+    """Report name and coefficient key of the mode ``offset`` places from the centre in speed order."""
+    if offset == 0:
+        return "center", "c_zero"
+    s = "" if abs(offset) == 1 else str(abs(offset))
+    return ("right" + s, "c_plus" + s) if offset > 0 else ("left" + s, "c_minus" + s)
+
+
 def cmd_limits(cfg: RunConfig, out: Path) -> int:
-    if cfg.m == 1:
-        # Width 1 has the centre mode alone; m < 1 meets the library's width check.
-        raise ValueError("m = 1: limits compares the side modes, which width 1 lacks; set m >= 2")
     digest = config_hash(cfg)
     coin = cfg.coin_obj()
     n = cfg.steps
     if cfg.init != "product":
         raise ValueError("limits runs only the product start from g; set init = product")
     g = cfg.spinor()
-    cell_spinor = coin.matrix @ g
-    cell_spinor /= np.linalg.norm(cell_spinor)  # H g is unit only up to rounding
-    c_minus, c_zero, c_plus = limit_coefficients(cell_spinor)
+    red = kato_reduction(coin, cfg.m)
+    order = np.argsort(red.speeds, kind="stable")
+    centre = int(np.flatnonzero(order == 0)[0])  # the reduction lists the centre mode first
+    names, keys = zip(*(_mode_keys(i - centre) for i in range(len(order))))
+    speeds, widths, stated = red.speeds[order], red.widths[order], -2.0 * red.tau.real[order]
+    if np.any(np.diff(speeds) <= SPEED_GAP_TOL):
+        # Modes of one speed share a window at every n.
+        raise ValueError(
+            f"M={cfg.m}: coin {cfg.coin}: W(0) has {len(speeds)} unit modes of speeds "
+            f"{(np.round(speeds, 6) + 0.0).tolist()}; limits needs 2M - 1 = {2 * cfg.m - 1} distinct speeds"
+        )
+    try:
+        windows = mode_windows(n, speeds)
+    except ValueError as exc:
+        raise ValueError(f"M={cfg.m}: {exc}") from None
     # snapshot_measure never steps, so the start needs no horizon.
     state = init_product(coin, g, cfg.m, 0)
+    coefficients = red.masses(start_vector(state))[order]
     total0 = measure(state).total()
-    mu, residues = snapshot_measure(state, n)
-    drift = abs(mu.total() - total0)
+    mu, residues, chi0 = snapshot_measure(state, n)
+    drift = abs(chi0 - total0)
     sum_tol = _sum_tol(total0)
-    masses = mode_masses(mu)
-    profiles = limit_profiles(cell_spinor)
-    distances = {}
-    distances_cumulant = {}
-    for p in profiles:
-        distances[p.mode] = scaled_cdf_distance(mu, p)
-        var = p.variance if p.mode == "center" else SIDE_VARIANCE_CUMULANT
-        q = LimitProfile(p.mode, p.weight, p.speed, var)
-        distances_cumulant[p.mode] = scaled_cdf_distance(mu, q)
-    windows = mode_windows(n)
-    expected = (c_minus.real, c_zero.real, c_plus.real)
+    masses = mode_masses(mu, speeds)
+    distances, distances_cumulant, modes = {}, {}, {}
+    for name, speed, width, stated_width, c in zip(names, speeds, widths, stated, coefficients):
+        massless = abs(c) <= ZERO_MASS_TOL
+        distances[name] = None if massless else scaled_cdf_distance(mu, speed, stated_width)
+        distances_cumulant[name] = None if massless else scaled_cdf_distance(mu, speed, width)
+        modes[name] = {"speed": speed, "variance": width, "stated_variance": stated_width}
     checks = [
-        Check(f"{name} mass error", abs(got - want), 0.02, where=f" ({got:.4f} vs {want:.4f})")
-        for name, got, want in zip(("left", "center", "right"), masses, expected)
+        Check(f"{name} mass error", abs(got - want.real), 0.02, where=f" ({got:.4f} vs {want.real:.4f})")
+        for name, got, want in zip(names, masses, coefficients)
     ]
     checks += [
+        Check("W(0) eigenpair residual", red.w0_residual, EIG_RESIDUAL_TOL),
         Check("measure sum drift", drift, sum_tol),
         Check("snapshot off-sublattice residue", residues["off_sublattice"], SNAPSHOT_RESIDUE_TOL),
         Check("snapshot imaginary residue", residues["imag"], SNAPSHOT_RESIDUE_TOL),
     ]
-    nonreal = abs(np.conj(cell_spinor[0]) * cell_spinor[1] - (np.conj(cell_spinor[0]) * cell_spinor[1]).real) > 1e-14
-    return _report(
-        out, "limits.json", "limits",
-        {
-            "n": n,
-            "coefficients": {
-                "c_minus": _complex_pairs(c_minus),
-                "c_zero": _complex_pairs(c_zero),
-                "c_plus": _complex_pairs(c_plus),
-                "nonreal_flag": bool(nonreal),
-            },
-            "masses": {"left": masses[0], "center": masses[1], "right": masses[2]},
-            "windows": {
-                "w_coeff": 4.0,  # the default w of the limits functions
-                "left": list(windows[0]),
-                "center": list(windows[1]),
-                "right": list(windows[2]),
-            },
-            "cdf_distances": distances,
-            "cdf_distances_corrected_side_variance": distances_cumulant,
-            "side_variances": {
-                "stated": SIDE_VARIANCE,
-                "second_order_cumulant": SIDE_VARIANCE_CUMULANT,
-            },
-            "max_abs_imag": mu.max_abs_imag(),
-            "measure_sum_drift": drift,
-            "measure_sum_tol": sum_tol,
-            "snapshot_residues": residues,
-            "engine": {"momenta": 2 * n + 1},
-            "versions": _versions(),
+    payload = {
+        "n": n,
+        "coefficients": {
+            **{key: _complex_pairs(c) for key, c in zip(keys, coefficients)},
+            "nonreal_flag": bool(np.any(np.abs(coefficients.imag) > 1e-14)),
         },
-        checks,
-        digest,
-    )
+        "masses": dict(zip(names, masses)),
+        # w_coeff is the default w of the limits functions.
+        "windows": {"w_coeff": 4.0, **{name: list(w) for name, w in zip(names, windows)}},
+        "cdf_distances": distances,
+        "cdf_distances_corrected_side_variance": distances_cumulant,
+        "modes": modes,
+        "max_abs_imag": mu.max_abs_imag(),
+        "measure_sum_drift": drift,
+        "measure_sum_tol": sum_tol,
+        "snapshot_residues": residues,
+        "engine": {"momenta": 2 * n + 1},
+        "versions": _versions(),
+    }
+    if "right" in modes:
+        payload["side_variances"] = {
+            "stated": modes["right"]["stated_variance"],
+            "second_order_cumulant": modes["right"]["variance"],
+        }
+    return _report(out, "limits.json", "limits", payload, checks, digest)
 
 
 def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict, list[Check]]:

@@ -1,19 +1,18 @@
-"""Closed-form limit profiles and weak-convergence diagnostics.
+"""Limit profiles and weak-convergence diagnostics.
 
-Three limit shapes matter:
+Two limits have closed forms:
 
 * the M = 1 walk satisfies a central limit theorem with variance
   sigma^2 = |a|^2 / (1 - |a|^2) under the diffusive scaling x / sqrt(n);
 * the untruncated walk converges ballistically (x / n) to the arcsine-like
-  density K(x) = 1 / (pi (1 - x^2) sqrt(1 - 2 x^2)) on |x| < 1/sqrt2;
-* the M = 2 walk splits into three modes: a diffusive Gaussian N(0, 1/2)
-  at the origin with weight 1/2 and two ballistic Gaussians N(0, 4/9)
-  travelling at speeds +-1/sqrt3 with weights
+  density K(x) = 1 / (pi (1 - x^2) sqrt(1 - 2 x^2)) on |x| < 1/sqrt2.
 
-      c_pm = [(2 -+ sqrt3) |g1|^2 + (1 -+ sqrt3) g1 conj(g2) + |g2|^2]
-             / (2 (3 -+ sqrt3)),
-
-  where (g1, g2) is the spinor whose tensor square seeds the walk.
+At every width M the late measure splits into the 2M - 1 modes of the
+mode table (``spectral.kato_reduction``): mode j is a Gaussian of width
+sigma_j^2 n about mu_j n with mass c_j.  Each mode is read in its window
+of half-width w sqrt(n) about mu_j n (``mode_windows``), through its mass
+there (``mode_masses``) and the distance of its scaled CDF from
+N(0, sigma_j^2) (``scaled_cdf_distance``).
 
 Empirical comparisons use the Kolmogorov (sup) metric between the lattice
 measure's cumulative sums and the continuous limit CDF, evaluated at the
@@ -23,76 +22,20 @@ lattice jump points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .walker import ComplexMeasure, unit_spinor
+from .walker import ComplexMeasure
 
 __all__ = [
-    "LimitProfile",
-    "limit_coefficients",
-    "limit_profiles",
     "konno_density",
     "gaussian_cdf",
     "mode_windows",
     "mode_masses",
     "scaled_cdf_distance",
     "kolmogorov_distance",
-    "SPEED",
-    "CENTER_VARIANCE",
-    "SIDE_VARIANCE",
-    "SIDE_VARIANCE_CUMULANT",
 ]
-
-#: Ballistic speed of the two side modes at M = 2.
-SPEED = 1.0 / math.sqrt(3.0)
-#: Variance of the central mode in the (x / sqrt n) coordinate.
-CENTER_VARIANCE = 0.5
-#: Published variance of each side mode in ((x -+ n/sqrt3) / sqrt n).
-SIDE_VARIANCE = 4.0 / 9.0
-#: Second-order cumulant of the side eigenvalue 1 + i d/sqrt3 - (2/9) d^2:
-#: |lambda|^n = exp(-n d^2 (2/9 - 1/6)) = exp(-n d^2 / 18), i.e. width 1/9.
-#: Simulated side modes match this value, not SIDE_VARIANCE.
-SIDE_VARIANCE_CUMULANT = 1.0 / 9.0
-
-
-@dataclass(frozen=True)
-class LimitProfile:
-    """One of the three M = 2 limit modes."""
-
-    mode: str  # "left", "center", or "right"
-    weight: complex
-    speed: float
-    variance: float
-
-
-def limit_coefficients(g: Sequence[complex]) -> tuple[complex, complex, complex]:
-    """Mode weights (c_minus, c_zero, c_plus) for initial cell spinor g.
-
-    ``g`` is the unit 2-vector whose tensor square g (x) conj(g) sits at the
-    origin at time zero.  c_zero is exactly 1/2; the side weights are
-    complex in general (real whenever g1 conj(g2) is real) and are returned
-    verbatim.  The cross term g1 conj(g2) is the LR entry of g (x) conj(g).
-    """
-    g = unit_spinor(g)
-    s3 = math.sqrt(3.0)
-    cross = g[0] * np.conj(g[1])
-    a1, a2 = abs(g[0]) ** 2, abs(g[1]) ** 2
-    c_plus = ((2 - s3) * a1 + (1 - s3) * cross + a2) / (2 * (3 - s3))
-    c_minus = ((2 + s3) * a1 + (1 + s3) * cross + a2) / (2 * (3 + s3))
-    return complex(c_minus), 0.5 + 0j, complex(c_plus)
-
-
-def limit_profiles(g: Sequence[complex]) -> tuple[LimitProfile, LimitProfile, LimitProfile]:
-    """The three mode profiles (left, center, right) for cell spinor g."""
-    c_minus, c_zero, c_plus = limit_coefficients(g)
-    return (
-        LimitProfile("left", c_minus, -SPEED, SIDE_VARIANCE),
-        LimitProfile("center", c_zero, 0.0, CENTER_VARIANCE),
-        LimitProfile("right", c_plus, SPEED, SIDE_VARIANCE),
-    )
 
 
 def konno_density(x: float) -> float:
@@ -128,60 +71,46 @@ def kolmogorov_distance(
     return float(np.max(np.maximum(np.abs(cum - ref), np.abs(pre - ref))))
 
 
-def mode_windows(
-    n: int, w: float = 4.0
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """Lattice windows (left, center, right) of half-width w sqrt(n).
+def mode_windows(n: int, speeds: Sequence[float], w: float = 4.0) -> list[tuple[int, int]]:
+    """Lattice windows of half-width w sqrt(n) about speed times n, one per speed of the ascending ``speeds``.
 
-    The side windows are centered at -+ n/sqrt3.  Raises when the windows
-    overlap (n too small for the requested w).
+    Raises when two neighbouring windows overlap: n is too small for w and
+    the spacing of the speeds.
     """
     half = w * math.sqrt(n)
-    c = n * SPEED
-    left = (int(math.ceil(-c - half)), int(math.floor(-c + half)))
-    center = (int(math.ceil(-half)), int(math.floor(half)))
-    right = (int(math.ceil(c - half)), int(math.floor(c + half)))
-    if left[1] >= center[0] or center[1] >= right[0]:
-        raise ValueError(
-            f"mode windows overlap at n={n}, w={w}: {left}, {center}, {right}"
-        )
-    return left, center, right
+    # A bound within 1e-9 of a site is that site: the centre speed is 0 only
+    # up to rounding, and w sqrt(n) is a whole number at n = 100, 400, ...
+    windows = [(math.ceil(round(c * n - half, 9)), math.floor(round(c * n + half, 9))) for c in speeds]
+    for below, above in zip(windows, windows[1:]):
+        if below[1] >= above[0]:
+            raise ValueError(f"mode windows overlap at n={n}, w={w}: {below} and {above}")
+    return windows
 
 
-def _window_sum(measure: ComplexMeasure, lo: int, hi: int) -> float:
+def _window(measure: ComplexMeasure, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the measure in [lo, hi]."""
     xs = measure.positions()
     sel = (xs >= lo) & (xs <= hi)
-    return float(measure.values[sel].real.sum())
+    return xs[sel], measure.values[sel]
 
 
-def mode_masses(measure: ComplexMeasure, w: float = 4.0) -> tuple[float, float, float]:
-    """Real mass captured by the three mode windows at the measure's time."""
-    left, center, right = mode_windows(measure.n, w)
-    return (
-        _window_sum(measure, *left),
-        _window_sum(measure, *center),
-        _window_sum(measure, *right),
-    )
+def mode_masses(measure: ComplexMeasure, speeds: Sequence[float], w: float = 4.0) -> list[float]:
+    """Real mass captured by each mode window (``mode_windows``) at the measure's time."""
+    return [float(_window(measure, lo, hi)[1].real.sum()) for lo, hi in mode_windows(measure.n, speeds, w)]
 
 
-def scaled_cdf_distance(
-    measure: ComplexMeasure, profile: LimitProfile, w: float = 4.0
-) -> float:
-    """Kolmogorov distance of one mode's scaled empirical CDF from its Gaussian.
+def scaled_cdf_distance(measure: ComplexMeasure, speed: float, variance: float, w: float = 4.0) -> float:
+    """Kolmogorov distance of one mode's scaled empirical CDF from N(0, variance).
 
-    The empirical CDF is built from Re mu inside the mode's window,
-    normalized by the window mass, in the coordinate
-    y = (x - speed n) / sqrt(n).
+    The empirical CDF is built from Re mu inside the mode's window of
+    half-width w sqrt(n) about speed times n, normalized by the window
+    mass, in the coordinate y = (x - speed n) / sqrt(n).  An empty window,
+    or one with no positive mass, raises.
     """
     n = measure.n
-    windows = dict(zip(("left", "center", "right"), mode_windows(n, w)))
-    lo, hi = windows[profile.mode]
-    xs = measure.positions()
-    sel = (xs >= lo) & (xs <= hi)
-    if not np.any(sel):
-        raise ValueError(f"empty {profile.mode} window [{lo}, {hi}] at n={n}")
-    ys = (xs[sel] - profile.speed * n) / math.sqrt(n)
-    weights = measure.values[sel].real
-    return kolmogorov_distance(
-        ys, weights, lambda y: gaussian_cdf(y, profile.variance)
-    )
+    [(lo, hi)] = mode_windows(n, [speed], w)
+    xs, values = _window(measure, lo, hi)
+    if not len(xs):
+        raise ValueError(f"empty window [{lo}, {hi}] at n={n}")
+    ys = (xs - speed * n) / math.sqrt(n)
+    return kolmogorov_distance(ys, values.real, lambda y: gaussian_cdf(y, variance))

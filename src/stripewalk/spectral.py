@@ -17,11 +17,16 @@ coin with no zero entry, splits according to the reduced generator
 R = Pi T1 Pi on the unperturbed eigenspace, where Pi is the (orthogonal)
 eigenprojection of 1 and T1 = dW/dk(0) (Kato, *Perturbation Theory for
 Linear Operators*, 1966).  ``kato_reduction`` computes both numerically,
-by one path for every coin and width, and ``first_order_match`` measures
-the eigenvalues 1 + k rho_j it predicts against those of W(k).  The
-closed forms of the Hadamard M = 2 case (its two cubics, its delta
-expansions and polynomials, and the paper's basis) are test oracles,
-not library code.
+by one path for every coin and width, together with the second-order
+coefficients tau_j of the eigenvalues 1 + k rho_j + k^2 tau_j, and
+``first_order_match`` measures the first-order prediction against the
+eigenvalues of W(k).  The reduction is the mode table of the weak limit
+(Grimmett-Janson-Scudo 2004): mode j travels at speed mu_j = -i rho_j
+with width sigma_j^2 = -2 Re tau_j - mu_j^2 and carries the mass
+c_j = (q^T v_j)(v_j^H phi) of a start vector phi.  The closed forms of
+the Hadamard M = 2 case (its two cubics, its delta expansions and
+polynomials, the paper's basis and its three limit modes) are test
+oracles, not library code.
 
 Two exact symmetries hold for every coin: the reflection
 W(-k) = Pi conj(W(k)) Pi^T (``reflection``) and the pi-shift
@@ -56,6 +61,7 @@ from .walker import BandState, ComplexMeasure, stripe_for_width
 
 __all__ = [
     "KatoReduction",
+    "start_vector",
     "w_stack",
     "reflection",
     "shift_signs",
@@ -340,17 +346,18 @@ def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class KatoReduction:
-    """Reduction of the perturbed eigenproblem at the eigenvalue 1 of W(0).
+    """Reduction of the perturbed eigenproblem at the eigenvalue 1 of W(0): the mode table.
 
     ``w0`` is W(0), ``w0_residual`` the eigenpair residual of its solve
     (``eig``), ``pi`` its orthogonal eigenprojection at 1, ``t1`` the
     momentum derivative of W at 0, ``r`` the reduced generator pi t1 pi.
     ``eigenvalues`` and ``vectors`` hold the eigenpairs of r on range(pi),
-    the one nearest 0 first and the rest by decreasing imaginary part: for
-    the Hadamard coin at M = 2, the eigenvalues 0, i/sqrt3 and -i/sqrt3.
-    Each vector has unit norm, and its first entry of modulus above
-    ``PHASE_ENTRY_TOL`` is real and positive.  ``onb`` is an orthonormal
-    basis of range(pi), from QR.
+    the one nearest 0 first and the rest by decreasing imaginary part, so
+    by decreasing speed.  Each vector has unit norm, and its first entry
+    of modulus above ``PHASE_ENTRY_TOL`` is real and positive.  ``onb`` is
+    an orthonormal basis of range(pi), from QR.  ``tau`` holds the
+    second-order coefficient of each mode: W(k) has the eigenvalues
+    1 + k rho_j + k^2 tau_j + O(k^3).
     """
 
     coin: Coin
@@ -363,17 +370,55 @@ class KatoReduction:
     r: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray  # shape (rank, 4M)
+    tau: np.ndarray
+
+    @property
+    def speeds(self) -> np.ndarray:
+        """The ballistic speed mu_j = -i rho_j of each mode."""
+        return (-1j * self.eigenvalues).real
+
+    @property
+    def widths(self) -> np.ndarray:
+        """The Gaussian width sigma_j^2 = -2 Re tau_j - mu_j^2 of each mode in (x - mu_j n) / sqrt(n).
+
+        The eigenvalue 1 + i mu k + tau k^2 has the logarithm
+        i mu k + (tau + mu^2 / 2) k^2, whose real part gives the width.
+        """
+        return -2.0 * self.tau.real - self.speeds**2
+
+    def masses(self, phi: np.ndarray) -> np.ndarray:
+        """The mass c_j = (q^T v_j)(v_j^H phi) of each mode for the start vector phi (``start_vector``).
+
+        q puts LL + RR on the v = 0 row; the masses sum to q^T phi, the initial measure's sum.
+        """
+        return self.vectors[:, _origin_rows(self.m)].sum(axis=1) * (self.vectors.conj() @ phi)
+
+
+def _origin_rows(m: int) -> np.ndarray:
+    """Indices of LL and RR on the v = 0 row of the width-m stripe."""
+    return 4 * (m // 2) + np.array([LL, RR])
 
 
 def kato_reduction(coin: Coin, m: int) -> KatoReduction:
-    """Projection, derivative, and reduced eigensystem at k = 0.
+    """Projection, derivative, reduced eigensystem and second-order coefficients at k = 0.
 
     One numerical path for every coin and width: the orthogonal projection
     onto the eigenvalue group of W(0) at 1 (``UNIT_GROUP_TOL``), and the
     eigenpairs of t1 represented on an orthonormal basis of its range.
+    The second-order coefficient of mode j is
+
+        tau_j = v_j^H (T2 / 2 - T1 S T1) v_j,
+
+    T2 = d^2 W / dk^2 (0), block-diagonal with -(PP + QQ) per row, and S
+    the reduced resolvent of W(0) at 1.  The unit-modulus eigenvectors of
+    the contraction W(0) are eigenvectors of W(0)^H too, so range(pi)'s
+    orthogonal complement is invariant, and S = C (C^H (W(0) - I) C)^{-1}
+    C^H on an orthonormal basis C of it.  ``pinv(W(0) - I)`` breaks for
+    some coins from M = 30 on: the zero singular values reach its cutoff.
     """
     stripe_for_width(m)  # rejects m < 1
-    w0 = w_stack(blocks(coin), m, [0.0])[0]
+    b = blocks(coin)
+    w0 = w_stack(b, m, [0.0])[0]
     values, vectors, residual = eig(w0)
     sel = np.abs(values - 1.0) <= UNIT_GROUP_TOL
     if not np.any(sel):
@@ -383,9 +428,13 @@ def kato_reduction(coin: Coin, m: int) -> KatoReduction:
     onb = q.T.copy()
     t1 = t1_matrix(coin, m)
     eigenvalues, vectors = _reduced_eigensystem(t1, onb)
+    c = np.linalg.qr(onb.T, mode="complete")[0][:, len(onb) :]
+    s = c @ np.linalg.solve(c.conj().T @ (w0 - np.eye(4 * m)) @ c, c.conj().T)
+    t2 = np.kron(np.eye(m), -v_block(b, 0.0))
+    tau = np.einsum("ji,ik,jk->j", vectors.conj(), t2 / 2 - t1 @ s @ t1, vectors)
     return KatoReduction(
         coin=coin, m=m, w0=w0, w0_residual=residual, onb=onb, pi=pi, t1=t1, r=pi @ t1 @ pi,
-        eigenvalues=eigenvalues, vectors=vectors,
+        eigenvalues=eigenvalues, vectors=vectors, tau=tau,
     )
 
 
@@ -451,12 +500,18 @@ def apply_power(w: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def snapshot_measure(state: BandState, n: int) -> tuple[ComplexMeasure, dict]:
-    """mu_n of an initial state (n = 0, data at u = 0) without stepping, and its rounding residues.
+def start_vector(state: BandState) -> np.ndarray:
+    """The 4M vector phi of an initial state: each row's four components at u = 0, rows v ascending."""
+    return state.dense()[:, :, state.center].T.reshape(4 * state.m).astype(complex)
+
+
+def snapshot_measure(state: BandState, n: int) -> tuple[ComplexMeasure, dict, complex]:
+    """mu_n of an initial state (n = 0, data at u = 0) without stepping, its rounding residues, and chi(0).
 
     With K = 2n + 1 momenta k_i = 2 pi i / K, the characteristic function
     chi(k) = sum_x mu_n(x) e^{ikx} = q^T W(k)^n phi, where phi is the
-    state's 4M vector and q puts LL + RR on the v = 0 block; K exceeds
+    state's 4M vector (``start_vector``) and q puts LL + RR on the v = 0
+    block; K exceeds
     the support [-n, n], so mu_n(x) = fft(chi)[x mod K] / K exactly.
     W(k) is built and powered (``apply_power``) only for i <= n, in chunks
     of ``GRID_CHUNK_BYTES``; the reflection W(2 pi - k) = Pi conj(W(k)) Pi^T
@@ -467,7 +522,8 @@ def snapshot_measure(state: BandState, n: int) -> tuple[ComplexMeasure, dict]:
     returned, each as its largest modulus over max(1, |phi|):
     ``off_sublattice`` and ``imag`` (0 where the state has two sublattices
     or complex data).  A residue well above rounding means chi is wrong at
-    some k != 0.
+    some k != 0.  chi(0) is the sum of mu_n before that zeroing, so the
+    measure's conservation is read at k = 0 alone.
     """
     if state.n != 0:
         raise ValueError(f"snapshot_measure needs the initial state, got n = {state.n}")
@@ -475,10 +531,10 @@ def snapshot_measure(state: BandState, n: int) -> tuple[ComplexMeasure, dict]:
         raise ValueError(f"snapshot time must be non-negative, got {n}")
     m = state.m
     perm = reflection(m)
-    phi = state.dense()[:, :, state.center].T.reshape(4 * m).astype(complex)
+    phi = start_vector(state)
     real = state.packed.dtype.kind == "f"
     vecs = np.stack([phi, phi[perm].conj()], axis=-1)  # phi and conj(Pi^T phi)
-    q = 4 * (m // 2) + np.array([LL, RR])
+    q = _origin_rows(m)
     size = 2 * n + 1
     ks = 2.0 * np.pi * np.arange(size) / size
     chi = np.empty(size, dtype=complex)
@@ -503,4 +559,4 @@ def snapshot_measure(state: BandState, n: int) -> tuple[ComplexMeasure, dict]:
     if real:
         residues["imag"] = float(np.max(np.abs(values.imag), initial=0.0)) / scale
         values = values.real.astype(complex)
-    return ComplexMeasure(n=n, values=values), residues
+    return ComplexMeasure(n=n, values=values), residues, complex(chi[0])

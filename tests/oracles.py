@@ -27,12 +27,23 @@ two cubics that carry the nonzero spectrum of W(k), their radical
 forms, the characteristic function by direct powering, the paper's
 literal basis of the eigenspace of W(0) at 1 with the eigenvectors of
 the reduced generator on it, the delta expansions of the three
-eigenvalues near 1 with the perturbed projections they match, and the
-minimal and characteristic polynomials of W(0).
+eigenvalues near 1 with the perturbed projections they match, the
+minimal and characteristic polynomials of W(0), and the paper's three
+limit modes (``limit_coefficients``, ``limit_profiles``): a diffusive
+Gaussian N(0, 1/2) at the origin with weight 1/2 and two ballistic
+Gaussians N(0, 4/9) travelling at speeds +-1/sqrt3 with weights
+
+    c_pm = [(2 -+ sqrt3) |g1|^2 + (1 -+ sqrt3) g1 conj(g2) + |g2|^2]
+           / (2 (3 -+ sqrt3)),
+
+where (g1, g2) is the spinor whose tensor square seeds the walk.  The
+mode table of ``spectral.kato_reduction`` meets these weights and speeds,
+and gives the side modes the width 1/9 (``SIDE_VARIANCE_CUMULANT``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 from typing import Iterator, Sequence
@@ -240,6 +251,55 @@ def oqrw_limit(coin: Coin) -> float:
     if r >= 1.0 - 1e-14:
         raise ValueError("degenerate coin: |a| = 1 has no diffusive limit")
     return r / (1.0 - r)
+
+
+#: Ballistic speed of the two side modes at M = 2.
+SPEED = 1.0 / math.sqrt(3.0)
+#: Variance of the central mode in the (x / sqrt n) coordinate.
+CENTER_VARIANCE = 0.5
+#: Published variance of each side mode in ((x -+ n/sqrt3) / sqrt n).
+SIDE_VARIANCE = 4.0 / 9.0
+#: Second-order cumulant of the side eigenvalue 1 + i d/sqrt3 - (2/9) d^2:
+#: |lambda|^n = exp(-n d^2 (2/9 - 1/6)) = exp(-n d^2 / 18), i.e. width 1/9.
+#: Simulated side modes match this value, not SIDE_VARIANCE.
+SIDE_VARIANCE_CUMULANT = 1.0 / 9.0
+
+
+@dataclass(frozen=True)
+class LimitProfile:
+    """One of the three M = 2 limit modes."""
+
+    mode: str  # "left", "center", or "right"
+    weight: complex
+    speed: float
+    variance: float
+
+
+def limit_coefficients(g: Sequence[complex]) -> tuple[complex, complex, complex]:
+    """Mode weights (c_minus, c_zero, c_plus) for initial cell spinor g.
+
+    ``g`` is the unit 2-vector whose tensor square g (x) conj(g) sits at the
+    origin at time zero.  c_zero is exactly 1/2; the side weights are
+    complex in general (real whenever g1 conj(g2) is real) and are returned
+    verbatim.  The cross term g1 conj(g2) is the LR entry of g (x) conj(g).
+    """
+    g = unit_spinor(g)
+    s3 = math.sqrt(3.0)
+    cross = g[0] * np.conj(g[1])
+    a1, a2 = abs(g[0]) ** 2, abs(g[1]) ** 2
+    c_plus = ((2 - s3) * a1 + (1 - s3) * cross + a2) / (2 * (3 - s3))
+    c_minus = ((2 + s3) * a1 + (1 + s3) * cross + a2) / (2 * (3 + s3))
+    return complex(c_minus), 0.5 + 0j, complex(c_plus)
+
+
+def limit_profiles(g: Sequence[complex]) -> tuple[LimitProfile, LimitProfile, LimitProfile]:
+    """The three mode profiles (left, center, right) for cell spinor g."""
+    c_minus, c_zero, c_plus = limit_coefficients(g)
+    return (
+        LimitProfile("left", c_minus, -SPEED, SIDE_VARIANCE),
+        LimitProfile("center", c_zero, 0.0, CENTER_VARIANCE),
+        LimitProfile("right", c_plus, SPEED, SIDE_VARIANCE),
+    )
 
 
 

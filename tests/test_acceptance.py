@@ -41,12 +41,8 @@ from stripewalk.characteristics import (
     tail_exponent,
 )
 from stripewalk.limits import (
-    SIDE_VARIANCE_CUMULANT,
-    LimitProfile,
     gaussian_cdf,
     kolmogorov_distance,
-    limit_coefficients,
-    limit_profiles,
     mode_masses,
     scaled_cdf_distance,
 )
@@ -54,12 +50,15 @@ from stripewalk.spectral import eig, kato_reduction, w_stack
 
 from oracles import (
     KATO_PI,
+    SIDE_VARIANCE_CUMULANT,
     char_function,
     cubic_spectrum_m2,
     exact_onset,
     k_of_delta,
     lambda1_expansion,
     lambda2_expansion,
+    limit_coefficients,
+    limit_profiles,
     n_crit,
     oracle_series,
     peak_position,
@@ -275,14 +274,14 @@ def test_c06_three_mode_limit(m2_measure_2000):
     mu = m2_measure_2000
     cell = HAD.matrix @ PLUS
     c_minus, c_zero, c_plus = (z.real for z in limit_coefficients(cell))
-    masses = mode_masses(mu, 4.0)
+    left, center, right = limit_profiles(cell)
+    masses = mode_masses(mu, (left.speed, center.speed, right.speed), 4.0)
     mass_err = max(
         abs(masses[0] - c_minus), abs(masses[1] - c_zero), abs(masses[2] - c_plus)
     )
-    left, center, right = limit_profiles(cell)
-    d_center = scaled_cdf_distance(mu, center, 4.0)
-    d_left = scaled_cdf_distance(mu, left, 4.0)
-    d_right = scaled_cdf_distance(mu, right, 4.0)
+    d_center = scaled_cdf_distance(mu, center.speed, center.variance, 4.0)
+    d_left = scaled_cdf_distance(mu, left.speed, left.variance, 4.0)
+    d_right = scaled_cdf_distance(mu, right.speed, right.variance, 4.0)
     elapsed = time.perf_counter() - t0
     masses_ok = mass_err <= 0.02
     center_ok = d_center < 0.05
@@ -314,8 +313,7 @@ def test_c06_supplement_corrected_side_variance(m2_measure_2000):
     cell = HAD.matrix @ PLUS
     left, _, right = limit_profiles(cell)
     for p in (left, right):
-        corrected = LimitProfile(p.mode, p.weight, p.speed, SIDE_VARIANCE_CUMULANT)
-        d = scaled_cdf_distance(mu, corrected, 4.0)
+        d = scaled_cdf_distance(mu, p.speed, SIDE_VARIANCE_CUMULANT, 4.0)
         print(f"[PASS] supplement: {p.mode} mode K-S vs N(0,1/9) = {d:.4f} (< 0.07)")
         assert d < 0.07
 

@@ -6,16 +6,9 @@ from hypothesis import given, settings
 
 from stripewalk import evolve, init_product, make_coin, measure, oqrw_reference
 from stripewalk.limits import (
-    CENTER_VARIANCE,
-    SIDE_VARIANCE,
-    SIDE_VARIANCE_CUMULANT,
-    SPEED,
-    LimitProfile,
     gaussian_cdf,
     kolmogorov_distance,
     konno_density,
-    limit_coefficients,
-    limit_profiles,
     mode_masses,
     mode_windows,
     scaled_cdf_distance,
@@ -23,10 +16,22 @@ from stripewalk.limits import (
 from stripewalk.spectral import snapshot_measure
 
 from conftest import unit_spinor_strategy
-from oracles import cubic_spectrum_m2, konno_cdf, oqrw_limit
+from oracles import (
+    CENTER_VARIANCE,
+    SIDE_VARIANCE,
+    SIDE_VARIANCE_CUMULANT,
+    SPEED,
+    cubic_spectrum_m2,
+    konno_cdf,
+    limit_coefficients,
+    limit_profiles,
+    oqrw_limit,
+)
 
 S3 = math.sqrt(3.0)
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+#: The width-2 speeds in ascending order.
+SPEEDS = (-SPEED, 0.0, SPEED)
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +152,21 @@ def test_kolmogorov_distance_requires_mass():
 
 
 def test_mode_windows_disjoint():
-    left, center, right = mode_windows(2000, 4.0)
+    left, center, right = mode_windows(2000, SPEEDS, 4.0)
     assert left[1] < center[0] < center[1] < right[0]
+    assert center == (-178, 178) and right == (976, 1333)
+    with pytest.raises(ValueError, match=r"overlap at n=100, w=4.0: \(-97, -18\) and \(-40, 40\)"):
+        mode_windows(100, SPEEDS, 4.0)
     with pytest.raises(ValueError, match="overlap"):
-        mode_windows(100, 4.0)
-    with pytest.raises(ValueError, match="overlap"):
-        mode_windows(0, 4.0)
+        mode_windows(0, SPEEDS, 4.0)
+    assert mode_windows(0, [0.0]) == [(0, 0)]  # one window overlaps nothing
+    # A centre speed off 0 by rounding keeps its window symmetric where 4 sqrt(n) is whole.
+    assert mode_windows(400, [-6e-16]) == mode_windows(400, [6e-16]) == [(-80, 80)]
 
 
 def test_mode_masses_match_coefficients(hadamard, m2_measure_600):
     c_minus, c_zero, c_plus = limit_coefficients(hadamard.matrix @ PLUS)
-    masses = mode_masses(m2_measure_600, 4.0)
+    masses = mode_masses(m2_measure_600, SPEEDS, 4.0)
     assert abs(masses[0] - c_minus.real) < 0.01
     assert abs(masses[1] - c_zero.real) < 0.01
     assert abs(masses[2] - c_plus.real) < 0.01
@@ -168,9 +177,9 @@ def test_complex_window_sums_match_coefficients(hadamard):
     # A complex cross term makes the side weights complex; the complex
     # window sums of the late measure carry the same imaginary parts.
     g = np.array([0.6, 0.8j])
-    mu, _ = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
+    mu, _, _ = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
     xs = mu.positions()
-    sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, 4.0)]
+    sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, SPEEDS, 4.0)]
     cell = hadamard.matrix @ g
     coefficients = limit_coefficients(cell / np.linalg.norm(cell))
     assert abs(coefficients[0].imag) > 0.1
@@ -179,7 +188,7 @@ def test_complex_window_sums_match_coefficients(hadamard):
 
 def test_center_mode_cdf_distance(hadamard, m2_measure_600):
     _, center, _ = limit_profiles(hadamard.matrix @ PLUS)
-    assert scaled_cdf_distance(m2_measure_600, center, 4.0) < 0.05
+    assert scaled_cdf_distance(m2_measure_600, center.speed, center.variance, 4.0) < 0.05
 
 
 def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
@@ -188,18 +197,16 @@ def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
     cell = hadamard.matrix @ PLUS
     left, _, right = limit_profiles(cell)
     for p in (left, right):
-        corrected = LimitProfile(p.mode, p.weight, p.speed, SIDE_VARIANCE_CUMULANT)
-        assert scaled_cdf_distance(m2_measure_600, corrected, 4.0) < 0.12
-        stated = scaled_cdf_distance(m2_measure_600, p, 4.0)
+        assert scaled_cdf_distance(m2_measure_600, p.speed, SIDE_VARIANCE_CUMULANT, 4.0) < 0.12
+        stated = scaled_cdf_distance(m2_measure_600, p.speed, p.variance, 4.0)
         assert stated > 0.15  # the published variance does not fit
 
 
 def test_scaled_cdf_distance_empty_window(hadamard, m2_measure_600):
-    profile = LimitProfile("right", 0.1, SPEED, SIDE_VARIANCE)
     small = measure(evolve(init_product(hadamard, PLUS, 2, 702), 700))
     # A half-width of 1e-3 sqrt(n) leaves the right window [405, 404] empty.
     with pytest.raises(ValueError, match="empty"):
-        scaled_cdf_distance(small, profile, 1e-3)
+        scaled_cdf_distance(small, SPEED, SIDE_VARIANCE, 1e-3)
 
 
 def test_oqrw_clt(hadamard):

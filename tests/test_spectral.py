@@ -15,7 +15,6 @@ from conftest import unitary_coin_strategy
 from stripewalk import blocks, evolve, init_band_vector, init_product, make_coin, measure
 from stripewalk import spectral
 from stripewalk.cli import EIG_RESIDUAL_TOL, MATCH_AMBIGUITY_TOL, SNAPSHOT_RESIDUE_TOL
-from stripewalk.limits import SPEED, limit_coefficients
 from stripewalk.spectral import (
     apply_power,
     eig,
@@ -27,6 +26,7 @@ from stripewalk.spectral import (
     snapshot_measure,
     spectrum_grid,
     split_basis,
+    start_vector,
     t1_matrix,
     v_block,
     w_stack,
@@ -34,10 +34,14 @@ from stripewalk.spectral import (
 
 from conftest import unit_spinor_strategy
 from oracles import (
+    CENTER_VARIANCE,
     KATO_BASIS,
     KATO_PI,
     KATO_R,
     KATO_VECTORS,
+    SIDE_VARIANCE,
+    SIDE_VARIANCE_CUMULANT,
+    SPEED,
     cardano_lambda1_j0,
     cardano_lambda2_j0,
     char_function,
@@ -48,11 +52,15 @@ from oracles import (
     k_of_delta,
     lambda1_expansion,
     lambda2_expansion,
+    limit_coefficients,
+    oqrw_limit,
     perturbed_projection_check,
     poly_residuals,
 )
 
 S2, S3, S7 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(7.0)
+#: The 0.6/0.8i coin, whose entries are all nonzero and not all real.
+COIN_68 = make_coin(0.6, 0.8j, 0.8j, 0.6)
 
 # The explicit half-integer operator at zero momentum, width 2.
 W0_EXPECTED = 0.5 * np.array(
@@ -545,21 +553,84 @@ def test_kato_reduction_matches_the_paper_oracle(hadamard):
 
 def test_kato_speeds_are_the_side_mode_speeds(hadamard):
     red = kato_reduction(hadamard, 2)
-    assert np.max(np.abs(-1j * red.eigenvalues - np.array([0.0, SPEED, -SPEED]))) < 1e-15
+    assert np.max(np.abs(red.speeds - np.array([0.0, SPEED, -SPEED]))) < 1e-15
+
+
+def test_table_widths_at_width_two_are_the_oracle_widths(hadamard):
+    # The centre's width is 1/2, each side's 1/9; the stated 4/9 is
+    # -2 Re tau alone, without the -mu^2 of the side speed.
+    red = kato_reduction(hadamard, 2)
+    assert np.max(np.abs(red.widths - [CENTER_VARIANCE, *[SIDE_VARIANCE_CUMULANT] * 2])) < 1e-12
+    assert np.max(np.abs(-2.0 * red.tau.real - [CENTER_VARIANCE, *[SIDE_VARIANCE] * 2])) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(unit_spinor_strategy())
 def test_kato_mode_masses_are_the_limit_coefficients(hadamard, g):
-    # The mass of mode j from the cell g (x) conj(g) at v = 0 is
-    # q^T v_j v_j^* phi, with q = LL + RR at v = 0: (c0, c+, c-) in the
-    # order (v1, v2, v3).
+    # The table's masses of the cell g (x) conj(g) at v = 0 are the paper's
+    # weights: (c0, c+, c-) in the reduction's order (v1, v2, v3).
     red = kato_reduction(hadamard, 2)
     phi = np.zeros(8, dtype=complex)
     phi[4:] = np.kron(g, g.conj())
-    masses = [(v[4] + v[7]) * np.vdot(v, phi) for v in red.vectors]
     c_minus, c_zero, c_plus = limit_coefficients(g)
-    assert np.max(np.abs(np.array(masses) - [c_zero, c_plus, c_minus])) < 1e-14
+    assert np.max(np.abs(red.masses(phi) - [c_zero, c_plus, c_minus])) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 30])
+def test_table_speeds_are_the_hadamard_speeds(hadamard, m):
+    # 0 and +-cos(theta_j) / sqrt(1 + cos^2 theta_j), theta_j = j pi / (2M), j = 1..M-1.
+    c = np.cos(np.arange(1, m) * np.pi / (2 * m))
+    side = c / np.sqrt(1.0 + c**2)
+    want = np.sort(np.concatenate([[0.0], side, -side]))
+    assert np.max(np.abs(np.sort(kato_reduction(hadamard, m).speeds) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+def test_table_masses_sum_to_one_with_centre_one_over_m(hadamard, m):
+    # For every product start the masses sum to the initial measure's sum
+    # 1, and the centre mode takes 1/M of it.
+    for coin in (hadamard, COIN_68):
+        red = kato_reduction(coin, m)
+        for g in ((1.0, 0.0), (0.6, 0.8), (S2 / 2, 1j * S2 / 2)):
+            c = red.masses(start_vector(init_product(coin, np.array(g), m, 0)))
+            assert abs(c.sum() - 1.0) < 1e-12 and abs(c[0] - 1.0 / m) < 1e-12, (coin, g)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 30])
+@pytest.mark.parametrize("coin", ["hadamard", "coin_68", "haar_0"])
+def test_table_centre_width_is_the_width_one_variance_over_m(hadamard, coin, m):
+    # sigma_1^2 / M, sigma_1^2 = |a|^2 / (1 - |a|^2) the variance of the M = 1 walk.
+    coin = {"hadamard": hadamard, "coin_68": COIN_68, "haar_0": _haar_coin(0)}[coin]
+    assert abs(kato_reduction(coin, m).widths[0] - oqrw_limit(coin) / m) < 1e-12
+
+
+@pytest.mark.parametrize("variant", [None, *range(8)])
+def test_table_widths_are_positive_and_below_the_centre_at_m50(hadamard, variant):
+    # Every width at M = 50 lies in (0, sigma_1^2 / M], the centre's.  The
+    # reduced resolvent taken as pinv(W(0) - I) breaks four of these nine
+    # coins here: the zero singular values sit at pinv's cutoff.
+    coin = hadamard if variant is None else _haar_coin(variant)
+    widths = kato_reduction(coin, 50).widths
+    centre = oqrw_limit(coin) / 50
+    assert abs(widths[0] - centre) < 1e-12
+    assert np.all(widths > 0) and np.all(widths <= centre + 1e-12)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1e-2), (3, 1e-2), (10, 1e-2), (30, 2e-3)])
+@pytest.mark.parametrize("coin", ["hadamard", "coin_68"])
+def test_second_order_error_falls_8x_per_halving(hadamard, coin, m, k):
+    # 1 + k rho_j + k^2 tau_j meets the eigenvalues of W(k) within c k^3:
+    # each halving of k divides the largest error by 8 (at least 6 here),
+    # and each mode keeps its own eigenvalue.
+    coin = {"hadamard": hadamard, "coin_68": COIN_68}[coin]
+    red = kato_reduction(coin, m)
+    errors = []
+    for kk in k / 2.0 ** np.arange(4):
+        values = eig(w_stack(blocks(coin), m, [kk])[0])[0]
+        dist = np.abs(values - (1.0 + kk * red.eigenvalues + kk**2 * red.tau)[:, None])
+        assert len(set(np.argmin(dist, axis=1))) == 2 * m - 1
+        errors.append(np.max(np.min(dist, axis=1)))
+    assert np.min(np.array(errors[:-1]) / errors[1:]) >= 6.0, errors
 
 
 def test_every_public_name_serves_the_library():
@@ -757,8 +828,9 @@ def test_snapshot_measure_matches_real_space_engine(request, coin_name, m):
             assert state.sublattices == (0, 1)
         for n in (0, 1, SNAPSHOT_N[m]):
             want = measure(evolve(state, n))
-            got, residues = snapshot_measure(state, n)
+            got, residues, total = snapshot_measure(state, n)
             assert max(residues.values()) <= SNAPSHOT_RESIDUE_TOL, (name, n)
+            assert abs(total - want.total()) <= 1e-12, (name, n)
             assert got.n == n and got.values.shape == want.values.shape
             assert np.max(np.abs(got.values - want.values)) <= 1e-12, (name, n)
             if len(state.sublattices) == 1:
@@ -815,8 +887,9 @@ def test_snapshot_measure_rejects_a_wrong_chi_off_k0(hadamard, monkeypatch, subl
         band = np.random.default_rng(2).normal(size=(2, 4))
         state = init_band_vector(hadamard, band / np.linalg.norm(band), 2, 200)
     assert len(state.sublattices) == sublattices and state.engine()["dtype"] == "float64"
-    mu, residues = snapshot_measure(state, 200)
+    mu, residues, total = snapshot_measure(state, 200)
     assert np.max(np.abs(mu.values - measure(evolve(state, 200)).values)) <= 1e-12
     assert residues[name] <= SNAPSHOT_RESIDUE_TOL
     monkeypatch.setattr(spectral, "apply_power", corrupted)
-    assert snapshot_measure(state, 200)[1][name] > SNAPSHOT_RESIDUE_TOL
+    _, residues, corrupted_total = snapshot_measure(state, 200)
+    assert residues[name] > SNAPSHOT_RESIDUE_TOL and corrupted_total == total

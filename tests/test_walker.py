@@ -27,6 +27,7 @@ from conftest import unit_spinor_strategy, unitary_coin_strategy
 from oracles import (
     dense_trajectory,
     konno_cdf,
+    limit_coefficients,
     live_mask,
     oracle_series,
     pack,
@@ -363,8 +364,6 @@ def test_qw1d_trajectory_items_match_reference(hadamard, complex_coin):
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, 1.0)])
 def test_spinor_checks_reject_non_finite_and_non_unit(hadamard, bad):
-    from stripewalk.limits import limit_coefficients
-
     calls = (
         lambda: init_product(hadamard, bad, 2, 4),
         lambda: qw1d_reference(hadamard, bad, 3),
