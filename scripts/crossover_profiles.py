@@ -3,8 +3,9 @@
 
 Reproduces the crossover picture: width 1 gives a random-walk-like bump,
 width 2 three islands, larger widths an increasingly walk-like profile.
-Writes one measure CSV and one normalized CSV per width (columns as in the
-simulate subcommand) plus a Konno-limit reference column for the widest run.
+Writes one ``profile_M{m}_n{n}.csv`` per width with columns
+``xbar,n_times_mu,konno``: the scaled position x / n, n Re mu_n(x), and
+the Konno limit density at x / n as a reference.
 
     python scripts/crossover_profiles.py --out out/crossover --steps 100
 """

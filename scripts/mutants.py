@@ -51,6 +51,7 @@ _WALKER = "src/stripewalk/walker.py"
 _SPECTRAL = "src/stripewalk/spectral.py"
 _CLI = "src/stripewalk/cli.py"
 _LIMITS = "src/stripewalk/limits.py"
+_CHARACTERISTICS = "src/stripewalk/characteristics.py"
 
 MUTANTS = (
     # The coin's blocks.
@@ -176,7 +177,7 @@ MUTANTS = (
     ),
     Mutant(_SPECTRAL, "return -2.0 * self.tau.real - self.speeds**2", "return -2.0 * self.tau.real"),
     Mutant(_SPECTRAL, "self.vectors[:, _origin_rows(self.m)]", "self.vectors[:, _origin_rows(self.m - 1)]"),
-    # limits: its speeds, windows, mass checks, null distances, W(0) solve and drift.
+    # limits: its speeds, windows (half-width, bounds, slice), mass checks, null distances, W(0) solve and drift.
     Mutant(_CLI, "if np.any(np.diff(speeds) <= SPEED_GAP_TOL):", "if False:"),
     Mutant(
         _CLI,
@@ -185,6 +186,9 @@ MUTANTS = (
     ),
     Mutant(_LIMITS, "if below[1] >= above[0]:", "if False:"),
     Mutant(_LIMITS, "math.ceil(round(c * n - half, 9))", "math.ceil(c * n - half)"),
+    Mutant(_LIMITS, "WINDOW_W = 4.0", "WINDOW_W = 3.0"),
+    Mutant(_LIMITS, "hi + n + 1", "hi + n"),
+    Mutant(_LIMITS, "max(lo + n, 0)", "lo + n"),
     Mutant(_CLI, "massless = abs(c) <= ZERO_MASS_TOL", "massless = False"),
     Mutant(_CLI, "abs(got - want.real), 0.02,", "abs(got - want.real), 1.0,"),
     Mutant(_CLI, 'Check("measure sum drift", drift, sum_tol),', 'Check("measure sum drift", drift, math.inf),'),
@@ -211,6 +215,8 @@ MUTANTS = (
         'if cfg.init != "product":\n        raise ValueError("characteristics',
         'if False:\n        raise ValueError("characteristics',
     ),
+    # The exponent fits' stable window.
+    Mutant(_CHARACTERISTICS, "(int(ns[mask][0]), int(ns[mask][-1]))", "(int(ns[mask][1]), int(ns[mask][-1]))"),
     # The characteristics sidecar's health values.
     Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
     Mutant(_CLI, "series.sum_re[:n] - series.sum_re[0]", "series.sum_re[: n // 2] - series.sum_re[0]"),

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Convergence of the width-2 three-mode split at large n.
 
-For the Hadamard walk on a width-2 stripe, prints at each n the Kolmogorov
-distance of each side mode's scaled CDF to N(0, sigma^2) with the mode
-table's width sigma^2 = -2 Re tau - mu^2 (1/9), and to N(0, -2 Re tau)
-(the stated side variance 4/9), and the error of the three mode masses
-against the table's masses c_j.  Speeds, widths and masses all come from
-``spectral.kato_reduction``.  Each mu_n comes from
-``spectral.snapshot_measure``, so n = 5e4 takes about a second; the
-two rounding residues it returns close each row, and the script exits 1
-when one exceeds ``SNAPSHOT_RESIDUE_TOL``.  A diagnostic only: no test
-reads its distances.
+Runs ``stripewalk limits --steps n`` on the default config (Hadamard,
+M = 2, g = (1, 0)) once per n, each into its own directory, and prints
+from each ``limits.json`` the Kolmogorov distances of the side modes to
+N(0, 1/9) (the mode table's width) and to the stated N(0, 4/9), the
+three mode-mass errors against the table's c_j, and the snapshot's two
+rounding residues; n = 5e4 takes about a second.  Exits with the worst
+status of the runs, and at once with 2, after the CLI's one line, when
+an n is rejected (the windows overlap below n = 192).
 
     python scripts/side_mode_convergence.py --steps 2000 5000 10000 20000 50000
 """
@@ -18,41 +16,39 @@ reads its distances.
 from __future__ import annotations
 
 import argparse
+import json
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from stripewalk import init_product, make_hadamard
-from stripewalk.cli import SNAPSHOT_RESIDUE_TOL
-from stripewalk.limits import mode_masses, scaled_cdf_distance
-from stripewalk.spectral import kato_reduction, snapshot_measure, start_vector
+from stripewalk import cli
 
 STEPS = (2000, 5000, 10_000, 20_000, 50_000)
+#: The report's K-S keys, against N(0, 1/9) then N(0, 4/9), and its (mode, coefficient) names.
+KS = ("cdf_distances_corrected_side_variance", "cdf_distances")
+MODES = (("left", "c_minus"), ("center", "c_zero"), ("right", "c_plus"))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, nargs="*", default=list(STEPS))
-    parser.add_argument("--w", type=float, default=4.0, help="mode window half-width in sqrt(n)")
     args = parser.parse_args()
-    coin = make_hadamard()
-    state = init_product(coin, np.array([1.0, 0.0]), 2, 0)
-    red = kato_reduction(coin, 2)
-    order = np.argsort(red.speeds)  # left, center, right
-    speeds, widths, stated = red.speeds[order], red.widths[order], -2.0 * red.tau.real[order]
-    weights = red.masses(start_vector(state))[order].real
     print(
         "n,ks_left_1/9,ks_right_1/9,ks_left_4/9,ks_right_4/9,"
         "mass_err_left,mass_err_center,mass_err_right,residue_off_sublattice,residue_imag"
     )
     status = 0
-    for n in args.steps:
-        mu, residues, _ = snapshot_measure(state, n)
-        ks = [scaled_cdf_distance(mu, speeds[j], var[j], args.w) for var in (widths, stated) for j in (0, 2)]
-        errors = [got - want for got, want in zip(mode_masses(mu, speeds, args.w), weights)]
-        residue = [residues["off_sublattice"], residues["imag"]]
-        print(",".join([str(n)] + [f"{v:.6e}" for v in ks + errors + residue]), flush=True)
-        if not max(residue) <= SNAPSHOT_RESIDUE_TOL:
-            status = 1
+    with tempfile.TemporaryDirectory(prefix="side-modes-") as tmp:
+        for n in args.steps:
+            out = Path(tmp) / f"n{n}"
+            rc = cli.main(["limits", "--steps", str(n), "--out", str(out)])
+            if rc == 2:
+                return 2
+            status = max(status, rc)
+            r = json.loads((out / "limits.json").read_text())
+            ks = [r[key][side] for key in KS for side in ("left", "right")]
+            errors = [r["masses"][name] - r["coefficients"][key][0] for name, key in MODES]
+            residue = [r["snapshot_residues"][key] for key in ("off_sublattice", "imag")]
+            print(",".join([str(n)] + [f"{v:.6e}" for v in ks + errors + residue]), flush=True)
     return status
 
 

@@ -24,7 +24,7 @@ slope variation below SLOPE_TOL is selected automatically and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,6 +231,18 @@ def stable_subwindow(ns: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, bool]:
     return mask, True
 
 
+def _stable_fit(ns: np.ndarray, ys: np.ndarray) -> ExponentFit:
+    """Log-log fit of ys against ns over their stable sub-window (``stable_subwindow``)."""
+    mask, oscillating = stable_subwindow(ns, ys)
+    slope, _, rms = loglog_fit(ns[mask], ys[mask])
+    return ExponentFit(
+        slope=slope,
+        used_window=(int(ns[mask][0]), int(ns[mask][-1])),
+        rms_residual=rms,
+        oscillating=oscillating,
+    )
+
+
 def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
     """Growth exponent gamma of the tail width d_n = a_n - n xbar_max.
 
@@ -241,7 +253,7 @@ def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
     n_lo, n_hi = window
     sel = series.slice_window(n_lo, n_hi)
 
-    def fit_for(thr: float):
+    def fit_for(thr: float) -> ExponentFit:
         d = series.edges[thr][sel] - series.ns[sel] * series.peak_xbar[sel]
         ok = np.isfinite(d) & (d > 0)
         ns, ds = series.ns[sel][ok], d[ok]
@@ -249,26 +261,16 @@ def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
             raise ValueError(
                 f"only {len(ns)} positive tail widths in window {window}"
             )
-        mask, oscillating = stable_subwindow(ns, ds)
-        slope, _, rms = loglog_fit(ns[mask], ds[mask])
-        used = (int(ns[mask][0]), int(ns[mask][-1]))
-        return slope, rms, oscillating, used
+        return _stable_fit(ns, ds)
 
-    slope, rms, oscillating, used = fit_for(SUPPORT_THRESHOLDS[1])
+    fit = fit_for(SUPPORT_THRESHOLDS[1])
     sensitivity = {}
     for thr in SUPPORT_THRESHOLDS[::2]:
         try:
-            s_thr, *_ = fit_for(thr)
-            sensitivity[f"{thr:g}"] = s_thr
+            sensitivity[f"{thr:g}"] = fit_for(thr).slope
         except ValueError:
             sensitivity[f"{thr:g}"] = math.nan
-    return ExponentFit(
-        slope=slope,
-        used_window=used,
-        rms_residual=rms,
-        oscillating=oscillating,
-        sensitivity=sensitivity,
-    )
+    return replace(fit, sensitivity=sensitivity)
 
 
 def decay_exponent(
@@ -296,11 +298,4 @@ def decay_exponent(
         )
     if np.all(ys < 0):
         ys = -ys
-    mask, oscillating = stable_subwindow(ns, ys)
-    slope, _, rms = loglog_fit(ns[mask], ys[mask])
-    return ExponentFit(
-        slope=slope,
-        used_window=(int(ns[mask][0]), int(ns[mask][-1])),
-        rms_residual=rms,
-        oscillating=oscillating,
-    )
+    return _stable_fit(ns, ys)

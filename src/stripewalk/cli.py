@@ -52,7 +52,7 @@ from .spectral import (
     spectrum_grid,
     start_vector,
 )
-from .limits import mode_masses, mode_windows, scaled_cdf_distance
+from .limits import WINDOW_W, mode_masses, mode_windows, scaled_cdf_distance
 from .characteristics import (
     PEAK_DELTA,
     SUPPORT_THRESHOLDS,
@@ -579,12 +579,12 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
     mu, residues, chi0 = snapshot_measure(state, n)
     drift = abs(chi0 - total0)
     sum_tol = _sum_tol(total0)
-    masses = mode_masses(mu, speeds)
+    masses = mode_masses(mu, windows)
     distances, distances_cumulant, modes = {}, {}, {}
-    for name, speed, width, stated_width, c in zip(names, speeds, widths, stated, coefficients):
+    for name, window, speed, width, stated_width, c in zip(names, windows, speeds, widths, stated, coefficients):
         massless = abs(c) <= ZERO_MASS_TOL
-        distances[name] = None if massless else scaled_cdf_distance(mu, speed, stated_width)
-        distances_cumulant[name] = None if massless else scaled_cdf_distance(mu, speed, width)
+        distances[name] = None if massless else scaled_cdf_distance(mu, window, speed, stated_width)
+        distances_cumulant[name] = None if massless else scaled_cdf_distance(mu, window, speed, width)
         modes[name] = {"speed": speed, "variance": width, "stated_variance": stated_width}
     checks = [
         Check(f"{name} mass error", abs(got - want.real), 0.02, where=f" ({got:.4f} vs {want.real:.4f})")
@@ -603,8 +603,7 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
             "nonreal_flag": bool(np.any(np.abs(coefficients.imag) > 1e-14)),
         },
         "masses": dict(zip(names, masses)),
-        # w_coeff is the default w of the limits functions.
-        "windows": {"w_coeff": 4.0, **{name: list(w) for name, w in zip(names, windows)}},
+        "windows": {"w_coeff": WINDOW_W, **{name: list(w) for name, w in zip(names, windows)}},
         "cdf_distances": distances,
         "cdf_distances_corrected_side_variance": distances_cumulant,
         "modes": modes,

@@ -10,8 +10,8 @@ Two limits have closed forms:
 At every width M the late measure splits into the 2M - 1 modes of the
 mode table (``spectral.kato_reduction``): mode j is a Gaussian of width
 sigma_j^2 n about mu_j n with mass c_j.  Each mode is read in its window
-of half-width w sqrt(n) about mu_j n (``mode_windows``), through its mass
-there (``mode_masses``) and the distance of its scaled CDF from
+of half-width ``WINDOW_W`` sqrt(n) about mu_j n (``mode_windows``), through
+its mass there (``mode_masses``) and the distance of its scaled CDF from
 N(0, sigma_j^2) (``scaled_cdf_distance``).
 
 Empirical comparisons use the Kolmogorov (sup) metric between the lattice
@@ -29,6 +29,7 @@ import numpy as np
 from .walker import ComplexMeasure
 
 __all__ = [
+    "WINDOW_W",
     "konno_density",
     "gaussian_cdf",
     "mode_windows",
@@ -36,6 +37,9 @@ __all__ = [
     "scaled_cdf_distance",
     "kolmogorov_distance",
 ]
+
+#: Half-width of every mode window, in units of sqrt(n).
+WINDOW_W = 4.0
 
 
 def konno_density(x: float) -> float:
@@ -71,46 +75,46 @@ def kolmogorov_distance(
     return float(np.max(np.maximum(np.abs(cum - ref), np.abs(pre - ref))))
 
 
-def mode_windows(n: int, speeds: Sequence[float], w: float = 4.0) -> list[tuple[int, int]]:
-    """Lattice windows of half-width w sqrt(n) about speed times n, one per speed of the ascending ``speeds``.
+def mode_windows(n: int, speeds: Sequence[float]) -> list[tuple[int, int]]:
+    """Lattice windows of half-width ``WINDOW_W`` sqrt(n) about speed times n, one per speed of the ascending ``speeds``.
 
-    Raises when two neighbouring windows overlap: n is too small for w and
-    the spacing of the speeds.
+    Raises when two neighbouring windows overlap: n is too small for the
+    spacing of the speeds.
     """
-    half = w * math.sqrt(n)
+    half = WINDOW_W * math.sqrt(n)
     # A bound within 1e-9 of a site is that site: the centre speed is 0 only
-    # up to rounding, and w sqrt(n) is a whole number at n = 100, 400, ...
+    # up to rounding, and the half-width is a whole number at n = 100, 400, ...
     windows = [(math.ceil(round(c * n - half, 9)), math.floor(round(c * n + half, 9))) for c in speeds]
     for below, above in zip(windows, windows[1:]):
         if below[1] >= above[0]:
-            raise ValueError(f"mode windows overlap at n={n}, w={w}: {below} and {above}")
+            raise ValueError(f"mode windows overlap at n={n}, w={WINDOW_W}: {below} and {above}")
     return windows
 
 
-def _window(measure: ComplexMeasure, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and values of the measure in [lo, hi]."""
-    xs = measure.positions()
-    sel = (xs >= lo) & (xs <= hi)
-    return xs[sel], measure.values[sel]
+def _window(measure: ComplexMeasure, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the measure in the window [lo, hi], a slice of its support [-n, n]."""
+    n, (lo, hi) = measure.n, window
+    start, stop = max(lo + n, 0), max(hi + n + 1, 0)  # clipped: a window left of -n is empty, not wrapped
+    values = measure.values[start:stop]
+    return np.arange(start - n, start - n + len(values)), values
 
 
-def mode_masses(measure: ComplexMeasure, speeds: Sequence[float], w: float = 4.0) -> list[float]:
-    """Real mass captured by each mode window (``mode_windows``) at the measure's time."""
-    return [float(_window(measure, lo, hi)[1].real.sum()) for lo, hi in mode_windows(measure.n, speeds, w)]
+def mode_masses(measure: ComplexMeasure, windows: Sequence[tuple[int, int]]) -> list[float]:
+    """Real mass of the measure in each window (``mode_windows``)."""
+    return [float(_window(measure, window)[1].real.sum()) for window in windows]
 
 
-def scaled_cdf_distance(measure: ComplexMeasure, speed: float, variance: float, w: float = 4.0) -> float:
+def scaled_cdf_distance(measure: ComplexMeasure, window: tuple[int, int], speed: float, variance: float) -> float:
     """Kolmogorov distance of one mode's scaled empirical CDF from N(0, variance).
 
-    The empirical CDF is built from Re mu inside the mode's window of
-    half-width w sqrt(n) about speed times n, normalized by the window
-    mass, in the coordinate y = (x - speed n) / sqrt(n).  An empty window,
-    or one with no positive mass, raises.
+    The empirical CDF is built from Re mu inside the mode's window (one of
+    ``mode_windows``), normalized by the window mass, in the coordinate
+    y = (x - speed n) / sqrt(n).  An empty window, or one with no positive
+    mass, raises.
     """
     n = measure.n
-    [(lo, hi)] = mode_windows(n, [speed], w)
-    xs, values = _window(measure, lo, hi)
+    xs, values = _window(measure, window)
     if not len(xs):
-        raise ValueError(f"empty window [{lo}, {hi}] at n={n}")
+        raise ValueError(f"empty window {list(window)} at n={n}")
     ys = (xs - speed * n) / math.sqrt(n)
     return kolmogorov_distance(ys, values.real, lambda y: gaussian_cdf(y, variance))

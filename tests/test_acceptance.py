@@ -44,6 +44,7 @@ from stripewalk.limits import (
     gaussian_cdf,
     kolmogorov_distance,
     mode_masses,
+    mode_windows,
     scaled_cdf_distance,
 )
 from stripewalk.spectral import eig, kato_reduction, w_stack
@@ -275,13 +276,14 @@ def test_c06_three_mode_limit(m2_measure_2000):
     cell = HAD.matrix @ PLUS
     c_minus, c_zero, c_plus = (z.real for z in limit_coefficients(cell))
     left, center, right = limit_profiles(cell)
-    masses = mode_masses(mu, (left.speed, center.speed, right.speed), 4.0)
+    windows = mode_windows(mu.n, (left.speed, center.speed, right.speed))
+    masses = mode_masses(mu, windows)
     mass_err = max(
         abs(masses[0] - c_minus), abs(masses[1] - c_zero), abs(masses[2] - c_plus)
     )
-    d_center = scaled_cdf_distance(mu, center.speed, center.variance, 4.0)
-    d_left = scaled_cdf_distance(mu, left.speed, left.variance, 4.0)
-    d_right = scaled_cdf_distance(mu, right.speed, right.variance, 4.0)
+    d_center = scaled_cdf_distance(mu, windows[1], center.speed, center.variance)
+    d_left = scaled_cdf_distance(mu, windows[0], left.speed, left.variance)
+    d_right = scaled_cdf_distance(mu, windows[2], right.speed, right.variance)
     elapsed = time.perf_counter() - t0
     masses_ok = mass_err <= 0.02
     center_ok = d_center < 0.05
@@ -313,7 +315,8 @@ def test_c06_supplement_corrected_side_variance(m2_measure_2000):
     cell = HAD.matrix @ PLUS
     left, _, right = limit_profiles(cell)
     for p in (left, right):
-        d = scaled_cdf_distance(mu, p.speed, SIDE_VARIANCE_CUMULANT, 4.0)
+        [window] = mode_windows(mu.n, [p.speed])
+        d = scaled_cdf_distance(mu, window, p.speed, SIDE_VARIANCE_CUMULANT)
         print(f"[PASS] supplement: {p.mode} mode K-S vs N(0,1/9) = {d:.4f} (< 0.07)")
         assert d < 0.07
 

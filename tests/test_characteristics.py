@@ -141,6 +141,8 @@ def test_decay_exponent_synthetic_power_law():
     side = decay_exponent(series, "side", (100, 400))
     assert abs(center.slope + 0.5) < 1e-10
     assert abs(side.slope + 0.7) < 1e-10
+    # A power law is stable over the whole window: the fit uses all of it.
+    assert center.used_window == side.used_window == (100, 400)
     with pytest.raises(ValueError):
         decay_exponent(series, "elsewhere", (100, 400))
 
@@ -168,7 +170,7 @@ def test_tail_exponent_synthetic():
     series = _synthetic_series(ns, np.ones(800), np.ones(800), edge_slope=0.4)
     fit = tail_exponent(series, (200, 800))
     assert abs(fit.slope - 0.4) < 1e-6
-    assert not fit.oscillating
+    assert not fit.oscillating and fit.used_window == (200, 800)
     assert set(fit.sensitivity) == {"1e-10", "1e-14"}
 
 

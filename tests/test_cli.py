@@ -35,7 +35,7 @@ from stripewalk.cli import (
     config_to_text,
     main,
 )
-from stripewalk.limits import mode_windows
+from stripewalk.limits import WINDOW_W, mode_windows
 
 from oracles import konno_cdf, n_crit, pack
 
@@ -382,7 +382,8 @@ def test_limits_command(tmp_path):
     windows = report["windows"]
     names = ("left", "center", "right")
     speeds = [report["modes"][name]["speed"] for name in names]
-    assert [windows[name] for name in names] == [list(w) for w in mode_windows(600, speeds, windows["w_coeff"])]
+    assert windows["w_coeff"] == WINDOW_W
+    assert [windows[name] for name in names] == [list(w) for w in mode_windows(600, speeds)]
 
 
 def _limits_narrow(m):

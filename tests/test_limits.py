@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from stripewalk import evolve, init_product, make_coin, measure, oqrw_reference
 from stripewalk.limits import (
+    _window,
     gaussian_cdf,
     kolmogorov_distance,
     konno_density,
@@ -152,21 +153,38 @@ def test_kolmogorov_distance_requires_mass():
 
 
 def test_mode_windows_disjoint():
-    left, center, right = mode_windows(2000, SPEEDS, 4.0)
+    left, center, right = mode_windows(2000, SPEEDS)
     assert left[1] < center[0] < center[1] < right[0]
     assert center == (-178, 178) and right == (976, 1333)
     with pytest.raises(ValueError, match=r"overlap at n=100, w=4.0: \(-97, -18\) and \(-40, 40\)"):
-        mode_windows(100, SPEEDS, 4.0)
+        mode_windows(100, SPEEDS)
     with pytest.raises(ValueError, match="overlap"):
-        mode_windows(0, SPEEDS, 4.0)
+        mode_windows(0, SPEEDS)
     assert mode_windows(0, [0.0]) == [(0, 0)]  # one window overlaps nothing
     # A centre speed off 0 by rounding keeps its window symmetric where 4 sqrt(n) is whole.
     assert mode_windows(400, [-6e-16]) == mode_windows(400, [6e-16]) == [(-80, 80)]
 
 
+@pytest.mark.parametrize(
+    "window, empty",
+    [((-100, 250), False), ((-650, -590), False), ((590, 650), False), ((-900, -650), True), ((650, 900), True)],
+)
+def test_window_slice_matches_selection_by_position(m2_measure_600, window, empty):
+    # The slice of the support [-600, 600] holds the same sites as a
+    # selection by position: inside, across -n, across n, and (empty)
+    # wholly left or right of the support, where no slice may wrap.
+    mu = m2_measure_600
+    xs = mu.positions()
+    sel = (xs >= window[0]) & (xs <= window[1])
+    got_xs, got_values = _window(mu, window)
+    np.testing.assert_array_equal(got_xs, xs[sel])
+    np.testing.assert_array_equal(got_values, mu.values[sel])
+    assert (len(got_xs) == 0) == empty
+
+
 def test_mode_masses_match_coefficients(hadamard, m2_measure_600):
     c_minus, c_zero, c_plus = limit_coefficients(hadamard.matrix @ PLUS)
-    masses = mode_masses(m2_measure_600, SPEEDS, 4.0)
+    masses = mode_masses(m2_measure_600, mode_windows(600, SPEEDS))
     assert abs(masses[0] - c_minus.real) < 0.01
     assert abs(masses[1] - c_zero.real) < 0.01
     assert abs(masses[2] - c_plus.real) < 0.01
@@ -179,7 +197,7 @@ def test_complex_window_sums_match_coefficients(hadamard):
     g = np.array([0.6, 0.8j])
     mu, _, _ = snapshot_measure(init_product(hadamard, g, 2, 0), 4000)
     xs = mu.positions()
-    sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, SPEEDS, 4.0)]
+    sums = [mu.values[(xs >= lo) & (xs <= hi)].sum() for lo, hi in mode_windows(4000, SPEEDS)]
     cell = hadamard.matrix @ g
     coefficients = limit_coefficients(cell / np.linalg.norm(cell))
     assert abs(coefficients[0].imag) > 0.1
@@ -188,7 +206,8 @@ def test_complex_window_sums_match_coefficients(hadamard):
 
 def test_center_mode_cdf_distance(hadamard, m2_measure_600):
     _, center, _ = limit_profiles(hadamard.matrix @ PLUS)
-    assert scaled_cdf_distance(m2_measure_600, center.speed, center.variance, 4.0) < 0.05
+    [window] = mode_windows(600, [center.speed])
+    assert scaled_cdf_distance(m2_measure_600, window, center.speed, center.variance) < 0.05
 
 
 def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
@@ -197,16 +216,17 @@ def test_side_mode_cdf_distance_corrected_variance(hadamard, m2_measure_600):
     cell = hadamard.matrix @ PLUS
     left, _, right = limit_profiles(cell)
     for p in (left, right):
-        assert scaled_cdf_distance(m2_measure_600, p.speed, SIDE_VARIANCE_CUMULANT, 4.0) < 0.12
-        stated = scaled_cdf_distance(m2_measure_600, p.speed, p.variance, 4.0)
+        [window] = mode_windows(600, [p.speed])
+        assert scaled_cdf_distance(m2_measure_600, window, p.speed, SIDE_VARIANCE_CUMULANT) < 0.12
+        stated = scaled_cdf_distance(m2_measure_600, window, p.speed, p.variance)
         assert stated > 0.15  # the published variance does not fit
 
 
 def test_scaled_cdf_distance_empty_window(hadamard, m2_measure_600):
     small = measure(evolve(init_product(hadamard, PLUS, 2, 702), 700))
-    # A half-width of 1e-3 sqrt(n) leaves the right window [405, 404] empty.
-    with pytest.raises(ValueError, match="empty"):
-        scaled_cdf_distance(small, SPEED, SIDE_VARIANCE, 1e-3)
+    # The window [405, 404] about the right mode holds no site.
+    with pytest.raises(ValueError, match=r"empty window \[405, 404\] at n=700"):
+        scaled_cdf_distance(small, (405, 404), SPEED, SIDE_VARIANCE)
 
 
 def test_oqrw_clt(hadamard):

@@ -34,13 +34,18 @@ def test_crossover_profiles(tmp_path, monkeypatch):
         assert [float(r[0]) for r in rows] == [x / 20 for x in range(-20, 21)]
 
 
-def test_eigenvector_runs(tmp_path, monkeypatch):
-    _run(monkeypatch, "eigenvector_runs.py", "--steps", "20", "--out", str(tmp_path))
+def test_eigenvector_runs(tmp_path, monkeypatch, capsys):
+    # The default n = 200: the three mode windows overlap below n = 192.
+    _run(monkeypatch, "eigenvector_runs.py", "--out", str(tmp_path))
     for name in ("v1", "v2", "v3"):
-        header, rows = _rows(tmp_path / f"measure_{name}_n20.csv")
+        header, rows = _rows(tmp_path / f"measure_{name}_n200.csv")
         assert header == "n,x,re_mu,im_mu"
-        assert [int(r[1]) for r in rows] == list(range(-20, 21))
-        assert all(r[0] == "20" for r in rows)
+        assert [int(r[1]) for r in rows] == list(range(-200, 201))
+        assert all(r[0] == "200" for r in rows)
+    capsys.readouterr()
+    _run(monkeypatch, "eigenvector_runs.py", "--steps", "20", "--out", str(tmp_path / "small"), status=2)
+    assert "error: mode windows overlap at n=20" in capsys.readouterr().err
+    assert not (tmp_path / "small").exists()
 
 
 def test_side_mode_convergence(monkeypatch, capsys):
@@ -58,6 +63,20 @@ def test_side_mode_convergence(monkeypatch, capsys):
     # A residue above the bound (here: any residue, with the bound below 0) exits 1.
     monkeypatch.setattr(cli, "SNAPSHOT_RESIDUE_TOL", -1.0)
     _run(monkeypatch, "side_mode_convergence.py", "--steps", "300", status=1)
+
+
+def test_side_mode_convergence_stops_on_a_rejected_n(monkeypatch, capsys):
+    # At n = 100 the windows overlap: the run stops with the CLI's one line
+    # and status 2, after the row of n = 300 and without a row for n = 100
+    # (nor for the n after it).
+    _run(monkeypatch, "side_mode_convergence.py", "--steps", "300", "100", "600", status=2)
+    captured = capsys.readouterr()
+    header, *rows = captured.out.splitlines()
+    assert header.startswith("n,")
+    assert [r.split(",")[0] for r in rows] == ["300"]
+    assert captured.err.splitlines() == [
+        "stripewalk limits: error: M=2: mode windows overlap at n=100, w=4.0: (-97, -18) and (-40, 40)"
+    ]
 
 
 def test_spectrum_timing(monkeypatch, capsys):
