@@ -3,9 +3,15 @@
 
 Reproduces the crossover picture: width 1 gives a random-walk-like bump,
 width 2 three islands, larger widths an increasingly walk-like profile.
-Writes one ``profile_M{m}_n{n}.csv`` per width with columns
-``xbar,n_times_mu,konno``: the scaled position x / n, n Re mu_n(x), and
-the Konno limit density at x / n as a reference.
+Runs ``stripewalk simulate --steps n --m M`` on the default config
+(Hadamard, g = (1, 0)) once per width, each into its own temporary
+directory, and writes one ``profile_M{m}_n{n}.csv`` per width with columns
+``xbar,n_times_mu,konno``: the rows of the run's ``normalized_n{n}.csv``
+(x / n and n Re mu_n(x)) and the Konno limit density at x / n as a
+reference.  The Konno column is the Hadamard density, so the coin is not
+settable.  Exits with the worst status of the runs (1 when a drift or
+odd-width check fails; the profile is still written), and at once with 2,
+after the CLI's one line, when a width is rejected.
 
     python scripts/crossover_profiles.py --out out/crossover --steps 100
 """
@@ -13,11 +19,11 @@ the Konno limit density at x / n as a reference.
 from __future__ import annotations
 
 import argparse
+import json
+import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from stripewalk import evolve, init_product, make_hadamard, measure
+from stripewalk import cli
 from stripewalk.limits import konno_density
 
 WIDTHS = (1, 2, 3, 5, 10, 51)
@@ -30,25 +36,28 @@ def main() -> int:
     parser.add_argument("--widths", type=int, nargs="*", default=list(WIDTHS))
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     n = args.steps
-    coin = make_hadamard()
-    g = np.array([1.0, 0.0])
-    for m in args.widths:
-        state = evolve(init_product(coin, g, m, n), n)
-        mu = measure(state)
-        xs = mu.positions()
-        path = out / f"profile_M{m}_n{n}.csv"
-        with open(path, "w") as fh:
-            fh.write("xbar,n_times_mu,konno\n")
-            for x, v in zip(xs, mu.values):
-                xbar = x / n
-                fh.write(f"{xbar:.17g},{n * v.real:.17g},{konno_density(xbar):.17g}\n")
-        print(
-            f"M={m:3d}: wrote {path}  sum={mu.total().real:+.12f} "
-            f"min={mu.values.real.min():+.3e} max|Im|={mu.max_abs_imag():.1e}"
-        )
-    return 0
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="crossover-") as tmp:
+        for m in args.widths:
+            run = Path(tmp) / f"M{m}"
+            rc = cli.main(["simulate", "--steps", str(n), "--m", str(m), "--out", str(run)])
+            if rc == 2:
+                return 2
+            status = max(status, rc)
+            rows = (run / f"normalized_n{n}.csv").read_text().splitlines()[2:]  # below the digest and header
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / f"profile_M{m}_n{n}.csv"
+            with open(path, "w") as fh:
+                fh.write("xbar,n_times_mu,konno\n")
+                for row in rows:
+                    fh.write(f"{row},{konno_density(float(row.split(',')[0])):.17g}\n")
+            report = json.loads((run / "provenance.json").read_text())
+            print(
+                f"M={m:3d}: wrote {path}  drift={report['measure_sum_drift']:.1e} "
+                f"max|Im|={report['max_abs_imag']:.1e}"
+            )
+    return status
 
 
 if __name__ == "__main__":

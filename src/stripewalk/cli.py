@@ -7,7 +7,7 @@ echo, and re-running a config reproduces byte-identical numeric payloads
 (the pipeline is deterministic; no randomness is used anywhere).
 
 Subcommands: simulate | spectrum | kato | limits | characteristics |
-oracle-check | sweep.  Each lists its verdicts as ``Check`` records, which
+oracle-check.  Each lists its verdicts as ``Check`` records, which
 ``_report`` writes to its JSON report as ``checks`` and ``failures`` and
 prints as ``FAIL <command>: <name> <value> > tol <bound><where>`` lines.
 Exit status is 0 exactly when every check passes (a NaN never passes), 1
@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -132,7 +132,7 @@ class RunConfig:
         return self.snapshots if self.snapshots else (self.steps,)
 
     def widths(self) -> tuple[int, ...]:
-        """mlist, the widths of characteristics and sweep; an empty list is rejected."""
+        """mlist, the widths of characteristics; an empty list is rejected."""
         if not self.mlist:
             raise ValueError("mlist is empty; list at least one width")
         return self.mlist
@@ -242,8 +242,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     # The engine reads the band to choose dtype and sublattices, so a bad
-    # band stops here; the 4M count is checked per width when a state is
-    # built, since sweep builds one for each width in mlist.
+    # band stops here; its 4M count is checked when the state is built.
     if cfg.init == "band":
         _bounded_band(cfg.band)
     times = cfg.snapshot_times()
@@ -731,16 +730,6 @@ def cmd_oracle_check(cfg: RunConfig, out: Path) -> int:
     return _report(out, "oracle_check.json", "oracle-check", report, checks, digest)
 
 
-def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    digest = config_hash(cfg)
-    n = cfg.steps
-    mlist = cfg.widths()
-    starts = [_initial_state(replace(cfg, m=m), n) for m in mlist]  # reject before any write
-    for m, state in zip(mlist, starts):
-        _write_measure(out, f"M{m}_n{n}", measure(evolve(state, n)), digest)
-    return _report(out, "provenance.json", "sweep", {"config": config_to_text(cfg)}, [], digest)
-
-
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
@@ -773,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "spectrum", "kato", "limits", "characteristics", "oracle-check", "sweep"):
+    for name in ("simulate", "spectrum", "kato", "limits", "characteristics", "oracle-check"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
@@ -782,8 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="assert that the run draws no randomness",
         )
-        p.add_argument("--steps", type=int, default=None, help="override steps")
-        p.add_argument("--m", type=int, default=None, help="override stripe width")
+        # Only a subcommand that reads the key takes its override.
+        if name in ("simulate", "limits", "characteristics"):
+            p.add_argument("--steps", type=int, default=None, help="override steps")
+        if name in ("simulate", "spectrum", "kato", "limits"):
+            p.add_argument("--m", type=int, default=None, help="override stripe width")
         if name == "characteristics":
             p.add_argument(
                 "--workers", type=int, default=1, help="worker processes, at most one per width"
@@ -800,7 +792,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {"steps": args.steps, "m": args.m})
+        cfg = load_config(args.config, {key: getattr(args, key, None) for key in ("steps", "m")})
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dispatch = {
@@ -810,7 +802,6 @@ def main(argv: list[str] | None = None) -> int:
             "limits": lambda: cmd_limits(cfg, out),
             "characteristics": lambda: cmd_characteristics(cfg, out, args.workers),
             "oracle-check": lambda: cmd_oracle_check(cfg, out),
-            "sweep": lambda: cmd_sweep(cfg, out),
         }
         with _NoRandomGuard() if args.seedless else nullcontext():
             return dispatch[args.command]()

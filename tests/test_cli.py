@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import math
@@ -87,6 +88,17 @@ def test_readme_config_block_lists_every_field_and_default():
     keys = [line.partition("=")[0].strip() for line in lines]
     assert keys == [f.name for f in fields(RunConfig)]
     assert config_from_text(block) == RunConfig()
+
+
+def test_docs_name_exactly_the_subcommands():
+    # The README's CLI block and the module docstring's Subcommands line
+    # list the parser's subcommands, so none is retired or added silently.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    assert [line.split()[1] for line in block.splitlines()] == list(sub.choices)
+    listed = re.search(r"^Subcommands: (.*?)\.  ", cli.__doc__, re.S | re.M).group(1)
+    assert [name.strip() for name in listed.split("|")] == list(sub.choices)
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
@@ -580,6 +592,32 @@ def test_reruns_do_not_depend_on_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], (i, command)
 
 
+#: The config keys each subcommand reads that a flag may override.
+READS = {
+    "simulate": ("steps", "m"),
+    "spectrum": ("m",),
+    "kato": ("m",),
+    "limits": ("steps", "m"),
+    "characteristics": ("steps",),
+    "oracle-check": (),
+}
+
+
+@pytest.mark.parametrize("key", ["steps", "m"])
+@pytest.mark.parametrize("command", READS)
+def test_each_subcommand_takes_only_the_overrides_it_reads(tmp_path, capsys, command, key):
+    # A flag the subcommand would ignore is no flag of it: it could only
+    # change the config digest.
+    if key in READS[command]:
+        assert getattr(cli.build_parser().parse_args([command, f"--{key}", "7"]), key) == 7
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}", "7", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} 7" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_oracle_check_command(tmp_path):
     rc = main(["oracle-check", "--out", str(tmp_path / "o"), "--seedless"])
     assert rc == 0
@@ -589,16 +627,20 @@ def test_oracle_check_command(tmp_path):
     assert report["failures"] == []
 
 
-def test_sweep_command(tmp_path):
+def test_simulate_normalized_rows_scale_the_measure(tmp_path):
+    # Each row of normalized_n*.csv is (x / n, n Re mu) of the matching
+    # measure_n*.csv row, under the same digest.
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 40\nmlist = 1 2\n")
-    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 0
-    for m in (1, 2):
-        assert (tmp_path / "o" / f"measure_M{m}_n40.csv").exists()
-        assert (tmp_path / "o" / f"normalized_M{m}_n40.csv").exists()
-    _, header, _ = _read_csv(tmp_path / "o" / "normalized_M2_n40.csv")
-    assert header == ["xbar", "n_times_mu"]
+    cfg.write_text("steps = 40\nsnapshots = 20 40\nm = 3\ng = 0.6,0 0,0.8\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    for n in (20, 40):
+        digest, header, rows = _read_csv(tmp_path / "o" / f"normalized_n{n}.csv")
+        measure_digest, _, measure_rows = _read_csv(tmp_path / "o" / f"measure_n{n}.csv")
+        assert header == ["xbar", "n_times_mu"]
+        assert digest == measure_digest
+        assert [(float(xbar), float(scaled)) for xbar, scaled in rows] == [
+            (int(x) / n, n * float(re)) for _, x, re, _ in measure_rows
+        ]
 
 
 def test_mixed_initial_state_konno(tmp_path):
@@ -752,10 +794,9 @@ def test_engine_records_carry_versions(tmp_path):
         ("characteristics", "mlist = 1 2\nsteps = 1200\n", "M=1: only 0 positive tail widths"),
         # An integer key names itself and the form it expects.
         ("simulate", "steps = 1e3\n", "steps: expected an integer, got '1e3'"),
-        ("sweep", "mlist = 2 x\n", "mlist: expected an integer, got 'x'"),
+        ("characteristics", "mlist = 2 x\n", "mlist: expected an integer, got 'x'"),
         # An empty width list names itself.
         ("characteristics", "mlist =\n", "mlist is empty"),
-        ("sweep", "mlist =\n", "mlist is empty"),
         ("spectrum", "kgrid = 8.5\n", "kgrid: expected an integer, got '8.5'"),
         ("spectrum", "kgrid = 1\n", "kgrid must be >= 2"),
         # Every width that reaches the library is checked there.
@@ -766,13 +807,14 @@ def test_engine_records_carry_versions(tmp_path):
                 ("simulate", "m = 0\ninit = mixed\n"),
                 ("spectrum", "m = 0\n"),
                 ("limits", "m = 0\n"),
-                ("sweep", "mlist = 0 2\n"),
                 ("characteristics", "mlist = 0 2\n"),
             )
         ),
         # A width rejected after an accepted one leaves no partial output.
-        ("sweep", "mlist = 2 0\nsteps = 20\n", "stripe width must be >= 1, got 0"),
-        ("sweep", "init = band\nmlist = 2 3\nband = " + " ".join(["0.5,0"] * 8) + "\n", "needs 12 complex entries, got 8"),
+        ("characteristics", "mlist = 2 0\nsteps = 200\n", "stripe width must be >= 1, got 0"),
+        # The band count is checked against the width of the --m override:
+        # 8 entries fit the config's m = 2, not m = 3.
+        ("simulate --m 3", "init = band\nband = " + " ".join(["0.5,0"] * 8) + "\n", "needs 12 complex entries, got 8"),
         # Keys that were settable once and are now fixed values.
         *(
             ("simulate", f"steps = 10\n{line}\n", "unknown config key")
@@ -797,7 +839,7 @@ def test_engine_records_carry_versions(tmp_path):
 def test_rejected_input_is_one_line_exit_2(tmp_path, capsys, command, text, needle):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
-    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    rc = main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and needle in err
@@ -928,7 +970,6 @@ def _assert_records(report):
                 "classical-limit positivity/normalization: sum deviation",
             ],
         ),
-        ("sweep", "steps = 20\nmlist = 2 3\n", "provenance.json", []),
     ],
 )
 def test_every_report_lists_its_check_records(tmp_path, command, text, report, names):
@@ -1258,31 +1299,18 @@ def test_characteristics_n_crit_matches_standalone(tmp_path, steps):
     assert all(entry["n"] == steps for entry in sidecar["per_m"])
 
 
-def test_sweep_rows_match_simulate(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("steps = 40\nmlist = 2 3\ng = 0.6,0 0,0.8\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
-    for m in (2, 3):
-        sim = tmp_path / f"sim{m}"
-        assert main(["simulate", "--config", str(cfg), "--m", str(m), "--out", str(sim)]) == 0
-        for kind in ("measure", "normalized"):
-            swept = (tmp_path / "sw" / f"{kind}_M{m}_n40.csv").read_text().splitlines()
-            single = (sim / f"{kind}_n40.csv").read_text().splitlines()
-            assert swept[1:] == single[1:]  # line 0 is the config digest
-
-
 def test_band_count_is_checked_per_width(tmp_path, capsys):
-    # The band's 4M count is checked against the width each state is built
-    # for: sweep builds one per width in mlist.  characteristics runs only
-    # the product start, so it rejects a band start by its init.
+    # The band's 4M count is checked against the width the state is built
+    # for, the --m override included.  characteristics runs only the
+    # product start, so it rejects a band start by its init.
     cfg = tmp_path / "cfg.txt"
     pairs = " ".join(["0.5,0"] * 12)
-    cfg.write_text(f"steps = 20\nmlist = 3\ninit = band\nband = {pairs}\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
-    assert (tmp_path / "sw" / "measure_M3_n20.csv").exists()
-    cfg.write_text(f"steps = 20\nmlist = 2\ninit = band\nband = {pairs}\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 2
+    cfg.write_text(f"steps = 20\ninit = band\nband = {pairs}\n")
+    assert main(["simulate", "--config", str(cfg), "--m", "3", "--out", str(tmp_path / "s3")]) == 0
+    assert (tmp_path / "s3" / "measure_n20.csv").exists()
+    assert main(["simulate", "--config", str(cfg), "--m", "2", "--out", str(tmp_path / "s2")]) == 2
     assert "needs 8 complex entries" in capsys.readouterr().err
+    assert not list((tmp_path / "s2").iterdir())
     cfg.write_text(f"steps = 200\nmlist = 2\ninit = band\nband = {pairs}\n")
     assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "ch")]) == 2
     assert "set init = product" in capsys.readouterr().err

@@ -25,24 +25,43 @@ def _rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def test_crossover_profiles(tmp_path, monkeypatch):
+def test_crossover_profiles(tmp_path, monkeypatch, capsys):
     _run(monkeypatch, "crossover_profiles.py", "--steps", "20", "--out", str(tmp_path))
     for m in (1, 2, 3, 5, 10, 51):
         header, rows = _rows(tmp_path / f"profile_M{m}_n20.csv")
         assert header == "xbar,n_times_mu,konno"
         assert len(rows) == 41
         assert [float(r[0]) for r in rows] == [x / 20 for x in range(-20, 21)]
+    # A drift above the bound (here: any drift, with the bound below 0)
+    # exits 1, and the profiles are still written.
+    monkeypatch.setattr(cli, "CONSERVATION_TOL", -1.0)
+    _run(monkeypatch, "crossover_profiles.py", "--steps", "20", "--widths", "2", "3", "--out", str(tmp_path / "drift"), status=1)
+    assert sorted(p.name for p in (tmp_path / "drift").iterdir()) == ["profile_M2_n20.csv", "profile_M3_n20.csv"]
+    assert capsys.readouterr().err.count("FAIL simulate: measure sum drift") == 2
+
+
+def test_crossover_profiles_stops_on_a_rejected_width(tmp_path, monkeypatch, capsys):
+    _run(monkeypatch, "crossover_profiles.py", "--widths", "0", "--out", str(tmp_path / "o"), status=2)
+    assert capsys.readouterr().err == "stripewalk simulate: error: stripe width must be >= 1, got 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_eigenvector_runs(tmp_path, monkeypatch, capsys):
     # The default n = 200: the three mode windows overlap below n = 192.
     _run(monkeypatch, "eigenvector_runs.py", "--out", str(tmp_path))
     for name in ("v1", "v2", "v3"):
-        header, rows = _rows(tmp_path / f"measure_{name}_n200.csv")
-        assert header == "n,x,re_mu,im_mu"
+        digest, *lines = (tmp_path / name / "measure_n200.csv").read_text().splitlines()
+        assert digest.startswith("# config_sha256=")
+        assert lines[0] == "n,x,re_mu,im_mu"
+        rows = [line.split(",") for line in lines[1:]]
         assert [int(r[1]) for r in rows] == list(range(-200, 201))
         assert all(r[0] == "200" for r in rows)
-    capsys.readouterr()
+    masses = [line.split()[1:4] for line in capsys.readouterr().out.splitlines()]
+    assert masses == [
+        ["left=-0.000000", "center=-1.000000", "right=-0.000000"],
+        ["left=-0.000000", "center=+0.000000", "right=+0.707107"],
+        ["left=+0.707107", "center=+0.000000", "right=-0.000000"],
+    ]
     _run(monkeypatch, "eigenvector_runs.py", "--steps", "20", "--out", str(tmp_path / "small"), status=2)
     assert "error: mode windows overlap at n=20" in capsys.readouterr().err
     assert not (tmp_path / "small").exists()
