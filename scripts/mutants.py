@@ -217,16 +217,21 @@ MUTANTS = (
     ),
     # The exponent fits' stable window.
     Mutant(_CHARACTERISTICS, "(int(ns[mask][0]), int(ns[mask][-1]))", "(int(ns[mask][1]), int(ns[mask][-1]))"),
-    # The characteristics sidecar's health values.
-    Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
-    Mutant(_CLI, "series.sum_re[:n] - series.sum_re[0]", "series.sum_re[: n // 2] - series.sum_re[0]"),
-    Mutant(_CLI, "_sum_tol(series.sum_re[0])", "1e6 * _sum_tol(series.sum_re[0])"),
+    # The fit window [n // 2, n] and the onset horizon, both owned by characteristics.
+    Mutant(_CHARACTERISTICS, "return self.n // 2, self.n", "return self.n // 2 + 1, self.n"),
+    Mutant(_CHARACTERISTICS, "return self.n // 2, self.n", "return self.n // 2, len(self.ns)"),
+    Mutant(_CHARACTERISTICS, "return 4 * m + 40", "return 4 * m + 39"),
     Mutant(
-        _CLI,
+        _CHARACTERISTICS,
         "NCRIT_TOL = 1e-12",
         "NCRIT_TOL = 1e-9",
         equivalent="every onset dip on the frozen table is at least 2.9e-5 deep",
     ),
+    # The characteristics sidecar's health values.
+    Mutant(_CLI, "series.max_abs_im[:n]", "series.max_abs_im[:1]"),
+    Mutant(_CLI, "series.sum_re[:n] - series.sum_re0", "series.sum_re[: n // 2] - series.sum_re0"),
+    Mutant(_CLI, "series.sum_re[:n] - series.sum_re0", "series.sum_re[:n] - series.sum_re[0]"),
+    Mutant(_CLI, "_sum_tol(series.sum_re0)", "1e6 * _sum_tol(series.sum_re0)"),
 )
 
 

@@ -1,12 +1,16 @@
 """Quantitative observables of the crossover: critical time, peaks, exponents.
 
-All observables are read off per-step traces of the diagonal measure:
+All observables are read off the per-step traces of one ``run_series``
+run of n steps, at values this module owns: the fit window [n // 2, n]
+(``RunSeries.fit_window``) and the onset horizon 4M + 40 and depth
+``NCRIT_TOL`` (``onset_horizon``), which no caller passes.
 
-* ``n_crit_of_trace``: the last time before any lattice site first
+* ``n_crit_of_series``: the last time before any lattice site first
   carries a negative real measure value (the onset of boundary
-  interference), read off a recorded min Re mu trace;
+  interference), read off the recorded min Re mu trace;
 * ``peak_xbar`` of a ``RunSeries``: the normalized argmax of Re mu over
-  x/n in [PEAK_DELTA, 1], excluding the diffusive central bump;
+  x/n in [PEAK_DELTA, 1], excluding the diffusive central bump, and
+  ``mean_peak_position`` its mean over the fit window;
 * ``height_ratio``: the time-averaged ratio mu_n(0) / mu_n(peak); the
   average over all n is half the even-n ratio because parity forces
   mu_n(0) = 0 at odd n;
@@ -25,19 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coin import Coin
-from .walker import diagonal, init_product, trajectory
+from .walker import diagonal, init_product, measure, trajectory
 
 __all__ = [
     "RunSeries",
     "ExponentFit",
     "SUPPORT_THRESHOLDS",
+    "onset_horizon",
     "run_series",
-    "n_crit_of_trace",
+    "n_crit_of_series",
+    "mean_peak_position",
     "height_ratio",
     "tail_exponent",
     "decay_exponent",
@@ -53,6 +59,9 @@ _THRESHOLD_COLUMN = np.array(SUPPORT_THRESHOLDS)[:, None]
 #: The side peak is searched over x/n in [PEAK_DELTA, 1].
 PEAK_DELTA = 0.3
 
+#: The onset of negativity is the first min Re mu below -NCRIT_TOL.
+NCRIT_TOL = 1e-12
+
 #: ``stable_subwindow`` cuts a fit window into SLOPE_CHUNKS chunks and keeps
 #: the longest run whose local slopes agree within SLOPE_TOL.
 SLOPE_CHUNKS = 8
@@ -63,11 +72,13 @@ SLOPE_TOL = 0.05
 class RunSeries:
     """Per-step records of one deterministic run.
 
-    Arrays are indexed by step number minus one (entry i is time n = i+1).
+    Arrays are indexed by step number minus one (entry i is time n = i+1);
+    they run past ``n``, the steps asked for, where the onset horizon does.
     ``edges`` maps each recorded support threshold to the a_n trace.
     ``peak_xbar`` is nan when the maximum over the window [PEAK_DELTA, 1] is
-    NaN.  ``engine`` is ``BandState.engine()`` of the last state
-    (empty for a series that ``run_series`` did not make).
+    NaN.  ``sum_re0`` is the real total of mu_0 and ``engine`` is
+    ``BandState.engine()`` of the last state (NaN and empty for a series
+    that ``run_series`` did not make).
     """
 
     m: int
@@ -80,6 +91,7 @@ class RunSeries:
     peak_xbar: np.ndarray
     peak_val: np.ndarray
     edges: dict[float, np.ndarray]
+    sum_re0: float = math.nan
     engine: dict = field(default_factory=dict)
 
     @classmethod
@@ -95,9 +107,21 @@ class RunSeries:
             peak_val=nans(), edges={thr: nans() for thr in SUPPORT_THRESHOLDS},
         )
 
-    def slice_window(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """Boolean mask selecting times n_lo <= n <= n_hi."""
-        return (self.ns >= n_lo) & (self.ns <= n_hi)
+    @property
+    def fit_window(self) -> tuple[int, int]:
+        """The times [n // 2, n] that the averages and fits read."""
+        return self.n // 2, self.n
+
+
+def _fit_mask(series: RunSeries) -> np.ndarray:
+    """Boolean mask selecting the times of ``series.fit_window``."""
+    lo, hi = series.fit_window
+    return (series.ns >= lo) & (series.ns <= hi)
+
+
+def onset_horizon(m: int) -> int:
+    """The last time the onset of negativity is looked for at width m."""
+    return 4 * m + 40
 
 
 def _peak_in_window(re: np.ndarray, n: int) -> tuple[float, float]:
@@ -143,41 +167,40 @@ def _stats_from_values(series: RunSeries, n: int, values: np.ndarray) -> None:
 
 
 def run_series(coin: Coin, m: int, n: int, g: Sequence[complex] = (1.0, 0.0)) -> RunSeries:
-    """Evolve the width-m product start for n steps recording all per-step observables."""
-    state = init_product(coin, g, m, n)
-    series = RunSeries.allocate(m, n)
+    """Evolve the width-m product start for n steps recording all per-step observables.
+
+    One evolution serves both the fits and the onset: it runs on to
+    ``onset_horizon(m)`` where that lies beyond n.
+    """
+    steps = max(n, onset_horizon(m))
+    state = init_product(coin, g, m, steps)
+    series = replace(RunSeries.allocate(m, steps), n=n, sum_re0=measure(state).total().real)
     final = state
-    for final in trajectory(state, n):
+    for final in trajectory(state, steps):
         _stats_from_values(series, final.n, diagonal(final))
     series.engine = final.engine()
     return series
 
 
-def n_crit_of_trace(min_re: Iterable[float], m: int, n_max: int, tol: float) -> int:
-    """Last time before a min Re mu trace (entry i is n = i+1) first dips below -tol.
-
-    Only the first n_max entries count; n_max if none of them dips.  The
-    trace is read lazily, so a generator stops at the onset.
-    """
-    if n_max < 4 * m:
-        raise ValueError(f"n_max={n_max} too small to observe the onset (need >= 4M)")
-    for j, value in enumerate(min_re, start=1):
-        if j > n_max:
-            break
-        if value < -tol:
-            return j - 1
-    return n_max
+def n_crit_of_series(series: RunSeries) -> int:
+    """Last time before min Re mu first dips below -NCRIT_TOL; the onset horizon if it never does by then."""
+    horizon = onset_horizon(series.m)
+    dips = np.flatnonzero(series.min_re[:horizon] < -NCRIT_TOL)
+    return int(dips[0]) if dips.size else horizon
 
 
-def height_ratio(series: RunSeries, n_lo: int, n_hi: int) -> float:
-    """Mean of Re mu_n(0) / Re mu_n(peak) over the time window.
+def mean_peak_position(series: RunSeries) -> float:
+    """Mean of the side-peak position x/n over the fit window, NaN entries skipped."""
+    return float(np.nanmean(series.peak_xbar[_fit_mask(series)]))
+
+
+def height_ratio(series: RunSeries) -> float:
+    """Mean of Re mu_n(0) / Re mu_n(peak) over the fit window.
 
     Odd-n terms contribute zero to the numerator by parity, so the all-n
     average is half the even-n-only average.
     """
-    if not n_lo < n_hi <= series.n:
-        raise ValueError(f"window [{n_lo}, {n_hi}] outside series of length {series.n}")
-    sel = series.slice_window(n_lo, n_hi)
+    sel = _fit_mask(series)
     peaks = series.peak_val[sel]
     if np.any(~np.isfinite(peaks)) or np.any(np.abs(peaks) < 1e-300):
         raise ValueError("vanishing side peak inside the averaging window")
@@ -243,24 +266,21 @@ def _stable_fit(ns: np.ndarray, ys: np.ndarray) -> ExponentFit:
     )
 
 
-def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
-    """Growth exponent gamma of the tail width d_n = a_n - n xbar_max.
+def tail_exponent(series: RunSeries) -> ExponentFit:
+    """Growth exponent gamma of the tail width d_n = a_n - n xbar_max over the fit window.
 
     a_n is read at the middle support threshold.  Non-positive d_n values
     are excluded; fewer than 10 usable points is an error.  The sensitivity
     entries report the slope at the other two recorded thresholds.
     """
-    n_lo, n_hi = window
-    sel = series.slice_window(n_lo, n_hi)
+    sel = _fit_mask(series)
 
     def fit_for(thr: float) -> ExponentFit:
         d = series.edges[thr][sel] - series.ns[sel] * series.peak_xbar[sel]
         ok = np.isfinite(d) & (d > 0)
         ns, ds = series.ns[sel][ok], d[ok]
         if len(ns) < 10:
-            raise ValueError(
-                f"only {len(ns)} positive tail widths in window {window}"
-            )
+            raise ValueError(f"only {len(ns)} positive tail widths in window {series.fit_window}")
         return _stable_fit(ns, ds)
 
     fit = fit_for(SUPPORT_THRESHOLDS[1])
@@ -273,12 +293,9 @@ def tail_exponent(series: RunSeries, window: tuple[int, int]) -> ExponentFit:
     return replace(fit, sensitivity=sensitivity)
 
 
-def decay_exponent(
-    series: RunSeries, location: str, window: tuple[int, int]
-) -> ExponentFit:
-    """Decay exponent of mu_n(0) (center, even n only) or the side peak."""
-    n_lo, n_hi = window
-    sel = series.slice_window(n_lo, n_hi)
+def decay_exponent(series: RunSeries, location: str) -> ExponentFit:
+    """Decay exponent of mu_n(0) (center, even n only) or the side peak over the fit window."""
+    sel = _fit_mask(series)
     if location == "center":
         sel &= series.ns % 2 == 0
         ys = series.mu_center[sel]
@@ -290,12 +307,9 @@ def decay_exponent(
     finite = np.isfinite(ys)
     ns, ys = ns[finite], ys[finite]
     if len(ns) < 10:
-        raise ValueError(f"fewer than 10 usable points in window {window}")
+        raise ValueError(f"fewer than 10 usable points in window {series.fit_window}")
     if np.any(ys <= 0) and np.any(ys > 0):
-        raise ValueError(
-            f"tracked {location} value changes sign inside window {window}; "
-            "fit rejected"
-        )
+        raise ValueError(f"tracked {location} value changes sign inside window {series.fit_window}; fit rejected")
     if np.all(ys < 0):
         ys = -ys
     return _stable_fit(ns, ys)

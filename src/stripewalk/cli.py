@@ -48,17 +48,19 @@ from .spectral import (
     first_order_match,
     kato_reduction,
     snapshot_measure,
-    spectrum_engine,
     spectrum_grid,
     start_vector,
 )
 from .limits import WINDOW_W, mode_masses, mode_windows, scaled_cdf_distance
 from .characteristics import (
+    NCRIT_TOL,
     PEAK_DELTA,
     SUPPORT_THRESHOLDS,
     decay_exponent,
     height_ratio,
-    n_crit_of_trace,
+    mean_peak_position,
+    n_crit_of_series,
+    onset_horizon,
     run_series,
     tail_exponent,
 )
@@ -69,8 +71,6 @@ FLOAT_FMT = "%.17g"  # full round-trip precision for regression comparisons
 CONSERVATION_TOL = 1e-10
 #: Bound on the imaginary residue of an odd-width product or mixed start.
 IMAG_TOL = 1e-12
-#: The onset of negativity is the first min Re mu below -NCRIT_TOL.
-NCRIT_TOL = 1e-12
 #: Bound on |lambda| - 1 of every eigenvalue that ``spectrum`` writes.
 MODULUS_TOL = 1e-10
 #: Bound on an eigenpair residual ||W x - lambda x|| / max(||W||_2, 1).
@@ -434,7 +434,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     coin = cfg.coin_obj()
     if cfg.kgrid < 2:
         raise ValueError("kgrid must be >= 2")
-    ks, values, residuals = spectrum_grid(coin, cfg.m, cfg.kgrid)
+    ks, values, residuals, engine = spectrum_grid(coin, cfg.m, cfg.kgrid)
 
     def rows():
         for k, lams in zip(ks.tolist(), values):
@@ -454,7 +454,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     return _report(
         out, "spectrum.json", "spectrum",
         {
-            "engine": spectrum_engine(coin, cfg.m, cfg.kgrid),
+            "engine": engine,
             "max_abs_lambda": max_abs,
             "max_abs_lambda_bound": 1.0 + MODULUS_TOL,
             "max_eigenpair_residual": residual,
@@ -622,35 +622,28 @@ def cmd_limits(cfg: RunConfig, out: Path) -> int:
 
 
 def _characteristics_row(cfg: RunConfig, m: int) -> tuple[tuple, dict, list[Check]]:
-    coin = cfg.coin_obj()
     n = cfg.steps
-    nmax = 4 * m + 40
-    # One evolution serves both the fits and n_crit; it runs past n only
-    # when the n_crit horizon does.
-    series = run_series(coin, m, max(n, nmax), g=cfg.spinor())
-    lo, hi = n // 2, n
-    sel = series.slice_window(lo, hi)
-    xmax = float(np.nanmean(series.peak_xbar[sel]))
+    series = run_series(cfg.coin_obj(), m, n, g=cfg.spinor())
     try:
-        nc = n_crit_of_trace(series.min_re, m, nmax, NCRIT_TOL)
-        ratio = height_ratio(series, lo, hi)
-        gamma = tail_exponent(series, (lo, hi))
-        r_center = decay_exponent(series, "center", (lo, hi))
-        r_side = decay_exponent(series, "side", (lo, hi))
+        nc = n_crit_of_series(series)
+        ratio = height_ratio(series)
+        gamma = tail_exponent(series)
+        r_center = decay_exponent(series, "center")
+        r_side = decay_exponent(series, "side")
     except ValueError as exc:
         raise ValueError(f"M={m}: {exc}") from None
-    row = (m, nc, xmax, ratio, gamma.slope, r_center.slope, r_side.slope)
-    deviation = float(np.max(np.abs(series.sum_re[:n] - series.sum_re[0])))
+    row = (m, nc, mean_peak_position(series), ratio, gamma.slope, r_center.slope, r_side.slope)
+    deviation = float(np.max(np.abs(series.sum_re[:n] - series.sum_re0)))
     imag = float(np.max(series.max_abs_im[:n]))
     # The run is a product start, real at every odd width.
-    checks = [Check(f"M={m} measure sum drift", deviation, _sum_tol(series.sum_re[0]))]
+    checks = [Check(f"M={m} measure sum drift", deviation, _sum_tol(series.sum_re0))]
     if m % 2 == 1:
         checks.append(Check(f"M={m} odd-width imaginary residue", imag, IMAG_TOL))
     sidecar = {
         "M": m,
         "n": n,
-        "n_crit": {"value": nc, "n_max": nmax, "tol": NCRIT_TOL},
-        "fit_window": [lo, hi],
+        "n_crit": {"value": nc, "n_max": onset_horizon(m), "tol": NCRIT_TOL},
+        "fit_window": list(series.fit_window),
         "delta": PEAK_DELTA,
         "support_threshold": SUPPORT_THRESHOLDS[1],
         "support_thresholds_recorded": list(SUPPORT_THRESHOLDS),

@@ -72,7 +72,6 @@ __all__ = [
     "RealGauge",
     "real_gauge",
     "split_basis",
-    "spectrum_engine",
     "spectrum_grid",
     "kato_reduction",
     "first_order_match",
@@ -271,29 +270,14 @@ def _orbits(kgrid: int) -> tuple[np.ndarray, np.ndarray]:
     return orbits, fills.reshape(orbits.shape) & (orbits < kgrid)
 
 
-def spectrum_engine(coin: Coin, m: int, kgrid: int) -> dict:
-    """The engine record of ``spectrum_grid(coin, m, kgrid)``.
-
-    The solver, the sizes of the two real blocks, the counts of solved and
-    derived momenta, and the gauge: |a|, chi and phi of ``real_gauge``.
-    """
-    gauge = real_gauge(coin)
-    solved = _orbits(kgrid)[0].shape[1]
-    return {
-        "solver": "dgeev",
-        "blocks": [s.shape[1] for s in split_basis(m)],
-        "solved_k": solved,
-        "derived_k": kgrid - solved,
-        "gauge": {"abs_a": abs(coin.a), "chi": gauge.chi, "phi": gauge.phi},
-    }
-
-
-def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Eigenvalues of W(k) of the width-m stripe at k_i = 2 pi i / kgrid, i = 0..kgrid-1.
 
     Returns the momenta (kgrid,), the eigenvalues (kgrid, 4M), those of
-    the block S+ first, and the eigenpair residual of ``eig`` per momentum
-    (kgrid,).  The reflection k -> -k (``reflection``) and the
+    the block S+ first, the eigenpair residual of ``eig`` per momentum
+    (kgrid,), and the engine record: the solver, the sizes of the two real
+    blocks, the counts of solved and derived momenta, and the gauge (|a|,
+    chi and phi of ``real_gauge``).  The reflection k -> -k (``reflection``) and the
     shift k -> k + pi (``shift_signs``) split the grid into orbits of 1, 2
     or 4 momenta (the shift only where kgrid is even), and only the first
     k_i of each orbit, about kgrid/4 of them, is solved.  It is solved in
@@ -341,7 +325,13 @@ def spectrum_grid(coin: Coin, m: int, kgrid: int) -> tuple[np.ndarray, np.ndarra
         vecs = np.concatenate([vecs, signs * vecs])[fill]
         residuals[rows] = _residuals(w, vals, vecs, scale)
         values[rows] = vals
-    return ks, values, residuals
+    return ks, values, residuals, {
+        "solver": "dgeev",
+        "blocks": [s.shape[1] for s in bases],
+        "solved_k": orbits.shape[1],
+        "derived_k": kgrid - orbits.shape[1],
+        "gauge": {"abs_a": abs(coin.a), "chi": gauge.chi, "phi": gauge.phi},
+    }
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ from stripewalk.characteristics import (
     RunSeries,
     _peak_in_window,
     _stats_from_values,
-    n_crit_of_trace,
 )
 from stripewalk.coin import LL, RR, Coin, blocks
 from stripewalk.cli import MATCH_AMBIGUITY_TOL
@@ -219,12 +218,17 @@ def n_crit(
 ) -> int:
     """Last time before Re mu first dips below -tol anywhere; n_max if never.
 
-    A standalone run of its own; the ``characteristics`` command reads the
-    same onset off the ``min_re`` trace of the run it already made.
+    A standalone run of its own, with its own horizon and tolerance, that
+    stops at the onset; the ``characteristics`` command reads the same
+    onset off the ``min_re`` trace of the run it already made
+    (``n_crit_of_series``).
     """
-    state = init_product(coin, g, m, n_max)
-    min_re = (float(diagonal(st).real.min()) for st in trajectory(state, n_max))
-    return n_crit_of_trace(min_re, m, n_max, tol)
+    if n_max < 4 * m:
+        raise ValueError(f"n_max={n_max} too small to observe the onset (need >= 4M)")
+    for state in trajectory(init_product(coin, g, m, n_max), n_max):
+        if diagonal(state).real.min() < -tol:
+            return state.n - 1
+    return n_max
 
 
 def peak_position(mu: ComplexMeasure) -> float:

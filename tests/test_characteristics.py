@@ -20,6 +20,9 @@ from stripewalk.characteristics import (
     decay_exponent,
     height_ratio,
     loglog_fit,
+    mean_peak_position,
+    n_crit_of_series,
+    onset_horizon,
     run_series,
     stable_subwindow,
     tail_exponent,
@@ -102,28 +105,21 @@ def test_peak_position_scale_invariant(hadamard):
 
 
 def test_height_ratio_parity_factor(hadamard):
-    series = run_series(hadamard, 2, 400, g=LEFT)
-    all_n = height_ratio(series, 201, 400)
-    sel = series.slice_window(201, 400) & (series.ns % 2 == 0)
+    series = run_series(hadamard, 2, 401, g=LEFT)
+    all_n = height_ratio(series)
+    assert series.fit_window == (200, 401)
+    sel = (series.ns >= 200) & (series.ns % 2 == 0)
     even = np.mean(series.mu_center[sel] / series.peak_val[sel])
     # The window holds equally many even and odd times and odd times
     # contribute exactly zero, so the factor is exactly two.
     assert abs(even / all_n - 2.0) < 1e-12
 
 
-def test_height_ratio_window_validation(hadamard):
-    series = run_series(hadamard, 2, 50, g=LEFT)
-    with pytest.raises(ValueError):
-        height_ratio(series, 40, 30)
-    with pytest.raises(ValueError):
-        height_ratio(series, 10, 100)
-
-
 def test_height_ratio_rejects_vanishing_peak():
     ns = np.arange(1, 101)
     series = _synthetic_series(ns, np.ones(100), np.zeros(100))
     with pytest.raises(ValueError, match="vanishing"):
-        height_ratio(series, 50, 100)
+        height_ratio(series)
 
 
 def test_loglog_fit_exact_power_law():
@@ -137,14 +133,14 @@ def test_loglog_fit_exact_power_law():
 def test_decay_exponent_synthetic_power_law():
     ns = np.arange(1, 401)
     series = _synthetic_series(ns, ns ** (-0.5), 2.0 * ns ** (-0.7))
-    center = decay_exponent(series, "center", (100, 400))
-    side = decay_exponent(series, "side", (100, 400))
+    center = decay_exponent(series, "center")
+    side = decay_exponent(series, "side")
     assert abs(center.slope + 0.5) < 1e-10
     assert abs(side.slope + 0.7) < 1e-10
-    # A power law is stable over the whole window: the fit uses all of it.
-    assert center.used_window == side.used_window == (100, 400)
+    # A power law is stable over the whole window [n // 2, n]: the fit uses all of it.
+    assert center.used_window == side.used_window == (200, 400)
     with pytest.raises(ValueError):
-        decay_exponent(series, "elsewhere", (100, 400))
+        decay_exponent(series, "elsewhere")
 
 
 def test_decay_exponent_rejects_sign_change():
@@ -153,32 +149,33 @@ def test_decay_exponent_rejects_sign_change():
     vals[151] = -1.0  # n = 152, an even time inside the window
     series = _synthetic_series(ns, vals, np.ones(200))
     with pytest.raises(ValueError, match="sign"):
-        decay_exponent(series, "center", (100, 200))
+        decay_exponent(series, "center")
 
 
 def test_decay_exponent_scale_invariant():
     ns = np.arange(1, 401)
     base = _synthetic_series(ns, ns ** (-0.5), ns ** (-0.5))
     scaled = _synthetic_series(ns, 17.0 * ns ** (-0.5), 17.0 * ns ** (-0.5))
-    a = decay_exponent(base, "center", (100, 400)).slope
-    b = decay_exponent(scaled, "center", (100, 400)).slope
+    a = decay_exponent(base, "center").slope
+    b = decay_exponent(scaled, "center").slope
     assert abs(a - b) < 1e-12
 
 
 def test_tail_exponent_synthetic():
     ns = np.arange(1, 801)
     series = _synthetic_series(ns, np.ones(800), np.ones(800), edge_slope=0.4)
-    fit = tail_exponent(series, (200, 800))
+    fit = tail_exponent(series)
     assert abs(fit.slope - 0.4) < 1e-6
-    assert not fit.oscillating and fit.used_window == (200, 800)
+    assert not fit.oscillating and fit.used_window == (400, 800)
     assert set(fit.sensitivity) == {"1e-10", "1e-14"}
 
 
 def test_tail_exponent_needs_points():
-    ns = np.arange(1, 30)
-    series = _synthetic_series(ns, np.ones(29), np.ones(29))
-    with pytest.raises(ValueError, match="tail widths"):
-        tail_exponent(series, (25, 29))
+    # The window [7, 15] holds nine times.
+    ns = np.arange(1, 16)
+    series = _synthetic_series(ns, np.ones(15), np.ones(15))
+    with pytest.raises(ValueError, match=r"only 9 positive tail widths in window \(7, 15\)"):
+        tail_exponent(series)
 
 
 def test_stable_subwindow_selects_clean_region():
@@ -192,6 +189,18 @@ def test_stable_subwindow_selects_clean_region():
     assert oscillating
     assert mask.sum() < len(ns)
     assert mask[-1]  # the clean upper region survives
+
+
+def test_run_series_runs_on_to_the_onset_horizon(hadamard):
+    # n = 20 lies below the horizon 52 of width 3: the traces cover the
+    # horizon, while the window and the mean peak position stay at n.
+    series = run_series(hadamard, 3, 20, g=LEFT)
+    assert series.n == 20 and onset_horizon(3) == 52
+    assert np.array_equal(series.ns, np.arange(1, 53)) and not np.any(np.isnan(series.min_re))
+    assert series.fit_window == (10, 20)
+    assert mean_peak_position(series) == np.nanmean(series.peak_xbar[9:20])
+    assert n_crit_of_series(series) == n_crit(hadamard, 3, 52, g=LEFT) == 6
+    assert series.sum_re0 == pytest.approx(1.0, abs=1e-15)  # mu_0 of a unit spinor
 
 
 def test_run_series_determinism(hadamard):
@@ -214,14 +223,15 @@ def test_run_series_conservation_trace(hadamard):
 
 
 def test_oracle_series_matches_wide_stripe(hadamard):
+    # The wide run goes on to its onset horizon; its first n steps are compared.
     n = 24
     wide = run_series(hadamard, 2 * n + 1, n, g=PLUS)
     oracle = oracle_series(hadamard, PLUS, n)
-    assert np.allclose(wide.mu_center, oracle.mu_center, atol=1e-12)
-    assert np.allclose(wide.sum_re, oracle.sum_re, atol=1e-12)
-    mask = ~np.isnan(wide.peak_xbar)
+    assert np.allclose(wide.mu_center[:n], oracle.mu_center, atol=1e-12)
+    assert np.allclose(wide.sum_re[:n], oracle.sum_re, atol=1e-12)
+    mask = ~np.isnan(wide.peak_xbar[:n])
     assert np.array_equal(mask, ~np.isnan(oracle.peak_xbar))
-    assert np.allclose(wide.peak_xbar[mask], oracle.peak_xbar[mask], atol=1e-12)
+    assert np.allclose(wide.peak_xbar[:n][mask], oracle.peak_xbar[mask], atol=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
@@ -229,7 +239,7 @@ def test_oracle_series_matches_wide_stripe(hadamard):
 def test_exponent_fits_scale_invariant_hypothesis(c):
     ns = np.arange(1, 301)
     series = _synthetic_series(ns, c * ns ** (-0.5), c * ns ** (-0.5))
-    assert abs(decay_exponent(series, "center", (50, 300)).slope + 0.5) < 1e-9
+    assert abs(decay_exponent(series, "center").slope + 0.5) < 1e-9
 
 
 # ---------------------------------------------------------------------------

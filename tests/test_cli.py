@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from stripewalk import (
+    characteristics,
     cli,
     evolve,
     init_band_vector,
@@ -39,6 +40,7 @@ from stripewalk.cli import (
 from stripewalk.limits import WINDOW_W, mode_windows
 
 from oracles import konno_cdf, n_crit, pack
+from test_characteristics import _oracle_sample
 
 
 def _read_csv(path):
@@ -472,7 +474,7 @@ def test_characteristics_command(tmp_path):
 
 
 def test_characteristics_health_values_match_the_trajectory(tmp_path):
-    # The sidecar's max |Im mu| and max |sum mu_n - sum mu_1| over steps
+    # The sidecar's max |Im mu| and max |sum mu_n - sum mu_0| over steps
     # 1..n, against the same maxima taken from a fresh trajectory.  A
     # complex spinor at even width gives a large imaginary part, and at
     # both widths the series runs past n (n_crit horizons 48 and 52 > 40).
@@ -481,15 +483,36 @@ def test_characteristics_health_values_match_the_trajectory(tmp_path):
     assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
     for entry in sidecar["per_m"]:
-        states = trajectory(init_product(make_hadamard(), (0.6, 0.8j), entry["M"], 40), 40)
-        mus = [measure(st) for st in states]
+        start = init_product(make_hadamard(), (0.6, 0.8j), entry["M"], 40)
+        total0 = measure(start).total().real
+        mus = [measure(st) for st in trajectory(start, 40)]
         imag = np.array([mu.max_abs_imag() for mu in mus])
         sums = np.array([mu.values.real.sum() for mu in mus])
-        deviation = np.abs(sums - sums[0])
+        deviation = np.abs(sums - total0)
         assert entry["max_abs_imag"] == imag.max()
         assert entry["max_sum_deviation"] == deviation.max()
         # Step 1 alone, or the first half, would read less.
         assert imag[0] < imag.max() and deviation[:20].max() < deviation.max()
+
+
+def test_characteristics_window_lies_below_the_horizon(tmp_path):
+    # At 40 steps the onset horizons 48 and 52 lie past n, so the run goes
+    # on beyond the window: the window still ends at n, and xmax is the
+    # mean peak position over times 20..40 of a fresh 40-step trajectory.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("steps = 40\nmlist = 2 3\n")
+    assert main(["characteristics", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    _, _, rows = _read_csv(tmp_path / "o" / "characteristics.csv")
+    sidecar = json.loads((tmp_path / "o" / "characteristics.json").read_text())
+    for row, entry in zip(rows, sidecar["per_m"]):
+        m = entry["M"]
+        assert entry["fit_window"] == [20, 40]
+        assert entry["n_crit"]["n_max"] == characteristics.onset_horizon(m) == 4 * m + 40
+        assert entry["n_crit"]["tol"] == characteristics.NCRIT_TOL
+        mus = [measure(st) for st in trajectory(init_product(make_hadamard(), (1.0, 0.0), m, 40), 40)]
+        delta = characteristics.PEAK_DELTA
+        peaks = [_oracle_sample(mu.values.real, 0.0, mu.positions(), mu.n, delta)["peak_xbar"] for mu in mus]
+        assert float(row[2]) == np.nanmean(peaks[19:])
 
 
 def test_simulate_provenance_records_engine(tmp_path):
@@ -903,8 +926,8 @@ def _scaled_spectrum(monkeypatch):
     grid = cli.spectrum_grid
 
     def scaled(*args):
-        ks, values, residuals = grid(*args)
-        return ks, 1.5 * values, residuals
+        ks, values, residuals, engine = grid(*args)
+        return ks, 1.5 * values, residuals, engine
 
     monkeypatch.setattr(cli, "spectrum_grid", scaled)
     return ["max |lambda| - 1"]
@@ -1136,6 +1159,14 @@ def _dented_width_one(monkeypatch):
     ]
 
 
+def _scaled_diagonal(monkeypatch):
+    # Every step's measure scaled by 1 + 1e-9, ten times the bound: the
+    # sums drift from mu_0 at step 1 already and stay level after it.
+    exact = characteristics.diagonal
+    monkeypatch.setattr(characteristics, "diagonal", lambda state: (1.0 + 1e-9) * exact(state))
+    return ["M=2 measure sum drift", "M=3 measure sum drift"]
+
+
 def _drifting_series(monkeypatch):
     # Each width's measure sum off by 1e-9 at its last step: ten times the
     # bound, yet far inside a bound a million times too loose.
@@ -1180,6 +1211,7 @@ def _drifting_series(monkeypatch):
             lambda mp: mp.setattr(cli, "IMAG_TOL", -1.0) or ["M=3 odd-width imaginary residue"],
         ),
         ("characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json", _drifting_series),
+        ("characteristics", "steps = 100\nmlist = 2 3\n", "characteristics.json", _scaled_diagonal),
     ],
 )
 def test_subcommand_check_failure_is_one_fail_line_each_exit_1(

@@ -181,7 +181,7 @@ def _corrupt_eig(monkeypatch, index, value):
 
 def _residual_rows(coin):
     """The grid rows of ``spectrum_grid(coin, 3, 16)`` whose eigenpair residual exceeds the bound."""
-    _, _, residuals = spectrum_grid(coin, 3, 16)
+    _, _, residuals, _ = spectrum_grid(coin, 3, 16)
     return np.flatnonzero(~(residuals <= EIG_RESIDUAL_TOL)).tolist()
 
 
@@ -231,7 +231,7 @@ def test_spectrum_grid_solves_one_k_per_orbit(phased_coin, monkeypatch, kgrid):
     monkeypatch.setattr(np.linalg, "eig", counting)
     for m in (10, 3):
         calls.clear()
-        _, values, residuals = spectrum_grid(phased_coin, m, kgrid)
+        _, values, residuals, _ = spectrum_grid(phased_coin, m, kgrid)
         assert values.shape == (kgrid, 4 * m) and residuals.shape == (kgrid,)
         sizes = (2 * m, 2 * m) if m % 2 == 0 else (2 * m + 1, 2 * m - 1)
         plus, minus = calls[0::2], calls[1::2]
@@ -331,7 +331,7 @@ def test_spectrum_grid_matches_brute_force(hadamard, phased_coin, m):
     # eigvals scatters by about sqrt(eps) (6e-9); the next test pins it.
     for coin in _gauge_coins(hadamard, phased_coin):
         for kgrid in (7, 18):
-            _, values, residuals = spectrum_grid(coin, m, kgrid)
+            _, values, residuals, _ = spectrum_grid(coin, m, kgrid)
             assert np.max(residuals) <= EIG_RESIDUAL_TOL
             for got, want in zip(values, _eigvals_per_k(coin, m, kgrid)):
                 assert _multiset_distance(got, want) <= 1e-12
@@ -340,7 +340,7 @@ def test_spectrum_grid_matches_brute_force(hadamard, phased_coin, m):
 def test_spectrum_grid_width_one_closed_form(hadamard):
     # At width 1 the Hadamard W(k) has eigenvalues 0, 0, 0 and cos k, all
     # four 0 at k = pi/2.
-    ks, values, _ = spectrum_grid(hadamard, 1, 16)
+    ks, values, _, _ = spectrum_grid(hadamard, 1, 16)
     for k, got in zip(ks, values):
         assert _multiset_distance(got, [0, 0, 0, math.cos(k)]) <= 1e-12
 
